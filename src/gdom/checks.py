@@ -23,15 +23,12 @@ from .counting import Count
 from .embeddings import embeddings_iter, enumerate_copies
 from .multigraph import Multigraph, contract_complement, contract_subgraph_edges, has_cut_edge, serialize_graph
 from .relations import (
+    RELATIONS,
     Certificate,
     CouplingCertificate,
     FractionalTilingCertificate,
     TilingCertificate,
     certificate_to_json,
-    check_domination,
-    check_fractional_edge_tiling,
-    check_fractional_tiling,
-    check_tiling,
     verify_certificate,
 )
 from .spectral import FunctionalSpec, heat_trace, spectral_functional, spectral_functional_error
@@ -94,7 +91,7 @@ _DEFAULT_HYPOTHESIS: dict[InequalityId, str] = {
     InequalityId.TUTTE_COEFFICIENTS: "domination",
 }
 
-_RELATION_HYPOTHESES = ("domination", "fractional_tiling", "fractional_edge_tiling", "tiling", "subgraph")
+_RELATION_HYPOTHESES = {*RELATIONS, "subgraph"}
 
 
 def claim_status(
@@ -308,21 +305,13 @@ def verify_relation_hypothesis(
         }[kind]
         if hypothesis in implies:
             return True, certificate
-    if hypothesis == "domination":
-        cert = check_domination(g, h)
-        return cert is not None, cert
-    if hypothesis == "fractional_tiling":
-        cert = check_fractional_tiling(g, h, copy_limit)
-        return cert is not None, cert
-    if hypothesis == "fractional_edge_tiling":
-        cert = check_fractional_edge_tiling(g, h, copy_limit)
-        return cert is not None, cert
-    if hypothesis == "tiling":
-        cert = check_tiling(g, h, copy_limit)
-        return cert is not None, cert
     if hypothesis == "subgraph":
         return _has_copy(g, h), None
-    raise ValueError(f"unknown relation hypothesis {hypothesis!r}")
+    decider = RELATIONS.get(hypothesis)
+    if decider is None:
+        raise ValueError(f"unknown relation hypothesis {hypothesis!r}")
+    cert = decider(g, h, copy_limit)
+    return cert is not None, cert
 
 
 # -- family counters ---------------------------------------------------------------

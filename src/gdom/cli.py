@@ -1,10 +1,10 @@
 """The ``gdom`` command line: analyze, relate, check, hunt, report.
 
 Exit codes for ``check``: 0 holds / holds-with-equality, 1 violated,
-2 hypothesis failed, 3 inconclusive or error.  Every run appends one
-self-contained JSONL record (schema 1) to ``--log-dir`` so hunts and
-checks can be replayed: same command + seed reproduces the same payload,
-timestamps aside.
+2 hypothesis failed, 3 inconclusive, error or resource bound exceeded.
+Every run appends one self-contained JSONL record (schema 1) to
+``--log-dir`` so hunts and checks can be replayed: same command + seed
+reproduces the same payload, timestamps aside.
 """
 
 from __future__ import annotations
@@ -34,14 +34,9 @@ from .counting import (
     count_spanning_trees,
     tutte_polynomial,
 )
+from .embeddings import CopyLimitExceeded
 from .multigraph import GraphError, Multigraph, has_cut_edge, parse_graph
-from .relations import (
-    certificate_to_json,
-    check_domination,
-    check_fractional_edge_tiling,
-    check_fractional_tiling,
-    check_tiling,
-)
+from .relations import RELATIONS, certificate_to_json
 from .search import PairGenerator, hunt
 from .spectral import FunctionalSpec, eigenvalues, heat_trace
 from .symmetry import is_transitive
@@ -189,13 +184,8 @@ def cmd_relate(args) -> int:
         return EXIT_ERROR
     out: dict = {}
     verdicts = {}
-    for name, decider in (
-        ("tiling", check_tiling),
-        ("fractional_tiling", check_fractional_tiling),
-        ("fractional_edge_tiling", check_fractional_edge_tiling),
-        ("domination", check_domination),
-    ):
-        cert = decider(g, h) if h.n <= g.n else None
+    for name, decider in RELATIONS.items():
+        cert = decider(g, h)
         verdicts[name] = cert is not None
         out[name] = {"holds": cert is not None}
         if cert is not None and args.certificates:
@@ -275,7 +265,7 @@ def cmd_check(args) -> int:
         h = _load_graph(args.h, args.format) if args.h else None
         params = _build_params(args, family)
         report = check(ineq, g, h, params)
-    except (GraphError, OSError, ValueError) as exc:
+    except (GraphError, OSError, ValueError, CountingBoundExceeded, CopyLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     payload = report.to_json()
@@ -353,6 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="JSON output")
         sp.add_argument("--log-dir", default=DEFAULT_LOG_DIR)
 
+    def check_params(sp):
+        """The inequality parameters that ``check`` and ``hunt`` both take."""
+        sp.add_argument("--family", default=None)
+        sp.add_argument("--hypothesis", default=None)
+        sp.add_argument("--t-grid", default=None)
+        sp.add_argument("--grid", default=None, help="x,y pairs separated by ';'")
+        sp.add_argument("--hinge", default=None, help="hinge functional threshold")
+        sp.add_argument("--q", type=int, default=None, help="number of colors")
+        sp.add_argument("--a", default=None, help="vertex subset A (comma separated)")
+        sp.add_argument("--b", default=None, help="vertex subset B (comma separated)")
+
     a = sub.add_parser("analyze", help="graph invariants and spectra")
     a.add_argument("graph")
     a.add_argument("--t-grid", default=None)
@@ -377,14 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("id", help="inequality id, optionally id:family")
     c.add_argument("g")
     c.add_argument("h", nargs="?", default=None)
-    c.add_argument("--family", default=None)
-    c.add_argument("--hypothesis", default=None)
-    c.add_argument("--t-grid", default=None)
-    c.add_argument("--grid", default=None, help="x,y pairs separated by ';'")
-    c.add_argument("--hinge", default=None, help="hinge functional threshold")
-    c.add_argument("--q", type=int, default=None, help="number of colors")
-    c.add_argument("--a", default=None, help="vertex subset A (comma separated)")
-    c.add_argument("--b", default=None, help="vertex subset B (comma separated)")
+    check_params(c)
     common(c)
     c.set_defaults(func=cmd_check)
 
@@ -396,14 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--seed", type=int, default=0)
     u.add_argument("--max-n", type=int, default=10)
     u.add_argument("--max-h", type=int, default=5)
-    u.add_argument("--family", default=None)
-    u.add_argument("--hypothesis", default=None)
-    u.add_argument("--t-grid", default=None)
-    u.add_argument("--grid", default=None)
-    u.add_argument("--hinge", default=None)
-    u.add_argument("--q", type=int, default=None)
-    u.add_argument("--a", default=None)
-    u.add_argument("--b", default=None)
+    check_params(u)
     common(u)
     u.set_defaults(func=cmd_hunt)
 

@@ -10,12 +10,11 @@ by contraction as y-factors immediately, so stored graphs stay loopless.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .multigraph import Multigraph
+from .multigraph import Memo, Multigraph, bridges
 from .symmetry import cached_code
 
 Count = Union[int, Fraction]
@@ -182,61 +181,24 @@ _X = BivariatePoly.from_dict({(1, 0): 1})
 _Y = BivariatePoly.from_dict({(0, 1): 1})
 _ONE = BivariatePoly.constant(1)
 
-_tutte_cache: dict[bytes, BivariatePoly] = {}
-_tutte_lock = threading.Lock()
-
-
-def _skeleton_bridges(n: int, pairs: list[tuple[int, int]]) -> set[tuple[int, int]]:
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    disc = [-1] * n
-    low = [0] * n
-    bridges: set[tuple[int, int]] = set()
-    timer = 0
-
-    stack: list[tuple[int, int, int]] = [(0, -1, 0)]
-    order: list[tuple[int, int]] = []
-    while stack:
-        x, parent, idx = stack.pop()
-        if idx == 0:
-            disc[x] = low[x] = timer
-            timer += 1
-            order.append((x, parent))
-        children = nbrs[x]
-        while idx < len(children):
-            y = children[idx]
-            idx += 1
-            if disc[y] == -1:
-                stack.append((x, parent, idx))
-                stack.append((y, x, 0))
-                break
-            elif y != parent:
-                low[x] = min(low[x], disc[y])
-    for x, parent in reversed(order):
-        if parent != -1:
-            low[parent] = min(low[parent], low[x])
-            if low[x] > disc[parent]:
-                bridges.add((min(x, parent), max(x, parent)))
-    return bridges
+_tutte_memo = Memo()
 
 
 def _tutte_rec(n: int, pairs: tuple[tuple[int, int, int], ...]) -> BivariatePoly:
     """Tutte polynomial of a connected loopless multigraph (pairs: u < v, mult)."""
     if not pairs:
         return _ONE
-    key = cached_code(Multigraph(n, [(u, v, m, 1) for u, v, m in pairs], _validated=True))
-    with _tutte_lock:
-        hit = _tutte_cache.get(key)
+    g = Multigraph(n, [(u, v, m, 1) for u, v, m in pairs], _validated=True)
+    key = cached_code(g)
+    hit = _tutte_memo.get(key)
     if hit is not None:
         return hit
 
     plist = list(pairs)
-    bridges = _skeleton_bridges(n, [(u, v) for u, v, _ in plist])
+    cut = bridges(g)
     # prefer a non-bridge unit so deletion keeps the graph connected
     pick = next(
-        (i for i, (u, v, m) in enumerate(plist) if m > 1 or (u, v) not in bridges),
+        (i for i, (u, v, m) in enumerate(plist) if m > 1 or (u, v) not in cut),
         None,
     )
     if pick is None:
@@ -265,9 +227,7 @@ def _tutte_rec(n: int, pairs: tuple[tuple[int, int, int], ...]) -> BivariatePoly
         t_con = _tutte_rec(n - 1, contracted).shift_y(m - 1)
         result = t_del + t_con
 
-    with _tutte_lock:
-        _tutte_cache[key] = result
-    return result
+    return _tutte_memo.put(key, result)
 
 
 def tutte_polynomial(
@@ -320,8 +280,7 @@ def count_independent_sets(g: Multigraph, size_bound: int = DEFAULT_SUBSET_BOUND
 
 # -- chromatic counting ------------------------------------------------------
 
-_chromatic_cache: dict[bytes, tuple[int, ...]] = {}
-_chromatic_lock = threading.Lock()
+_chromatic_memo = Memo()
 
 
 def _poly_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -371,8 +330,7 @@ def _chromatic_connected(n: int, edges: frozenset[tuple[int, int]]) -> tuple[int
     if not edges:
         return tuple([0] * n + [1])  # q^n
     key = cached_code(Multigraph(n, [(u, v, 1, 1) for u, v in edges], _validated=True))
-    with _chromatic_lock:
-        hit = _chromatic_cache.get(key)
+    hit = _chromatic_memo.get(key)
     if hit is not None:
         return hit
     u, v = min(edges)
@@ -385,10 +343,7 @@ def _chromatic_connected(n: int, edges: frozenset[tuple[int, int]]) -> tuple[int
         if remap[a] != remap[b]
     )
     p_con = _chromatic_poly(n - 1, contracted)
-    result = _poly_sub(p_del, p_con)
-    with _chromatic_lock:
-        _chromatic_cache[key] = result
-    return result
+    return _chromatic_memo.put(key, _poly_sub(p_del, p_con))
 
 
 def _chromatic_poly(n: int, edges: frozenset[tuple[int, int]]) -> tuple[int, ...]:
@@ -523,14 +478,11 @@ def count_packings(g: Multigraph, k: Multigraph, copy_limit: Optional[int] = Non
     clist = enumerate_copies(g, k, limit=copy_limit)
     if not clist.complete:
         raise CopyLimitExceeded("copy enumeration truncated; packing count unreliable")
-    masks = [sum(1 << v for v in c.vertices) for c in clist.copies]
-
-    def rec(i: int, used: int) -> int:
-        if i == len(masks):
-            return 1
-        total = rec(i + 1, used)
-        if not masks[i] & used:
-            total += rec(i + 1, used | masks[i])
-        return total
-
-    return rec(0, 0)
+    # ways[used] = packings among the copies seen so far that cover exactly ``used``
+    ways = {0: 1}
+    for c in clist.copies:
+        mask = sum(1 << v for v in c.vertices)
+        for used, count in list(ways.items()):
+            if not mask & used:
+                ways[used | mask] = ways.get(used | mask, 0) + count
+    return sum(ways.values())

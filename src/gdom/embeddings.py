@@ -9,7 +9,7 @@ for domination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .multigraph import Multigraph
@@ -38,9 +38,7 @@ class Copy:
 @dataclass
 class CopyList:
     copies: list[Copy]
-    embeddings: list[tuple[int, ...]]  # maps: embedding[y] = image of H-vertex y
     complete: bool = True
-    copy_of_embedding: list[int] = field(default_factory=list)
 
 
 def _search_order(h: Multigraph) -> list[int]:
@@ -129,25 +127,20 @@ def enumerate_copies(
     """
     if h.n > g.n:
         raise ValueError(f"|H| = {h.n} exceeds |G| = {g.n}")
-    seen: dict[CopyKey, int] = {}
+    seen: set[CopyKey] = set()
     copies: list[Copy] = []
-    embs: list[tuple[int, ...]] = []
-    owner: list[int] = []
     complete = True
     for emb in embeddings_iter(g, h):
         c = _copy_of(emb, h)
         key = (c.vertex_set, c.edges)
-        idx = seen.get(key)
-        if idx is None:
-            if limit is not None and len(copies) >= limit:
-                complete = False
-                break
-            idx = len(copies)
-            seen[key] = idx
-            copies.append(c)
-        embs.append(emb)
-        owner.append(idx)
-    return CopyList(copies=copies, embeddings=embs, complete=complete, copy_of_embedding=owner)
+        if key in seen:
+            continue
+        if limit is not None and len(copies) >= limit:
+            complete = False
+            break
+        seen.add(key)
+        copies.append(c)
+    return CopyList(copies=copies, complete=complete)
 
 
 def rooted_copy_relation(g: Multigraph, h: Multigraph) -> set[tuple[int, int]]:

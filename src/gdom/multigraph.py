@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -187,8 +188,32 @@ class Multigraph:
         return L
 
 
-def laplacian(g: Multigraph) -> list[list[Fraction]]:
-    return g.laplacian()
+# -- shared memo -----------------------------------------------------------
+
+
+class Memo:
+    """Unbounded memo table shared by every thread of the process.
+
+    The lock guards only the table, never the computation between a missed
+    ``get`` and its ``put``: a computation may recurse into the same memo,
+    and two threads that miss on one key both compute it and store equal
+    values.
+    """
+
+    def __init__(self):
+        self._values: dict = {}
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        """The stored value, or None."""
+        with self._lock:
+            return self._values.get(key)
+
+    def put(self, key, value):
+        """Store and return ``value``."""
+        with self._lock:
+            self._values[key] = value
+        return value
 
 
 # -- surgery -------------------------------------------------------------
@@ -278,20 +303,16 @@ def subdivide_edge(g: Multigraph, edge_index: int) -> Multigraph:
     return Multigraph(g.n + 1, edges, _validated=True)
 
 
-def has_cut_edge(g: Multigraph) -> bool:
-    """True iff deleting some single edge unit disconnects the graph.
+def bridges(g: Multigraph) -> set[tuple[int, int]]:
+    """Pairs (u < v) whose removal, with all their parallel units, disconnects g.
 
-    Only pairs of total multiplicity 1 can be cut edges; on those the
-    classic DFS low-point bridge test applies.
+    Iterative DFS low-point test; the graph is connected, so one DFS from
+    vertex 0 reaches every vertex.
     """
-    if g.n == 1:
-        return False
-    adj = g.adjacency
     nbrs = g.neighbors
     disc = [-1] * g.n
     low = [0] * g.n
     timer = 0
-    # iterative DFS from 0; graph is connected
     stack: list[tuple[int, int, int]] = [(0, -1, 0)]
     order: list[tuple[int, int]] = []
     while stack:
@@ -311,14 +332,19 @@ def has_cut_edge(g: Multigraph) -> bool:
             elif y != parent:
                 low[x] = min(low[x], disc[y])
     # propagate lows to parents in reverse discovery order
+    found: set[tuple[int, int]] = set()
     for x, parent in reversed(order):
         if parent != -1:
             low[parent] = min(low[parent], low[x])
             if low[x] > disc[parent]:
-                pair = (min(x, parent), max(x, parent))
-                if adj[pair] == 1:
-                    return True
-    return False
+                found.add((min(x, parent), max(x, parent)))
+    return found
+
+
+def has_cut_edge(g: Multigraph) -> bool:
+    """True iff deleting some single edge unit disconnects the graph."""
+    adj = g.adjacency
+    return any(adj[pair] == 1 for pair in bridges(g))
 
 
 # -- serialization --------------------------------------------------------

@@ -243,12 +243,41 @@ def check_tiling(
     return None
 
 
-def _fractional_certificate(
-    copies: list[Copy], solution: list[Fraction], mode: str
-) -> FractionalTilingCertificate:
-    mults, m = _scale_to_integers(solution)
+def _fractional_lp(
+    g: Multigraph, h: Multigraph, copy_limit: Optional[int], mode: str, column_key, build_rows
+) -> Optional[FractionalTilingCertificate]:
+    """Copies weighted so that every LP row sums to 1, scaled to integers.
+
+    Copies with equal ``column_key`` cover the rows alike, so the LP runs
+    over the first copy of each key; ``build_rows`` maps those columns to the
+    rows.  With no rows at all (the edge mode on K_1) coverage is vacuous.
+    """
+    if h.n > g.n:
+        return None
+    clist = enumerate_copies(g, h, limit=copy_limit)
+    if not clist.copies:
+        if not clist.complete:
+            raise CopyLimitExceeded("no copies within limit")
+        return None
+    reps: dict = {}
+    for i, c in enumerate(clist.copies):
+        reps.setdefault(column_key(c), i)
+    cols = list(reps.values())
+    rows = build_rows([clist.copies[i] for i in cols])
+    if rows:
+        x = feasible_nonnegative(rows, [Fraction(1)] * len(rows))
+    else:
+        x = [Fraction(1)] + [Fraction(0)] * (len(cols) - 1)
+    if x is None:
+        if not clist.complete:
+            raise CopyLimitExceeded("copy list truncated; infeasibility not conclusive")
+        return None
+    full = [Fraction(0)] * len(clist.copies)
+    for i, xi in zip(cols, x):
+        full[i] = xi
+    mults, m = _scale_to_integers(full)
     return FractionalTilingCertificate(
-        copies=copies, multiplicities=mults, coverage=m, mode=mode
+        copies=clist.copies, multiplicities=mults, coverage=m, mode=mode
     )
 
 
@@ -260,31 +289,14 @@ def check_fractional_tiling(
     Copies with the same vertex set are interchangeable for coverage, so the
     LP runs over one representative per vertex set.
     """
-    if h.n > g.n:
-        return None
-    clist = enumerate_copies(g, h, limit=copy_limit)
-    if not clist.copies:
-        if not clist.complete:
-            raise CopyLimitExceeded("no copies within limit")
-        return None
-    reps: dict[frozenset[int], int] = {}
-    for i, c in enumerate(clist.copies):
-        reps.setdefault(c.vertex_set, i)
-    cols = list(reps.values())
-    rows = [
-        [Fraction(1) if v in clist.copies[i].vertex_set else Fraction(0) for i in cols]
-        for v in range(g.n)
-    ]
-    rhs = [Fraction(1)] * g.n
-    x = feasible_nonnegative(rows, rhs)
-    if x is None:
-        if not clist.complete:
-            raise CopyLimitExceeded("copy list truncated; infeasibility not conclusive")
-        return None
-    full = [Fraction(0)] * len(clist.copies)
-    for i, xi in zip(cols, x):
-        full[i] = xi
-    return _fractional_certificate(clist.copies, full, "vertex")
+
+    def rows(reps: list[Copy]) -> list[list[Fraction]]:
+        return [
+            [Fraction(1) if v in c.vertex_set else Fraction(0) for c in reps]
+            for v in range(g.n)
+        ]
+
+    return _fractional_lp(g, h, copy_limit, "vertex", lambda c: c.vertex_set, rows)
 
 
 def check_fractional_edge_tiling(
@@ -295,40 +307,16 @@ def check_fractional_edge_tiling(
     Parallel units of one pair are interchangeable, so coverage is accounted
     per pair, normalized by the pair multiplicity.
     """
-    if h.n > g.n:
-        return None
-    clist = enumerate_copies(g, h, limit=copy_limit)
-    if not clist.copies:
-        if not clist.complete:
-            raise CopyLimitExceeded("no copies within limit")
-        return None
-    pairs = sorted(g.adjacency)
-    if not pairs:  # edgeless G = K_1; coverage is vacuous
-        return FractionalTilingCertificate(
-            copies=clist.copies,
-            multiplicities=[1] + [0] * (len(clist.copies) - 1),
-            coverage=1,
-            mode="edge",
-        )
-    reps: dict[tuple, int] = {}
-    for i, c in enumerate(clist.copies):
-        reps.setdefault(c.edges, i)
-    cols = list(reps.values())
-    used = [{(u, v): m for u, v, m in clist.copies[i].edges} for i in cols]
-    rows = []
-    for u, v in pairs:
-        denom = Fraction(g.adjacency[(u, v)])
-        rows.append([Fraction(cm.get((u, v), 0)) / denom for cm in used])
-    rhs = [Fraction(1)] * len(pairs)
-    x = feasible_nonnegative(rows, rhs)
-    if x is None:
-        if not clist.complete:
-            raise CopyLimitExceeded("copy list truncated; infeasibility not conclusive")
-        return None
-    full = [Fraction(0)] * len(clist.copies)
-    for i, xi in zip(cols, x):
-        full[i] = xi
-    return _fractional_certificate(clist.copies, full, "edge")
+
+    def rows(reps: list[Copy]) -> list[list[Fraction]]:
+        used = [{(u, v): m for u, v, m in c.edges} for c in reps]
+        out = []
+        for u, v in sorted(g.adjacency):
+            denom = Fraction(g.adjacency[(u, v)])
+            out.append([Fraction(cm.get((u, v), 0)) / denom for cm in used])
+        return out
+
+    return _fractional_lp(g, h, copy_limit, "edge", lambda c: c.edges, rows)
 
 
 def check_domination(g: Multigraph, h: Multigraph) -> Optional[CouplingCertificate]:
@@ -381,6 +369,21 @@ def domination_hall_condition(
         if reach.bit_count() * h.n < size * g.n:
             return False, frozenset(y for y in range(h.n) if t >> y & 1)
     return True, None
+
+
+def _dominates(g: Multigraph, h: Multigraph, copy_limit: Optional[int] = None):
+    # the rooted-copy relation is never truncated, so a copy limit does not apply
+    return check_domination(g, h)
+
+
+# relation name -> decider(g, h, copy_limit=None), in the order ``gdom relate``
+# reports them; each decider returns a certificate or None, and None when |H| > |G|
+RELATIONS = {
+    "tiling": check_tiling,
+    "fractional_tiling": check_fractional_tiling,
+    "fractional_edge_tiling": check_fractional_edge_tiling,
+    "domination": _dominates,
+}
 
 
 # -- certificate verification ---------------------------------------------------

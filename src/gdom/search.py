@@ -19,15 +19,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import checks
-from .checks import CheckReport, InequalityId, check
+from .checks import CheckReport, InequalityId, check, verify_relation_hypothesis
 from .multigraph import Multigraph, serialize_graph
-from .relations import (
-    Certificate,
-    check_domination,
-    check_fractional_edge_tiling,
-    check_fractional_tiling,
-    check_tiling,
-)
+from .relations import Certificate
 from .rng import Stream, derive_seed
 
 STRATEGIES = ("overlay_copies", "transitive_catalog", "random_connected_pair")
@@ -193,21 +187,6 @@ def overlay_copies(rng: Stream, h: Multigraph, k: int, max_g: int) -> Multigraph
 # -- pair generation -----------------------------------------------------------
 
 
-def _subgraph_witness(g: Multigraph, h: Multigraph):
-    from .embeddings import embeddings_iter
-
-    return next(embeddings_iter(g, h), None)
-
-
-_DECIDERS = {
-    "domination": check_domination,
-    "fractional_tiling": check_fractional_tiling,
-    "fractional_edge_tiling": check_fractional_edge_tiling,
-    "tiling": check_tiling,
-    "subgraph": _subgraph_witness,
-}
-
-
 def _propose(rng: Stream, gen: PairGenerator) -> Optional[tuple[Multigraph, Multigraph]]:
     if gen.strategy == "overlay_copies":
         hn = rng.randint(2, gen.max_h)
@@ -227,10 +206,10 @@ def _propose(rng: Stream, gen: PairGenerator) -> Optional[tuple[Multigraph, Mult
 
 
 def generate_pair(gen: PairGenerator, trial: int = 0) -> GeneratedPair:
-    """Deterministic (strategy, seed, trial) -> verified pair; rejection-samples."""
-    decider = _DECIDERS.get(gen.relation)
-    if decider is None:
-        raise ValueError(f"unknown relation {gen.relation!r}")
+    """Deterministic (strategy, seed, trial) -> verified pair; rejection-samples.
+
+    Subgraph pairs carry no certificate: the checker re-proves the embedding.
+    """
     for attempt in range(gen.max_attempts):
         rng = Stream(derive_seed(gen.seed, trial, attempt))
         proposal = _propose(rng, gen)
@@ -239,10 +218,8 @@ def generate_pair(gen: PairGenerator, trial: int = 0) -> GeneratedPair:
         g, h = proposal
         if h.n > g.n:
             continue
-        cert = decider(g, h)
-        if cert is not None:
-            if gen.relation == "subgraph":
-                cert = None  # embeddings are re-proved by the checker directly
+        ok, cert = verify_relation_hypothesis(gen.relation, g, h)
+        if ok:
             return GeneratedPair(
                 g=g, h=h, relation=gen.relation, certificate=cert, trial=trial, attempts=attempt + 1
             )

@@ -9,13 +9,12 @@ by big-integer comparison, with floats only for roots and logs.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .counting import rational_determinant
-from .multigraph import Multigraph
+from .multigraph import Memo, Multigraph
 
 DEFAULT_TOLERANCE = 1e-12
 MAX_SWEEPS = 100
@@ -77,8 +76,7 @@ def jacobi_eigenvalues(matrix: Sequence[Sequence[float]], tolerance: float) -> S
     return Spectrum(values=values, dimension=n, residual=off)
 
 
-_spectrum_cache: dict = {}
-_spectrum_lock = threading.Lock()
+_spectra = Memo()
 
 
 def eigenvalues(g: Multigraph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
@@ -86,15 +84,11 @@ def eigenvalues(g: Multigraph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     key = (g.n, g.edges, tolerance)
-    with _spectrum_lock:
-        hit = _spectrum_cache.get(key)
+    hit = _spectra.get(key)
     if hit is not None:
         return hit
     L = [[float(x) for x in row] for row in g.laplacian()]
-    spec = jacobi_eigenvalues(L, tolerance)
-    with _spectrum_lock:
-        _spectrum_cache[key] = spec
-    return spec
+    return _spectra.put(key, jacobi_eigenvalues(L, tolerance))
 
 
 # -- functionals ----------------------------------------------------------

@@ -9,12 +9,11 @@ adequate at desk scale.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from dataclasses import dataclass
 from typing import Optional
 
-from .multigraph import Multigraph
+from .multigraph import Memo, Multigraph
 
 DEFAULT_SIZE_BOUND = 64
 
@@ -83,12 +82,16 @@ def _canon_tuple(adj, colors, n, root) -> tuple:
     if len(cell) >= _ORBIT_PRUNE_CELL:
         # vertices in one orbit of the color-preserving automorphism group
         # lead to equal subtree minima; branch on representatives only
-        orbit_of = _colored_orbits(adj, colors, n)
-        seen: set[int] = set()
+        inv = [
+            (colors[v], tuple(sorted((colors[u], m) for u, m in adj[v].items())))
+            for v in range(n)
+        ]
+        gens, _ = _stabilizer_chain(adj, inv, n)
+        covered: set[int] = set()
         branch = []
         for v in cell:
-            if orbit_of[v] not in seen:
-                seen.add(orbit_of[v])
+            if v not in covered:
+                covered |= _orbit_closure(n, [v], gens)
                 branch.append(v)
     best = None
     for v in branch:
@@ -98,37 +101,6 @@ def _canon_tuple(adj, colors, n, root) -> tuple:
         if best is None or sub < best:
             best = sub
     return best
-
-
-def _colored_orbits(adj, colors, n: int) -> list[int]:
-    """Orbit index per vertex under color-preserving automorphisms."""
-    inv = [
-        (colors[v], tuple(sorted((colors[u], m) for u, m in adj[v].items())))
-        for v in range(n)
-    ]
-    gens: list[tuple[int, ...]] = []
-    prefix: dict[int, int] = {}
-    for b in range(n):
-        level_gens: list[tuple[int, ...]] = []
-        orbit = {b}
-        for x in range(n):
-            if x == b or x in prefix or x in orbit or inv[x] != inv[b]:
-                continue
-            mapping = dict(prefix)
-            mapping[b] = x
-            found = _extend_automorphism(adj, inv, mapping, set(mapping.values()), n)
-            if found is not None:
-                perm = tuple(found[v] for v in range(n))
-                level_gens.append(perm)
-                gens.append(perm)
-                orbit = _orbit_closure(n, list(orbit), level_gens)
-        prefix[b] = b
-    orbit_of = [-1] * n
-    for v in range(n):
-        if orbit_of[v] == -1:
-            for w in _orbit_closure(n, [v], gens):
-                orbit_of[w] = v
-    return orbit_of
 
 
 def canonical_code(g: Multigraph, root: Optional[int] = None) -> bytes:
@@ -141,21 +113,16 @@ def canonical_code(g: Multigraph, root: Optional[int] = None) -> bytes:
     return repr(t).encode("ascii")
 
 
-_code_cache: dict = {}
-_code_lock = threading.Lock()
+_codes = Memo()
 
 
 def cached_code(g: Multigraph) -> bytes:
     """Canonical code memoized on the graph value (shared, thread-safe)."""
     key = (g.n, g.edges)
-    with _code_lock:
-        hit = _code_cache.get(key)
+    hit = _codes.get(key)
     if hit is not None:
         return hit
-    code = canonical_code(g)
-    with _code_lock:
-        _code_cache[key] = code
-    return code
+    return _codes.put(key, canonical_code(g))
 
 
 def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:
@@ -224,13 +191,13 @@ def _orbit_closure(n: int, seeds: list[int], gens: list[tuple[int, ...]]) -> set
     return orbit
 
 
-def automorphisms(g: Multigraph, size_bound: int = DEFAULT_SIZE_BOUND) -> AutomorphismInfo:
-    """Generators, orbit partition, and exact group order (stabilizer chain)."""
-    if g.n > size_bound:
-        raise SizeBoundExceeded(f"|G| = {g.n} exceeds bound {size_bound}")
-    n = g.n
-    adj = _pair_adjacency(g)
-    inv = _vertex_invariants(adj)
+def _stabilizer_chain(adj, inv, n: int) -> tuple[list[tuple[int, ...]], int]:
+    """Generators and order of the automorphisms that preserve ``inv``.
+
+    Fixes base points 0, 1, ... in turn and, per level, finds automorphisms
+    that move the base point while fixing the earlier ones; the group order
+    is the product of the base points' orbit sizes at their levels.
+    """
     gens: list[tuple[int, ...]] = []
     order = 1
     prefix: dict[int, int] = {}
@@ -250,6 +217,16 @@ def automorphisms(g: Multigraph, size_bound: int = DEFAULT_SIZE_BOUND) -> Automo
                 orbit = _orbit_closure(n, list(orbit), level_gens)
         order *= len(orbit)
         prefix[b] = b
+    return gens, order
+
+
+def automorphisms(g: Multigraph, size_bound: int = DEFAULT_SIZE_BOUND) -> AutomorphismInfo:
+    """Generators, orbit partition, and exact group order (stabilizer chain)."""
+    if g.n > size_bound:
+        raise SizeBoundExceeded(f"|G| = {g.n} exceeds bound {size_bound}")
+    n = g.n
+    adj = _pair_adjacency(g)
+    gens, order = _stabilizer_chain(adj, _vertex_invariants(adj), n)
     seen: set[int] = set()
     orbits: list[list[int]] = []
     for v in range(n):

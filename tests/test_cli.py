@@ -95,6 +95,17 @@ def test_check_exit_codes(graphs, capsys):
     assert main(["check", "bogus_id", graphs["k4"], graphs["k3"], "--log-dir", graphs["log"]]) == 3
 
 
+def test_check_resource_bound_is_an_error(tmp_path, capsys):
+    # K8 has 28 edge units, over the Tutte bound of 24
+    k8 = tmp_path / "k8.txt"
+    k8.write_text(serialize_graph(complete_graph(8)))
+    k3 = tmp_path / "k3.txt"
+    k3.write_text(serialize_graph(complete_graph(3)))
+    rc = main(["check", "tutte_pointwise", str(k8), str(k3), "--log-dir", str(tmp_path / "l")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: 28 edge units exceed the Tutte bound 24")
+
+
 def test_check_koteljanskii_flags(graphs, capsys):
     rc = main(
         [

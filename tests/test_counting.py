@@ -375,6 +375,8 @@ def test_packing_examples():
     assert count_packings(complete_graph(3), complete_graph(3)) == 2
     assert count_packings(path_graph(3), complete_graph(3)) == 1
     assert count_packings(complete_graph(3), complete_graph(4)) == 1
+    # one level per copy would pass the recursion limit here
+    assert count_packings(star_graph(1100), single_edge()) == 1101
 
 
 def test_loop_invariance_of_counters():

@@ -15,6 +15,7 @@ from gdom.multigraph import (
     single_vertex,
     star_graph,
 )
+from gdom import symmetry
 from gdom.symmetry import (
     SizeBoundExceeded,
     automorphisms,
@@ -116,6 +117,15 @@ def test_codes_complete_on_atlas6():
                 assert same_code == brute_isomorphic(g, h)
     # atlas graphs are pairwise non-isomorphic, so all codes must be distinct
     assert len({cached_code(g) for g in graphs}) == len(graphs)
+
+
+def test_orbit_pruning_keeps_codes(monkeypatch):
+    # branching on one vertex per orbit of the colored stabilizer chain
+    # must give the same minimum as branching on the whole cell
+    graphs = atlas_up_to(7)
+    pruned = [canonical_code(g) for g in graphs]
+    monkeypatch.setattr(symmetry, "_ORBIT_PRUNE_CELL", 10**9)
+    assert [canonical_code(g) for g in graphs] == pruned
 
 
 def test_codes_distinguish_multiplicity():
