@@ -12,6 +12,7 @@ Usage: python scripts/torture_soundness.py [--budget 1000] [--seed 0] [--max-n 9
 import argparse
 import sys
 
+from gdom.checks import PROVEN, claim_status
 from gdom.rng import derive_seed
 from gdom.search import PairGenerator, hunt
 
@@ -44,6 +45,11 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max-n", type=int, default=9)
     args = ap.parse_args()
+
+    for ineq, relation, params, _ in THEOREM_HUNTS:
+        status = claim_status(ineq, relation, params.get("family"))
+        if status != PROVEN:
+            raise SystemExit(f"{ineq} under {relation} is {status}, not a theorem")
 
     failures = 0
     total = 0

@@ -8,6 +8,11 @@ Spectral quantities are compared in floating point under an explicit error
 budget; a difference inside the budget is reported inconclusive, never a
 false violation.  Continuous-parameter claims are checked on finite grids
 named in the report.
+
+:data:`INEQUALITIES` is the one place an inequality is defined: for each
+:class:`InequalityId` it holds the default hypothesis, the checker, the
+hypotheses under which the claim is proven and when it is known false.
+:func:`check`, :func:`claim_status` and the hunt read only that table.
 """
 
 from __future__ import annotations
@@ -15,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import log
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import counting, spectral
 from .counting import Count
@@ -69,68 +75,7 @@ class InequalityId(str, Enum):
     TUTTE_COEFFICIENTS = "tutte_coefficients"
 
 
-# default relation hypothesis per id, and the set a caller may request instead
-_DEFAULT_HYPOTHESIS: dict[InequalityId, str] = {
-    InequalityId.SPANNING_TREE: "domination",
-    InequalityId.TREE_PRODUCT: "subgraph",
-    InequalityId.MINOR_POWER: "subgraph",
-    InequalityId.TRANSITIVE_G: "domination",
-    InequalityId.TRANSITIVE_H: "domination",
-    InequalityId.FRAC_TILING_TREE: "fractional_tiling",
-    InequalityId.KOTELJANSKII_STEP: "params",
-    InequalityId.COVER_PRODUCT: "params",
-    InequalityId.HEAT_TRACE_FRAC: "fractional_tiling",
-    InequalityId.WEIGHTED_COVER_HEAT: "params",
-    InequalityId.SPECTRAL_DECREASING_CONVEX: "fractional_tiling",
-    InequalityId.OP_MONOTONE: "domination",
-    InequalityId.CHAR_POLY: "domination",
-    InequalityId.VERTEX_COUNTING: "fractional_tiling",
-    InequalityId.EDGE_COUNTING: "fractional_edge_tiling",
-    InequalityId.MATCHINGS_LOWER: "fractional_tiling",
-    InequalityId.TUTTE_POINTWISE: "domination",
-    InequalityId.TUTTE_COEFFICIENTS: "domination",
-}
-
 _RELATION_HYPOTHESES = {*RELATIONS, "subgraph"}
-
-
-def claim_status(
-    ineq: InequalityId, hypothesis: str, family: Optional[str] = None, h_transitive: bool = False
-) -> str:
-    """Proven / conjectured / known-false status of the claim being checked."""
-    i = InequalityId(ineq)
-    if i in (
-        InequalityId.TREE_PRODUCT,
-        InequalityId.MINOR_POWER,
-        InequalityId.TRANSITIVE_G,
-        InequalityId.TRANSITIVE_H,
-        InequalityId.FRAC_TILING_TREE,
-        InequalityId.KOTELJANSKII_STEP,
-        InequalityId.COVER_PRODUCT,
-        InequalityId.WEIGHTED_COVER_HEAT,
-        InequalityId.OP_MONOTONE,
-        InequalityId.CHAR_POLY,
-    ):
-        return PROVEN
-    if i is InequalityId.SPANNING_TREE:
-        return PROVEN if hypothesis in ("fractional_tiling", "tiling") else CONJECTURED
-    if i is InequalityId.HEAT_TRACE_FRAC:
-        return PROVEN if hypothesis in ("fractional_tiling", "tiling") else CONJECTURED
-    if i is InequalityId.SPECTRAL_DECREASING_CONVEX:
-        if hypothesis in ("fractional_tiling", "tiling"):
-            return PROVEN
-        return CONJECTURED if h_transitive else KNOWN_FALSE
-    if i is InequalityId.VERTEX_COUNTING:
-        if hypothesis in ("fractional_tiling", "tiling"):
-            return PROVEN
-        return KNOWN_FALSE if family == "independent_sets" else CONJECTURED
-    if i is InequalityId.EDGE_COUNTING:
-        return PROVEN if hypothesis == "fractional_edge_tiling" else CONJECTURED
-    if i is InequalityId.MATCHINGS_LOWER:
-        if hypothesis in ("fractional_tiling", "tiling"):
-            return CONJECTURED
-        return KNOWN_FALSE
-    return CONJECTURED  # tutte_pointwise, tutte_coefficients
 
 
 # -- report ------------------------------------------------------------------
@@ -349,10 +294,13 @@ def check(
     h: Optional[Multigraph] = None,
     params: Optional[dict] = None,
 ) -> CheckReport:
-    """Run one inequality check; see the id table for hypotheses and directions."""
+    """Run one inequality check; :data:`INEQUALITIES` gives each id's
+    hypothesis, checker and claim status."""
     ineq = InequalityId(ineq)
+    entry = INEQUALITIES[ineq]
     params = dict(params or {})
-    hypothesis = params.get("hypothesis", _DEFAULT_HYPOTHESIS[ineq])
+    hypothesis = params.get("hypothesis", entry.hypothesis)
+    family = params.get("family")
     report = CheckReport(
         inequality=ineq.value,
         verdict=INCONCLUSIVE,
@@ -360,109 +308,68 @@ def check(
         hypothesis_ok=False,
         g=serialize_graph(g),
         h=None if h is None else serialize_graph(h),
-        family=params.get("family"),
+        family=family,
     )
-    needs_h = ineq not in (
-        InequalityId.KOTELJANSKII_STEP,
-        InequalityId.COVER_PRODUCT,
-        InequalityId.WEIGHTED_COVER_HEAT,
-    )
-    if needs_h and h is None:
+    if entry.takes_h and h is None:
         raise MissingParameter(f"{ineq.value} needs a second graph")
 
-    # --- hypothesis ---
-    transitivity_note = None
-    if ineq is InequalityId.MINOR_POWER or ineq is InequalityId.TRANSITIVE_G:
-        if not is_transitive(g):
-            report.notes.append("G is not transitive")
-            report.verdict = HYPOTHESIS_FAILED
-            report.status = claim_status(ineq, hypothesis)
-            return report
-        transitivity_note = "G transitive"
-    if ineq is InequalityId.TRANSITIVE_H:
-        if not is_transitive(h):
-            report.notes.append("H is not transitive")
-            report.verdict = HYPOTHESIS_FAILED
-            report.status = claim_status(ineq, hypothesis)
-            return report
-        transitivity_note = "H transitive"
-
-    relation_cert: Optional[Certificate] = None
-    if hypothesis in _RELATION_HYPOTHESES:
-        ok, relation_cert = verify_relation_hypothesis(
+    side = entry.transitive
+    hypothesis_ok = not side or is_transitive(g if side == "G" else h)
+    if not hypothesis_ok:
+        report.notes.append(f"{side} is not transitive")
+    elif hypothesis in _RELATION_HYPOTHESES:
+        hypothesis_ok, cert = verify_relation_hypothesis(
             hypothesis, g, h, params.get("certificate"), params.get("copy_limit")
         )
-        report.hypothesis_ok = ok
-        if relation_cert is not None:
-            report.certificate = certificate_to_json(relation_cert)
-        if not ok:
-            report.verdict = HYPOTHESIS_FAILED
-            report.status = claim_status(ineq, hypothesis, params.get("family"))
-            return report
-    if transitivity_note:
-        report.notes.append(transitivity_note)
+        report.hypothesis_ok = hypothesis_ok
+        if cert is not None:
+            report.certificate = certificate_to_json(cert)
+    if not hypothesis_ok:
+        report.verdict = HYPOTHESIS_FAILED
+        report.status = claim_status(ineq, hypothesis, family)
+        return report
+    if side:
+        report.notes.append(f"{side} transitive")
 
     h_trans = ineq is InequalityId.SPECTRAL_DECREASING_CONVEX and h is not None and is_transitive(h)
-    report.status = claim_status(ineq, hypothesis, params.get("family"), h_trans)
-
-    # --- dispatch ---
-    if ineq is InequalityId.SPANNING_TREE or ineq in (
-        InequalityId.TRANSITIVE_G,
-        InequalityId.TRANSITIVE_H,
-        InequalityId.FRAC_TILING_TREE,
-    ):
-        _check_tree_ratio(ineq, g, h, report)
-    elif ineq is InequalityId.TREE_PRODUCT:
-        _check_tree_product(g, h, report)
-    elif ineq is InequalityId.MINOR_POWER:
-        _check_minor_power(g, h, report)
-    elif ineq is InequalityId.KOTELJANSKII_STEP:
-        _check_koteljanskii_step(g, params, report)
-    elif ineq is InequalityId.COVER_PRODUCT:
-        _check_cover_product(g, params, report)
-    elif ineq is InequalityId.HEAT_TRACE_FRAC:
-        _check_heat_trace(g, h, params, report)
-    elif ineq is InequalityId.WEIGHTED_COVER_HEAT:
-        _check_weighted_cover_heat(g, params, report)
-    elif ineq is InequalityId.SPECTRAL_DECREASING_CONVEX:
-        _check_spectral_functionals(g, h, params, report, direction="le", need="decreasing_convex")
-    elif ineq is InequalityId.OP_MONOTONE:
-        _check_op_monotone(g, h, params, report)
-    elif ineq is InequalityId.CHAR_POLY:
-        _check_char_poly(g, h, params, report)
-    elif ineq is InequalityId.VERTEX_COUNTING:
-        _check_vertex_counting(g, h, params, report)
-    elif ineq is InequalityId.EDGE_COUNTING:
-        _check_edge_counting(g, h, params, report)
-    elif ineq is InequalityId.MATCHINGS_LOWER:
-        _check_matchings_lower(g, h, params, report)
-    elif ineq is InequalityId.TUTTE_POINTWISE:
-        _check_tutte_pointwise(g, h, params, report)
-    elif ineq is InequalityId.TUTTE_COEFFICIENTS:
-        _check_tutte_coefficients(g, h, report)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled inequality {ineq!r}")
+    report.status = claim_status(ineq, hypothesis, family, h_trans)
+    entry.checker(g, h, params, report)
     return report
 
 
-# --- individual checkers ---
+# --- individual checkers: each takes (g, h, params, report) and fills the report ---
 
 
-def _check_tree_ratio(ineq: InequalityId, g, h, report: CheckReport) -> None:
+def _assert_strict(report: CheckReport, why: str) -> None:
+    report.strictness = f"strict inequality asserted ({why})"
+    if report.verdict == HOLDS_WITH_EQUALITY:
+        report.verdict = VIOLATED
+        report.notes.append("equality where strict inequality is asserted")
+
+
+def _settle_grid(report: CheckReport, note_violation: bool = False) -> None:
+    """Aggregate the grid points; report the first violated point, else the last."""
+    report.verdict = aggregate_verdicts([p.verdict for p in report.points])
+    bad = next((p for p in report.points if p.verdict == VIOLATED), report.points[-1])
+    report.lhs, report.rhs, report.error_bound = bad.lhs, bad.rhs, bad.error_bound
+    if note_violation and report.verdict == VIOLATED:
+        report.notes.append(f"violated at {bad.label}")
+
+
+def _check_tree_ratio(g, h, params: dict, report: CheckReport) -> None:
     tg, th = counting.count_spanning_trees(g), counting.count_spanning_trees(h)
     report.lhs, report.rhs = tg, th
     report.params["normalization"] = f"lhs^(1/{g.n}) vs rhs^(1/{h.n})"
     report.verdict = compare_normalized_powers(tg, g.n, th, h.n, "ge")
-    if ineq is InequalityId.TRANSITIVE_G:
-        strict_expected = not has_cut_edge(g) and cached_code(g) != cached_code(h)
-        if strict_expected:
-            report.strictness = "strict inequality asserted (no cut-edge, G not H)"
-            if report.verdict == HOLDS_WITH_EQUALITY:
-                report.verdict = VIOLATED
-                report.notes.append("equality where strict inequality is asserted")
 
 
-def _check_tree_product(g, h, report: CheckReport) -> None:
+def _check_transitive_g(g, h, params: dict, report: CheckReport) -> None:
+    _check_tree_ratio(g, h, params, report)
+    if not has_cut_edge(g) and cached_code(g) != cached_code(h):
+        _assert_strict(report, "no cut-edge, G not H")
+
+
+def _check_tree_product(g, h, params: dict, report: CheckReport) -> None:
     tg = counting.count_spanning_trees(g)
     th = counting.count_spanning_trees(h)
     worst = None
@@ -477,7 +384,7 @@ def _check_tree_product(g, h, report: CheckReport) -> None:
     report.verdict = compare_exact(worst, tg, "le")
 
 
-def _check_minor_power(g, h, report: CheckReport) -> None:
+def _check_minor_power(g, h, params: dict, report: CheckReport) -> None:
     tg = counting.count_spanning_trees(g)
     copies = enumerate_copies(g, h).copies
     verdicts = []
@@ -493,10 +400,7 @@ def _check_minor_power(g, h, report: CheckReport) -> None:
     report.params["normalization"] = f"tau(G_H) vs tau(G)^({h.n}/{g.n})"
     report.verdict = aggregate_verdicts(verdicts)
     if not has_cut_edge(g) and g.n > h.n >= 1:
-        report.strictness = "strict inequality asserted (no cut-edge, |G| > |H|)"
-        if report.verdict == HOLDS_WITH_EQUALITY:
-            report.verdict = VIOLATED
-            report.notes.append("equality where strict inequality is asserted")
+        _assert_strict(report, "no cut-edge, |G| > |H|")
 
 
 def _resolve_subsets(g: Multigraph, params: dict, keys=("a", "b")) -> list[frozenset[int]]:
@@ -515,7 +419,7 @@ def _tau_contract(g: Multigraph, a: frozenset[int]) -> Count:
     return counting.count_spanning_trees(contract_complement(g, a))
 
 
-def _check_koteljanskii_step(g, params: dict, report: CheckReport) -> None:
+def _check_koteljanskii_step(g, h, params: dict, report: CheckReport) -> None:
     a, b = _resolve_subsets(g, params)
     union, inter = a | b, a & b
     lhs = Fraction(_tau_contract(g, a)) * Fraction(_tau_contract(g, b))
@@ -538,7 +442,7 @@ def _check_koteljanskii_step(g, params: dict, report: CheckReport) -> None:
         )
 
 
-def _check_cover_product(g, params: dict, report: CheckReport) -> None:
+def _check_cover_product(g, h, params: dict, report: CheckReport) -> None:
     cover = params.get("cover")
     if cover is None:
         raise MissingParameter("cover_product needs params['cover']")
@@ -580,22 +484,15 @@ def _check_heat_trace(g, h, params: dict, report: CheckReport) -> None:
             val = heat_trace(g, float(t))
             report.points.append(GridPoint(f"t={t}", val, val, HOLDS_WITH_EQUALITY))
         report.notes.append("G and H are isomorphic; equality holds at every t")
-        report.verdict = HOLDS_WITH_EQUALITY
-        lastp = report.points[-1]
-        report.lhs, report.rhs = lastp.lhs, lastp.rhs
-        return
-    for t in grid:
-        spec = FunctionalSpec("exp_decay", Fraction(t))
-        budget = spectral_functional_error(g, spec) + spectral_functional_error(h, spec)
-        lhs = heat_trace(g, float(t))
-        rhs = heat_trace(h, float(t))
-        v = compare_float(lhs, rhs, "le", budget)
-        report.points.append(GridPoint(f"t={t}", lhs, rhs, v, budget))
-    report.verdict = aggregate_verdicts([p.verdict for p in report.points])
-    bad = next((p for p in report.points if p.verdict == VIOLATED), report.points[-1])
-    report.lhs, report.rhs, report.error_bound = bad.lhs, bad.rhs, bad.error_bound
-    if report.verdict == VIOLATED:
-        report.notes.append(f"violated at {bad.label}")
+    else:
+        for t in grid:
+            spec = FunctionalSpec("exp_decay", Fraction(t))
+            budget = spectral_functional_error(g, spec) + spectral_functional_error(h, spec)
+            lhs = heat_trace(g, float(t))
+            rhs = heat_trace(h, float(t))
+            v = compare_float(lhs, rhs, "le", budget)
+            report.points.append(GridPoint(f"t={t}", lhs, rhs, v, budget))
+    _settle_grid(report, note_violation=True)
 
 
 def _cover_entry_laplacian(entry: dict) -> tuple[list[list[Fraction]], int, dict]:
@@ -619,7 +516,7 @@ def _cover_entry_laplacian(entry: dict) -> tuple[list[list[Fraction]], int, dict
     return L, n, weights
 
 
-def _check_weighted_cover_heat(g, params: dict, report: CheckReport) -> None:
+def _check_weighted_cover_heat(g, h, params: dict, report: CheckReport) -> None:
     cover = params.get("weighted_cover")
     if cover is None:
         raise MissingParameter("weighted_cover_heat needs params['weighted_cover']")
@@ -665,9 +562,7 @@ def _check_weighted_cover_heat(g, params: dict, report: CheckReport) -> None:
         rhs = sum(spectral.heat_trace_sum_from_matrix(L, float(t)) for L, _ in lap_data) / big_n
         budget = 1e-9
         report.points.append(GridPoint(f"t={t}", lhs, rhs, compare_float(lhs, rhs, "le", budget), budget))
-    report.verdict = aggregate_verdicts([p.verdict for p in report.points])
-    bad = next((p for p in report.points if p.verdict == VIOLATED), report.points[-1])
-    report.lhs, report.rhs, report.error_bound = bad.lhs, bad.rhs, bad.error_bound
+    _settle_grid(report)
 
 
 def _resolve_functionals(params: dict, need: str) -> list[FunctionalSpec]:
@@ -695,11 +590,7 @@ def _check_spectral_functionals(g, h, params: dict, report: CheckReport, directi
         report.points.append(
             GridPoint(f.describe(), lhs, rhs, compare_float(lhs, rhs, direction, budget), budget)
         )
-    report.verdict = aggregate_verdicts([p.verdict for p in report.points])
-    bad = next((p for p in report.points if p.verdict == VIOLATED), report.points[-1])
-    report.lhs, report.rhs, report.error_bound = bad.lhs, bad.rhs, bad.error_bound
-    if report.verdict == VIOLATED:
-        report.notes.append(f"violated at {bad.label}")
+    _settle_grid(report, note_violation=True)
 
 
 def _check_op_monotone(g, h, params: dict, report: CheckReport) -> None:
@@ -719,9 +610,7 @@ def _check_char_poly(g, h, params: dict, report: CheckReport) -> None:
         dh = spectral.shifted_determinant_exact(h, t)
         v = compare_normalized_powers(dg, g.n, dh, h.n, "ge")
         report.points.append(GridPoint(f"t={t}", dg, dh, v))
-    report.verdict = aggregate_verdicts([p.verdict for p in report.points])
-    bad = next((p for p in report.points if p.verdict == VIOLATED), report.points[-1])
-    report.lhs, report.rhs = bad.lhs, bad.rhs
+    _settle_grid(report)
     report.params["normalization"] = f"det^(1/{g.n}) vs det^(1/{h.n})"
 
 
@@ -782,12 +671,10 @@ def _check_tutte_pointwise(g, h, params: dict, report: CheckReport) -> None:
         b = th.evaluate(x, y)
         v = compare_normalized_powers(a, g.n, b, h.n, "ge")
         report.points.append(GridPoint(f"(x,y)=({x},{y})", a, b, v))
-    report.verdict = aggregate_verdicts([p.verdict for p in report.points])
-    bad = next((p for p in report.points if p.verdict == VIOLATED), report.points[-1])
-    report.lhs, report.rhs = bad.lhs, bad.rhs
+    _settle_grid(report)
 
 
-def _check_tutte_coefficients(g, h, report: CheckReport) -> None:
+def _check_tutte_coefficients(g, h, params: dict, report: CheckReport) -> None:
     tg = counting.tutte_polynomial(g).substitute_plus_one()
     th = counting.tutte_polynomial(h).substitute_plus_one()
     diff = tg.power(h.n) - th.power(g.n)
@@ -803,6 +690,81 @@ def _check_tutte_coefficients(g, h, report: CheckReport) -> None:
         report.lhs, report.rhs = v, 0
     else:
         report.verdict = HOLDS
+
+
+# -- the inequality table -------------------------------------------------------------
+
+
+_TILINGS = frozenset({"tiling", "fractional_tiling"})
+_NEVER = frozenset()
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """One inequality: its default relation hypothesis (``"params"`` means a
+    single graph plus parameters, no H), its checker, the hypotheses under
+    which the claim is proven (None: every hypothesis), when the claim is
+    known false outside them (else it is conjectured), and which graph, if
+    any, the claim needs vertex-transitive."""
+
+    hypothesis: str
+    checker: Callable[[Multigraph, Optional[Multigraph], dict, CheckReport], None]
+    proven_under: Optional[frozenset[str]] = None
+    known_false: Callable[[str, Optional[str], bool], bool] = lambda hypothesis, family, h_transitive: False
+    transitive: Optional[str] = None
+
+    @property
+    def takes_h(self) -> bool:
+        return self.hypothesis != "params"
+
+
+INEQUALITIES: dict[InequalityId, Inequality] = {
+    InequalityId.SPANNING_TREE: Inequality("domination", _check_tree_ratio, _TILINGS),
+    InequalityId.TREE_PRODUCT: Inequality("subgraph", _check_tree_product),
+    InequalityId.MINOR_POWER: Inequality("subgraph", _check_minor_power, transitive="G"),
+    InequalityId.TRANSITIVE_G: Inequality("domination", _check_transitive_g, transitive="G"),
+    InequalityId.TRANSITIVE_H: Inequality("domination", _check_tree_ratio, transitive="H"),
+    InequalityId.FRAC_TILING_TREE: Inequality("fractional_tiling", _check_tree_ratio),
+    InequalityId.KOTELJANSKII_STEP: Inequality("params", _check_koteljanskii_step),
+    InequalityId.COVER_PRODUCT: Inequality("params", _check_cover_product),
+    InequalityId.HEAT_TRACE_FRAC: Inequality("fractional_tiling", _check_heat_trace, _TILINGS),
+    InequalityId.WEIGHTED_COVER_HEAT: Inequality("params", _check_weighted_cover_heat),
+    InequalityId.SPECTRAL_DECREASING_CONVEX: Inequality(
+        "fractional_tiling",
+        partial(_check_spectral_functionals, direction="le", need="decreasing_convex"),
+        _TILINGS,
+        known_false=lambda hypothesis, family, h_transitive: not h_transitive,
+    ),
+    InequalityId.OP_MONOTONE: Inequality("domination", _check_op_monotone),
+    InequalityId.CHAR_POLY: Inequality("domination", _check_char_poly),
+    InequalityId.VERTEX_COUNTING: Inequality(
+        "fractional_tiling",
+        _check_vertex_counting,
+        _TILINGS,
+        known_false=lambda hypothesis, family, h_transitive: family == "independent_sets",
+    ),
+    InequalityId.EDGE_COUNTING: Inequality(
+        "fractional_edge_tiling", _check_edge_counting, frozenset({"fractional_edge_tiling"})
+    ),
+    InequalityId.MATCHINGS_LOWER: Inequality(
+        "fractional_tiling",
+        _check_matchings_lower,
+        _NEVER,
+        known_false=lambda hypothesis, family, h_transitive: hypothesis not in _TILINGS,
+    ),
+    InequalityId.TUTTE_POINTWISE: Inequality("domination", _check_tutte_pointwise, _NEVER),
+    InequalityId.TUTTE_COEFFICIENTS: Inequality("domination", _check_tutte_coefficients, _NEVER),
+}
+
+
+def claim_status(
+    ineq: InequalityId, hypothesis: str, family: Optional[str] = None, h_transitive: bool = False
+) -> str:
+    """Proven / conjectured / known-false status of the claim being checked."""
+    entry = INEQUALITIES[InequalityId(ineq)]
+    if entry.proven_under is None or hypothesis in entry.proven_under:
+        return PROVEN
+    return KNOWN_FALSE if entry.known_false(hypothesis, family, h_transitive) else CONJECTURED
 
 
 # -- Shearer ---------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """The ``gdom`` command line: analyze, relate, check, hunt, report.
 
 Exit codes for ``check``: 0 holds / holds-with-equality, 1 violated,
-2 hypothesis failed, 3 inconclusive, error or resource bound exceeded.
-Every run appends one self-contained JSONL record (schema 1) to
-``--log-dir`` so hunts and checks can be replayed: same command + seed
-reproduces the same payload, timestamps aside.
+2 hypothesis failed, 3 inconclusive or error.  Any command exits 3 with
+``error: ...`` on bad input, an exceeded resource bound, a recursion limit
+or an eigensolver failure.  Every run of ``analyze``, ``relate``, ``check``
+and ``hunt``, failed runs included, appends one self-contained JSONL record
+(schema 1) to ``--log-dir`` so hunts and checks can be replayed: same
+command + seed reproduces the same payload, timestamps aside.  ``report``
+only reads the log and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -35,10 +39,10 @@ from .counting import (
     tutte_polynomial,
 )
 from .embeddings import CopyLimitExceeded
-from .multigraph import GraphError, Multigraph, has_cut_edge, parse_graph
+from .multigraph import Multigraph, has_cut_edge, parse_graph
 from .relations import RELATIONS, certificate_to_json
 from .search import PairGenerator, hunt
-from .spectral import FunctionalSpec, eigenvalues, heat_trace
+from .spectral import EigensolverError, FunctionalSpec, eigenvalues, heat_trace
 from .symmetry import is_transitive
 
 EXIT_OK = 0
@@ -65,9 +69,18 @@ def _load_graph(path: str, fmt: Optional[str]) -> Multigraph:
     return parse_graph(text.strip(), _detect_format(path, fmt))
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _input_digests(args) -> dict:
+    """sha256 of each graph file the command names, for the files it can read."""
+    digests = {}
+    for name in ("graph", "g", "h"):
+        path = getattr(args, name, None)
+        if path:
+            try:
+                with open(path, "rb") as fh:
+                    digests[name] = hashlib.sha256(fh.read()).hexdigest()
+            except OSError:
+                pass
+    return digests
 
 
 def _parse_t_grid(text: str) -> list[Fraction]:
@@ -112,17 +125,19 @@ class RunLog:
             return [json.loads(line) for line in fh if line.strip()]
 
 
-def _record(args, digests: dict, summary: str, reports: list[dict], seed=None) -> dict:
-    return {
-        "schema": 1,
-        "timestamp": time.time(),
-        "command": list(args._argv),
-        "seed": seed,
-        "version": __version__,
-        "input_digests": digests,
-        "summary": summary,
-        "reports": reports,
-    }
+def _log_run(args, summary: str, reports: list[dict]) -> None:
+    RunLog(args.log_dir).append(
+        {
+            "schema": 1,
+            "timestamp": time.time(),
+            "command": list(args._argv),
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+            "input_digests": _input_digests(args),
+            "summary": summary,
+            "reports": reports,
+        }
+    )
 
 
 # -- analyze ------------------------------------------------------------------
@@ -154,11 +169,7 @@ def _analyze_fields(g: Multigraph, t_grid: list[Fraction]) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        g = _load_graph(args.graph, args.format)
-    except (GraphError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    g = _load_graph(args.graph, args.format)
     grid = _parse_t_grid(args.t_grid) if args.t_grid else [Fraction(2) ** k for k in (-2, 0, 2)]
     fields = _analyze_fields(g, grid)
     if args.json:
@@ -166,9 +177,7 @@ def cmd_analyze(args) -> int:
     else:
         for k, v in fields.items():
             print(f"{k}: {v}")
-    RunLog(args.log_dir).append(
-        _record(args, {"graph": _digest(args.graph)}, "analyze", [fields])
-    )
+    _log_run(args, "analyze", [fields])
     return EXIT_OK
 
 
@@ -176,12 +185,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_relate(args) -> int:
-    try:
-        g = _load_graph(args.g, args.format)
-        h = _load_graph(args.h, args.format)
-    except (GraphError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    g = _load_graph(args.g, args.format)
+    h = _load_graph(args.h, args.format)
     out: dict = {}
     verdicts = {}
     for name, decider in RELATIONS.items():
@@ -213,14 +218,7 @@ def cmd_relate(args) -> int:
             print(f"{name}: {'yes' if info['holds'] else 'no'}")
             if "certificate" in info:
                 print(f"  certificate: {json.dumps(info['certificate'], sort_keys=True)}")
-    RunLog(args.log_dir).append(
-        _record(
-            args,
-            {"g": _digest(args.g), "h": _digest(args.h)},
-            "relate " + " ".join(f"{k}={v}" for k, v in verdicts.items()),
-            [out],
-        )
-    )
+    _log_run(args, "relate " + " ".join(f"{k}={v}" for k, v in verdicts.items()), [out])
     return EXIT_OK
 
 
@@ -259,15 +257,11 @@ _EXIT_BY_VERDICT = {
 
 
 def cmd_check(args) -> int:
-    try:
-        ineq, family = _parse_check_id(args.id)
-        g = _load_graph(args.g, args.format)
-        h = _load_graph(args.h, args.format) if args.h else None
-        params = _build_params(args, family)
-        report = check(ineq, g, h, params)
-    except (GraphError, OSError, ValueError, CountingBoundExceeded, CopyLimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    ineq, family = _parse_check_id(args.id)
+    g = _load_graph(args.g, args.format)
+    h = _load_graph(args.h, args.format) if args.h else None
+    params = _build_params(args, family)
+    report = check(ineq, g, h, params)
     payload = report.to_json()
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -278,12 +272,7 @@ def cmd_check(args) -> int:
             print(f"  rhs = {report.rhs}")
         for note in report.notes:
             print(f"  note: {note}")
-    digests = {"g": _digest(args.g)}
-    if args.h:
-        digests["h"] = _digest(args.h)
-    RunLog(args.log_dir).append(
-        _record(args, digests, f"check {args.id} -> {report.verdict}", [payload])
-    )
+    _log_run(args, f"check {args.id} -> {report.verdict}", [payload])
     return _EXIT_BY_VERDICT.get(report.verdict, EXIT_ERROR)
 
 
@@ -291,21 +280,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_hunt(args) -> int:
-    try:
-        ineq, family = _parse_check_id(args.id)
-        params = _build_params(args, family)
-        gen = PairGenerator(
-            strategy=args.strategy,
-            seed=args.seed,
-            relation=args.relation,
-            max_g=args.max_n,
-            max_h=args.max_h,
-        )
-        result = hunt(ineq, gen, args.trials, params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    log = RunLog(args.log_dir)
+    ineq, family = _parse_check_id(args.id)
+    params = _build_params(args, family)
+    gen = PairGenerator(
+        strategy=args.strategy,
+        seed=args.seed,
+        relation=args.relation,
+        max_g=args.max_n,
+        max_h=args.max_h,
+    )
+    result = hunt(ineq, gen, args.trials, params)
+    os.makedirs(args.log_dir, exist_ok=True)
     for v in result.violations:
         name = f"counterexample-{result.inequality}-seed{args.seed}-trial{v.trial}.json"
         with open(os.path.join(args.log_dir, name), "w", encoding="utf-8") as fh:
@@ -313,7 +298,7 @@ def cmd_hunt(args) -> int:
     print(result.summary())
     if args.json:
         print(json.dumps(result.to_json(), sort_keys=True))
-    log.append(_record(args, {}, result.summary(), [result.to_json()], seed=args.seed))
+    _log_run(args, result.summary(), [result.to_json()])
     return EXIT_OK
 
 
@@ -405,7 +390,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = ["gdom"] + argv
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, CountingBoundExceeded, CopyLimitExceeded, RecursionError, EigensolverError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if args.cmd != "report":
+            with contextlib.suppress(OSError):  # an unwritable log dir still ends in exit 3
+                _log_run(args, f"{args.cmd} error: {exc}", [])
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .multigraph import Memo, Multigraph, bridges
 from .symmetry import cached_code
@@ -54,21 +54,18 @@ def bareiss_determinant(mat: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _cleared(mat: list[list[Fraction]]) -> tuple[list[list[int]], int]:
-    den = 1
-    for row in mat:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    scaled = [[int(x * den) for x in row] for row in mat]
-    return scaled, den
+def clear_denominators(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integers d*x for x in xs, and d, the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def rational_determinant(mat: list[list[Fraction]]) -> Fraction:
     n = len(mat)
     if n == 0:
         return Fraction(1)
-    scaled, den = _cleared(mat)
-    return Fraction(bareiss_determinant(scaled), den**n)
+    flat, den = clear_denominators([x for row in mat for x in row])
+    return Fraction(bareiss_determinant([flat[i : i + n] for i in range(0, n * n, n)]), den**n)
 
 
 def _as_count(x: Fraction) -> Count:
@@ -165,9 +162,6 @@ class BivariatePoly:
                     key = (a, b)
                     d[key] = d.get(key, 0) + c * ca * math.comb(j, b)
         return BivariatePoly.from_dict(d)
-
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0 for _, v in self.coeffs)
 
     def to_json_triples(self) -> list[list]:
         return [[i, j, str(v)] for (i, j), v in self.coeffs]

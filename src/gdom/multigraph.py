@@ -124,12 +124,6 @@ class Multigraph:
         """Degree counting multiplicities."""
         return sum(m for u, w, m, _ in self.edges if u == v or w == v)
 
-    def weighted_degree(self, v: int) -> Fraction:
-        return sum(
-            (m * wt for u, w, m, wt in self.edges if u == v or w == v),
-            Fraction(0),
-        )
-
     def edge_unit_count(self) -> int:
         return sum(m for _, _, m, _ in self.edges)
 

@@ -9,12 +9,11 @@ marginals by |G|*|H|.  Every positive answer returns a certificate that
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Union
 
+from .counting import clear_denominators
 from .embeddings import Copy, CopyLimitExceeded, enumerate_copies, rooted_copy_relation
 from .multigraph import Multigraph
 from .symmetry import cached_code
@@ -68,11 +67,7 @@ def feasible_nonnegative(
     n = len(rows[0])
     T: list[list[int]] = []
     for i in range(m):
-        den = 1
-        for a in list(rows[i]) + [rhs[i]]:
-            den = den * a.denominator // gcd(den, a.denominator)
-        row = [int(a * den) for a in rows[i]]
-        b = int(rhs[i] * den)
+        *row, b = clear_denominators([*rows[i], rhs[i]])[0]
         if b < 0:
             row = [-a for a in row]
             b = -b
@@ -141,17 +136,6 @@ def feasible_nonnegative(
         if b < n:
             x[b] = Fraction(T[i][-1], den_piv)
     return x
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def _scale_to_integers(x: list[Fraction]) -> tuple[list[int], int]:
-    den = 1
-    for v in x:
-        den = _lcm(den, v.denominator)
-    return [int(v * den) for v in x], den
 
 
 # -- max flow (Dinic) ---------------------------------------------------------
@@ -275,7 +259,7 @@ def _fractional_lp(
     full = [Fraction(0)] * len(clist.copies)
     for i, xi in zip(cols, x):
         full[i] = xi
-    mults, m = _scale_to_integers(full)
+    mults, m = clear_denominators(full)
     return FractionalTilingCertificate(
         copies=clist.copies, multiplicities=mults, coverage=m, mode=mode
     )
@@ -530,7 +514,3 @@ def certificate_from_json(obj: dict) -> Certificate:
             masses={(int(x), int(y)): Fraction(s) for x, y, s in obj["masses"]}
         )
     raise ValueError(f"unknown certificate type {kind!r}")
-
-
-def certificate_json_string(cert: Certificate) -> str:
-    return json.dumps(certificate_to_json(cert), sort_keys=True)

@@ -47,9 +47,6 @@ class SplitMix64:
         self._state = (self._state + GOLDEN) & MASK64
         return mix64(self._state)
 
-    def split(self, key: int) -> "SplitMix64":
-        return SplitMix64(derive_seed(self._state, key))
-
 
 class Stream(SplitMix64):
     """SplitMix64 plus the sampling helpers the generators need."""

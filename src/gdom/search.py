@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import checks
-from .checks import CheckReport, InequalityId, check, verify_relation_hypothesis
+from .checks import INEQUALITIES, CheckReport, InequalityId, check, verify_relation_hypothesis
+from .counting import CountingBoundExceeded
+from .embeddings import CopyLimitExceeded
 from .multigraph import Multigraph, serialize_graph
 from .relations import Certificate
 from .rng import Stream, derive_seed
@@ -303,13 +305,6 @@ class HuntResult:
         }
 
 
-_PARAM_IDS = {
-    InequalityId.KOTELJANSKII_STEP,
-    InequalityId.COVER_PRODUCT,
-    InequalityId.WEIGHTED_COVER_HEAT,
-}
-
-
 def _hunt_params_trial(
     ineq: InequalityId, gen: PairGenerator, trial: int, params: dict
 ) -> tuple[Optional[Multigraph], dict]:
@@ -343,13 +338,13 @@ def hunt(
 ) -> HuntResult:
     """Run ``check`` over generated inputs; collect violated reports only.
 
-    Hypothesis-failed trials are never reported as violations; generation
-    failures (attempt cap) are counted and skipped.
+    Ids that take no H check one random graph with synthesized parameters
+    per trial.  Hypothesis-failed trials are never reported as violations;
+    generation failures (attempt cap) and resource-bound trials are counted
+    and skipped.
     """
-    from .counting import CountingBoundExceeded
-    from .embeddings import CopyLimitExceeded
-
     ineq = InequalityId(ineq)
+    takes_h = INEQUALITIES[ineq].takes_h
     params = dict(params or {})
     t0 = time.time()
     violations: list[Violation] = []
@@ -357,31 +352,29 @@ def hunt(
     genfail = 0
     skips = 0
     for trial in range(trials):
-        if ineq in _PARAM_IDS:
+        if takes_h:
+            try:
+                pair = generate_pair(gen, trial)
+            except GenerationError:
+                genfail += 1
+                continue
+            g, h = pair.g, pair.h
+            trial_params = dict(params)
+            trial_params.setdefault("hypothesis", gen.relation)
+            if pair.certificate is not None:
+                trial_params["certificate"] = pair.certificate
+        else:
             g, trial_params = _hunt_params_trial(ineq, gen, trial, params)
-            report = check(ineq, g, None, trial_params)
-            checked += 1
-            if report.verdict == checks.VIOLATED:
-                violations.append(Violation(trial, report, serialize_graph(g), None))
-            continue
+            h = None
         try:
-            pair = generate_pair(gen, trial)
-        except GenerationError:
-            genfail += 1
-            continue
-        trial_params = dict(params)
-        trial_params.setdefault("hypothesis", gen.relation)
-        if pair.certificate is not None:
-            trial_params["certificate"] = pair.certificate
-        try:
-            report = check(ineq, pair.g, pair.h, trial_params)
+            report = check(ineq, g, h, trial_params)
         except (CountingBoundExceeded, CopyLimitExceeded):
             skips += 1
             continue
         checked += 1
         if report.verdict == checks.VIOLATED:
             violations.append(
-                Violation(trial, report, serialize_graph(pair.g), serialize_graph(pair.h))
+                Violation(trial, report, serialize_graph(g), None if h is None else serialize_graph(h))
             )
     clean_params = {
         k: v for k, v in params.items() if isinstance(v, (str, int, float, list))

@@ -125,12 +125,6 @@ def cached_code(g: Multigraph) -> bytes:
     return _codes.put(key, canonical_code(g))
 
 
-def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:
-    if g.n != h.n or g.edge_unit_count() != h.edge_unit_count():
-        return False
-    return cached_code(g) == cached_code(h)
-
-
 # -- automorphism group ----------------------------------------------------
 
 
@@ -139,12 +133,6 @@ class AutomorphismInfo:
     generators: list[tuple[int, ...]]
     orbits: list[list[int]]
     order: int
-
-    def orbit_of(self, v: int) -> list[int]:
-        for orb in self.orbits:
-            if v in orb:
-                return orb
-        raise ValueError(f"vertex {v} not in any orbit")
 
 
 def _vertex_invariants(adj: list[dict[int, int]]) -> list[tuple]:
@@ -258,9 +246,6 @@ class LocalStatistics:
 
     radius: int
     dist: dict[bytes, Fraction]
-
-    def support(self) -> list[bytes]:
-        return sorted(self.dist)
 
 
 def rooted_ball(g: Multigraph, root: int, r: int) -> tuple[Multigraph, int]:

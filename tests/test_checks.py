@@ -16,6 +16,7 @@ from gdom.checks import (
     CheckReport,
     InequalityId,
     JointDistribution,
+    MissingParameter,
     aggregate_verdicts,
     check,
     check_shearer,
@@ -379,23 +380,49 @@ def test_unknown_id_and_missing_params():
     with pytest.raises(ValueError):
         check("nonsense", K4, K3)
     with pytest.raises(ValueError):
-        check("spanning_tree", K4, None)
-    with pytest.raises(ValueError):
         check("koteljanskii_step", P3, params={"a": [0]})
+    param_ids = {"koteljanskii_step", "cover_product", "weighted_cover_heat"}
+    for ineq in InequalityId:
+        if ineq.value not in param_ids:
+            with pytest.raises(MissingParameter):
+                check(ineq, K4, None)
+
+
+_HYPOTHESES = ("tiling", "fractional_tiling", "fractional_edge_tiling", "domination", "subgraph", "params")
+_STATUS_CODE = {PROVEN: "P", CONJECTURED: "C", KNOWN_FALSE: "F"}
+# (id, family, h_transitive) -> status under each of _HYPOTHESES, in order
+_STATUS_TABLE = {
+    ("spanning_tree", None, False): "PPCCCC",
+    ("tree_product", None, False): "PPPPPP",
+    ("minor_power", None, False): "PPPPPP",
+    ("transitive_G", None, False): "PPPPPP",
+    ("transitive_H", None, False): "PPPPPP",
+    ("frac_tiling_tree", None, False): "PPPPPP",
+    ("koteljanskii_step", None, False): "PPPPPP",
+    ("cover_product", None, False): "PPPPPP",
+    ("heat_trace_frac", None, False): "PPCCCC",
+    ("weighted_cover_heat", None, False): "PPPPPP",
+    ("spectral_decreasing_convex", None, False): "PPFFFF",
+    ("spectral_decreasing_convex", None, True): "PPCCCC",
+    ("op_monotone", None, False): "PPPPPP",
+    ("char_poly", None, False): "PPPPPP",
+    ("vertex_counting", None, False): "PPCCCC",
+    ("vertex_counting", "proper_colorings", False): "PPCCCC",
+    ("vertex_counting", "independent_sets", False): "PPFFFF",
+    ("edge_counting", None, False): "CCPCCC",
+    ("matchings_lower", None, False): "CCFFFF",
+    ("tutte_pointwise", None, False): "CCCCCC",
+    ("tutte_coefficients", None, False): "CCCCCC",
+}
 
 
 def test_status_table_spot_checks():
-    assert claim_status(InequalityId.TREE_PRODUCT, "subgraph") == PROVEN
-    assert claim_status(InequalityId.SPANNING_TREE, "domination") == CONJECTURED
-    assert claim_status(InequalityId.SPANNING_TREE, "fractional_tiling") == PROVEN
-    assert claim_status(InequalityId.VERTEX_COUNTING, "domination", "independent_sets") == KNOWN_FALSE
-    assert claim_status(InequalityId.VERTEX_COUNTING, "domination", "proper_colorings") == CONJECTURED
-    assert claim_status(InequalityId.MATCHINGS_LOWER, "domination") == KNOWN_FALSE
-    assert claim_status(InequalityId.OP_MONOTONE, "domination") == PROVEN
-    assert (
-        claim_status(InequalityId.SPECTRAL_DECREASING_CONVEX, "domination", h_transitive=True)
-        == CONJECTURED
-    )
+    assert {ineq for ineq, _, _ in _STATUS_TABLE} == {i.value for i in InequalityId}
+    for (ineq, family, h_transitive), expected in _STATUS_TABLE.items():
+        got = "".join(
+            _STATUS_CODE[claim_status(InequalityId(ineq), hyp, family, h_transitive)] for hyp in _HYPOTHESES
+        )
+        assert got == expected, (ineq, family, h_transitive)
 
 
 def test_report_json_roundtrippable():

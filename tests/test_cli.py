@@ -1,10 +1,12 @@
 import json
 import os
+from unittest import mock
 
 import pytest
 
-from gdom.cli import main
+from gdom.cli import RunLog, main
 from gdom.multigraph import complete_graph, serialize_graph, star_graph, path_graph, single_edge
+from gdom.spectral import EigensolverError
 
 
 @pytest.fixture
@@ -104,6 +106,29 @@ def test_check_resource_bound_is_an_error(tmp_path, capsys):
     rc = main(["check", "tutte_pointwise", str(k8), str(k3), "--log-dir", str(tmp_path / "l")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: 28 edge units exceed the Tutte bound 24")
+    (record,) = RunLog(str(tmp_path / "l")).records()
+    assert record["summary"].startswith("check error: 28 edge units exceed the Tutte bound 24")
+    assert record["reports"] == [] and set(record["input_digests"]) == {"g", "h"}
+
+
+def test_check_internal_failure_is_an_error(graphs, tmp_path, capsys, monkeypatch):
+    # exit 1 means "violated", so an internal failure must not end that way
+    for i, exc in enumerate((RecursionError("maximum recursion depth exceeded"), EigensolverError("no convergence"))):
+        monkeypatch.setattr("gdom.cli.check", mock.Mock(side_effect=exc))
+        log = str(tmp_path / f"log{i}")
+        rc = main(["check", "spanning_tree", graphs["k4"], graphs["k3"], "--log-dir", log])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        (record,) = RunLog(log).records()
+        assert record["summary"] == f"check error: {exc}" and record["reports"] == []
+    # an unreadable input is left out of the record's digests
+    log = str(tmp_path / "missing")
+    assert main(["check", "spanning_tree", graphs["k4"], str(tmp_path / "nope.txt"), "--log-dir", log]) == 3
+    (record,) = RunLog(log).records()
+    assert set(record["input_digests"]) == {"g"}
+    # a log dir that cannot be created is an error too, not a traceback
+    log = os.path.join(graphs["k4"], "logs")
+    assert main(["check", "spanning_tree", graphs["k4"], graphs["k3"], "--log-dir", log]) == 3
 
 
 def test_check_koteljanskii_flags(graphs, capsys):
