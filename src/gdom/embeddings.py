@@ -1,10 +1,12 @@
 """Copy enumeration: subgraphs of G isomorphic to H, and rooted embeddings.
 
 An embedding is an injective vertex map under which every H-edge lands on
-a G-pair of at least its multiplicity (subgraph semantics).  Copies are
-embeddings deduplicated as subgraphs (vertex set plus edge multiset);
-rooted questions keep the raw embeddings, because root identity matters
-for domination.
+a G-pair of at least its multiplicity (subgraph semantics).  Embeddings
+that differ by an automorphism of H give the same copy (vertex set plus
+edge multiset), so each copy is produced from exactly one embedding: the
+search adds the constraints of a stabilizer chain of Aut(H), which keep
+the first embedding of each class in DFS order.  Rooted questions keep the
+raw embeddings, because root identity matters for domination.
 """
 
 from __future__ import annotations
@@ -13,14 +15,11 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .multigraph import Multigraph
+from .symmetry import _pair_adjacency, _stabilizer_chain, _vertex_invariants
 
 
 class CopyLimitExceeded(RuntimeError):
     """Raised by deciders that need a complete copy list but got a truncated one."""
-
-
-# a copy as a subgraph of G: vertex set + edge multiset keyed by pair
-CopyKey = tuple[frozenset[int], tuple[tuple[int, int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -41,66 +40,102 @@ class CopyList:
     complete: bool = True
 
 
-def _search_order(h: Multigraph) -> list[int]:
+def _search_order(h: Multigraph, h_deg: list[int]) -> list[int]:
     """Smallest-degree-first order that keeps each new vertex adjacent to a placed one."""
-    degs = [h.degree(v) for v in range(h.n)]
-    order = [min(range(h.n), key=lambda v: (degs[v], v))]
+    order = [min(range(h.n), key=lambda v: (h_deg[v], v))]
     placed = set(order)
     while len(order) < h.n:
-        frontier = [
-            v
-            for v in range(h.n)
-            if v not in placed and any(u in placed for u in h.neighbors[v])
-        ]
-        if not frontier:  # h disconnected; cannot happen for Multigraph
-            frontier = [v for v in range(h.n) if v not in placed]
-        nxt = min(frontier, key=lambda v: (degs[v], v))
+        nxt = min(
+            (v for v in range(h.n) if v not in placed and any(u in placed for u in h.neighbors[v])),
+            key=lambda v: (h_deg[v], v),
+        )
         order.append(nxt)
         placed.add(nxt)
     return order
 
 
-def embeddings_iter(g: Multigraph, h: Multigraph) -> Iterator[tuple[int, ...]]:
-    """All embeddings of h into g in deterministic DFS order."""
+def _degrees(g: Multigraph) -> list[int]:
+    """Degrees counting multiplicities, in one pass over the pairs."""
+    deg = [0] * g.n
+    for (u, v), m in g.adjacency.items():
+        deg[u] += m
+        deg[v] += m
+    return deg
+
+
+def _search(g: Multigraph, h: Multigraph, each_copy_once: bool) -> Iterator[tuple[int, ...]]:
+    """Embeddings of h into g, placing H-vertices in search order.
+
+    Candidates come in ascending order: every G-vertex for the first
+    H-vertex, then the G-neighbours of the image of the first earlier-placed
+    H-neighbour (the anchor), so the DFS visits embeddings in lexicographic
+    order of their images along the search order.  With ``each_copy_once``,
+    the image of order[k] must exceed the image of every order[i] whose
+    level-i stabilizer orbit holds order[k]; exactly the first embedding of
+    each Aut(H) class in DFS order satisfies these constraints.
+    """
     if h.n > g.n:
         return
-    order = _search_order(h)
-    g_deg = [g.degree(v) for v in range(g.n)]
-    h_deg = [h.degree(v) for v in range(h.n)]
-    h_adj = [dict() for _ in range(h.n)]
-    for (u, v), m in h.adjacency.items():
-        h_adj[u][v] = m
-        h_adj[v][u] = m
+    h_deg = _degrees(h)
+    order = _search_order(h, h_deg)
+    h_adj = _pair_adjacency(h)
+    # per level: the earlier-placed H-neighbours with their multiplicities,
+    # the anchor first
+    placed_nbrs = [
+        [(u, h_adj[y][u]) for u in order[:k] if u in h_adj[y]] for k, y in enumerate(order)
+    ]
+    # per level: the H-vertices whose images must lie below the new image
+    below: list[list[int]] = [[] for _ in order]
+    if each_copy_once:
+        pos = {y: k for k, y in enumerate(order)}
+        _, orbits = _stabilizer_chain(h_adj, _vertex_invariants(h_adj), h.n, order)
+        for i, orbit in enumerate(orbits):
+            for o in orbit - {order[i]}:
+                below[pos[o]].append(order[i])
+    g_deg = _degrees(g)
     g_adj = g.adjacency
+    g_nbrs = g.neighbors
+    # the anchor's adjacency is implied by the candidate list unless it is a
+    # multiple edge
+    checks = [nbrs[1:] if nbrs and nbrs[0][1] == 1 else nbrs for nbrs in placed_nbrs]
+    last = h.n - 1
 
     image = [-1] * h.n
     used = [False] * g.n
-
-    def place(k: int) -> Iterator[tuple[int, ...]]:
-        if k == h.n:
-            yield tuple(image)
-            return
+    candidates: list[Iterator[int]] = [iter(range(g.n))] + [iter(())] * last
+    floors = [-1] * h.n
+    k = 0
+    while k >= 0:
         y = order[k]
-        placed_nbrs = [(u, h_adj[y][u]) for u in h_adj[y] if image[u] != -1]
-        for x in range(g.n):
-            if used[x] or g_deg[x] < h_deg[y]:
+        need_deg, floor, level_checks = h_deg[y], floors[k], checks[k]
+        for x in candidates[k]:
+            if x <= floor or used[x] or g_deg[x] < need_deg:
                 continue
-            ok = True
-            for u, need in placed_nbrs:
+            for u, need in level_checks:
                 xu = image[u]
-                pair = (x, xu) if x < xu else (xu, x)
-                if g_adj.get(pair, 0) < need:
-                    ok = False
+                if g_adj.get((x, xu) if x < xu else (xu, x), 0) < need:
                     break
-            if not ok:
-                continue
-            image[y] = x
-            used[x] = True
-            yield from place(k + 1)
-            image[y] = -1
-            used[x] = False
+            else:
+                break
+        else:  # level exhausted: backtrack
+            k -= 1
+            if k >= 0:
+                used[image[order[k]]] = False
+            continue
+        image[y] = x
+        if k == last:
+            yield tuple(image)
+            continue
+        used[x] = True
+        k += 1
+        candidates[k] = iter(g_nbrs[image[placed_nbrs[k][0][0]]])
+        if below[k]:
+            floors[k] = max(image[u] for u in below[k])
 
-    yield from place(0)
+
+def embeddings_iter(g: Multigraph, h: Multigraph) -> Iterator[tuple[int, ...]]:
+    """All embeddings of h into g in deterministic DFS order."""
+    yield from _search(g, h, each_copy_once=False)
 
 
 def _copy_of(embedding: tuple[int, ...], h: Multigraph) -> Copy:
@@ -121,25 +156,20 @@ def enumerate_copies(
 ) -> CopyList:
     """Distinct copy-subgraphs of h in g; complete unless ``limit`` cuts it off.
 
+    Copies come in the order of their first embedding in ``embeddings_iter``.
     ``limit`` caps the number of distinct copies; when hit, the returned
     list is flagged incomplete and downstream deciders must treat absence
     of a certificate as inconclusive.
     """
     if h.n > g.n:
         raise ValueError(f"|H| = {h.n} exceeds |G| = {g.n}")
-    seen: set[CopyKey] = set()
     copies: list[Copy] = []
     complete = True
-    for emb in embeddings_iter(g, h):
-        c = _copy_of(emb, h)
-        key = (c.vertex_set, c.edges)
-        if key in seen:
-            continue
+    for emb in _search(g, h, each_copy_once=True):
         if limit is not None and len(copies) >= limit:
             complete = False
             break
-        seen.add(key)
-        copies.append(c)
+        copies.append(_copy_of(emb, h))
     return CopyList(copies=copies, complete=complete)
 
 
@@ -149,9 +179,9 @@ def rooted_copy_relation(g: Multigraph, h: Multigraph) -> set[tuple[int, int]]:
     if h.n > g.n:
         return rel
     full = g.n * h.n
+    roots = range(h.n)
     for emb in embeddings_iter(g, h):
-        for y, x in enumerate(emb):
-            rel.add((x, y))
+        rel.update(zip(emb, roots))
         if len(rel) == full:
             break
     return rel

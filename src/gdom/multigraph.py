@@ -120,10 +120,6 @@ class Multigraph:
             u, v = v, u
         return self.adjacency.get((u, v), 0)
 
-    def degree(self, v: int) -> int:
-        """Degree counting multiplicities."""
-        return sum(m for u, w, m, _ in self.edges if u == v or w == v)
-
     def edge_unit_count(self) -> int:
         return sum(m for _, _, m, _ in self.edges)
 
@@ -171,14 +167,19 @@ class Multigraph:
 
     # -- Laplacian -------------------------------------------------------
 
-    def laplacian(self) -> list[list[Fraction]]:
-        """Weighted Laplacian: off-diagonal -(mult * weight), zero row sums."""
-        L = [[Fraction(0)] * self.n for _ in range(self.n)]
+    def laplacian(self) -> list[list[int | Fraction]]:
+        """Weighted Laplacian: off-diagonal -(mult * weight), zero row sums.
+
+        Unit-weight edges add the int ``mult``, so an unweighted graph gives an
+        int matrix; entries touched by other weights are Fractions.
+        """
+        L: list[list[int | Fraction]] = [[0] * self.n for _ in range(self.n)]
         for u, v, m, w in self.edges:
-            L[u][v] -= m * w
-            L[v][u] -= m * w
-            L[u][u] += m * w
-            L[v][v] += m * w
+            x = m if w == 1 else m * w
+            L[u][v] -= x
+            L[v][u] -= x
+            L[u][u] += x
+            L[v][v] += x
         return L
 
 

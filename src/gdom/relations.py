@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .counting import clear_denominators
-from .embeddings import Copy, CopyLimitExceeded, enumerate_copies, rooted_copy_relation
+from .embeddings import Copy, CopyLimitExceeded, embeddings_iter, enumerate_copies, rooted_copy_relation
 from .multigraph import Multigraph
 from .symmetry import cached_code
 
@@ -444,20 +444,27 @@ def verify_certificate(g: Multigraph, h: Multigraph, cert: Certificate) -> bool:
     if isinstance(cert, CouplingCertificate):
         if any(mass < 0 for mass in cert.masses.values()):
             return False
-        rel = rooted_copy_relation(g, h)
-        if any(pair not in rel for pair, mass in cert.masses.items() if mass > 0):
+        # row sums 1/|G| and column sums 1/|H| over one common denominator;
+        # zero masses are ignored wherever they lie
+        nums, den = clear_denominators(list(cert.masses.values()))
+        rows, cols = [0] * g.n, [0] * h.n
+        unwitnessed: set[tuple[int, int]] = set()
+        for (x, y), num in zip(cert.masses, nums):
+            if num:
+                if not (0 <= x < g.n and 0 <= y < h.n):
+                    return False
+                rows[x] += num
+                cols[y] += num
+                unwitnessed.add((x, y))
+        if any(r * g.n != den for r in rows) or any(c * h.n != den for c in cols):
             return False
-        for x in range(g.n):
-            if sum(
-                (mass for (a, _), mass in cert.masses.items() if a == x), Fraction(0)
-            ) != Fraction(1, g.n):
-                return False
-        for y in range(h.n):
-            if sum(
-                (mass for (_, b), mass in cert.masses.items() if b == y), Fraction(0)
-            ) != Fraction(1, h.n):
-                return False
-        return True
+        # each positive-mass pair (x, y) needs an embedding sending y to x
+        roots = range(h.n)
+        for emb in embeddings_iter(g, h):
+            unwitnessed.difference_update(zip(emb, roots))
+            if not unwitnessed:
+                return True
+        return False
 
     raise TypeError(f"unknown certificate type {type(cert)!r}")
 

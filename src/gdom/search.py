@@ -346,7 +346,7 @@ def hunt(
     ineq = InequalityId(ineq)
     takes_h = INEQUALITIES[ineq].takes_h
     params = dict(params or {})
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations: list[Violation] = []
     checked = 0
     genfail = 0
@@ -387,7 +387,7 @@ def hunt(
         trials=trials,
         checked=checked,
         violations=violations,
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
         generation_failures=genfail,
         resource_skips=skips,
         params=clean_params,

@@ -9,6 +9,7 @@ adequate at desk scale.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from dataclasses import dataclass
 from typing import Optional
@@ -179,17 +180,20 @@ def _orbit_closure(n: int, seeds: list[int], gens: list[tuple[int, ...]]) -> set
     return orbit
 
 
-def _stabilizer_chain(adj, inv, n: int) -> tuple[list[tuple[int, ...]], int]:
-    """Generators and order of the automorphisms that preserve ``inv``.
+def _stabilizer_chain(
+    adj, inv, n: int, base: Optional[list[int]] = None
+) -> tuple[list[tuple[int, ...]], list[set[int]]]:
+    """Generators of the automorphisms that preserve ``inv``, and the basic orbits.
 
-    Fixes base points 0, 1, ... in turn and, per level, finds automorphisms
-    that move the base point while fixing the earlier ones; the group order
-    is the product of the base points' orbit sizes at their levels.
+    Fixes the points of ``base`` (default 0, 1, ...) in turn and, per level,
+    finds automorphisms that move the base point while fixing the earlier
+    ones.  Level i's orbit is the orbit of ``base[i]`` under the automorphisms
+    that fix ``base[:i]``; the group order is the product of the orbit sizes.
     """
     gens: list[tuple[int, ...]] = []
-    order = 1
+    orbits: list[set[int]] = []
     prefix: dict[int, int] = {}
-    for b in range(n):
+    for b in range(n) if base is None else base:
         level_gens: list[tuple[int, ...]] = []
         orbit = {b}
         for x in range(n):
@@ -203,9 +207,9 @@ def _stabilizer_chain(adj, inv, n: int) -> tuple[list[tuple[int, ...]], int]:
                 level_gens.append(perm)
                 gens.append(perm)
                 orbit = _orbit_closure(n, list(orbit), level_gens)
-        order *= len(orbit)
+        orbits.append(orbit)
         prefix[b] = b
-    return gens, order
+    return gens, orbits
 
 
 def automorphisms(g: Multigraph, size_bound: int = DEFAULT_SIZE_BOUND) -> AutomorphismInfo:
@@ -214,7 +218,7 @@ def automorphisms(g: Multigraph, size_bound: int = DEFAULT_SIZE_BOUND) -> Automo
         raise SizeBoundExceeded(f"|G| = {g.n} exceeds bound {size_bound}")
     n = g.n
     adj = _pair_adjacency(g)
-    gens, order = _stabilizer_chain(adj, _vertex_invariants(adj), n)
+    gens, level_orbits = _stabilizer_chain(adj, _vertex_invariants(adj), n)
     seen: set[int] = set()
     orbits: list[list[int]] = []
     for v in range(n):
@@ -224,6 +228,7 @@ def automorphisms(g: Multigraph, size_bound: int = DEFAULT_SIZE_BOUND) -> Automo
             seen.update(orb)
     if not gens:
         gens = [tuple(range(n))]
+    order = math.prod(len(orbit) for orbit in level_orbits)
     return AutomorphismInfo(generators=gens, orbits=orbits, order=order)
 
 

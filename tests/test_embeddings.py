@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gdom.embeddings import (
+    Copy,
     covers_every_vertex,
     embeddings_iter,
     enumerate_copies,
@@ -125,3 +126,78 @@ def test_covers_every_vertex():
     assert not covers_every_vertex(star_graph(3), complete_graph(3))
     assert covers_every_vertex(star_graph(3), single_vertex())
     assert covers_every_vertex(path_graph(5), single_edge())
+
+
+# -- each copy once: the copy list is the first-appearance dedup of the embeddings --
+
+
+def _first_appearance_copies(g, h):
+    """One Copy per distinct (vertex set, edge multiset), in first-embedding order."""
+    copies = {}
+    for emb in embeddings_iter(g, h):
+        pairs = {}
+        for (a, b), m in h.adjacency.items():
+            u, v = sorted((emb[a], emb[b]))
+            pairs[(u, v)] = pairs.get((u, v), 0) + m
+        edges = tuple(sorted((u, v, m) for (u, v), m in pairs.items()))
+        copies.setdefault(Copy(vertices=tuple(sorted(emb)), edges=edges), None)
+    return list(copies)
+
+
+def _random_multigraph_pair(rng):
+    """A multigraph G with parallel edges of multiplicity 2-3, and H drawn from G."""
+    n = rng.randint(2, 8)
+    edges = [(rng.randrange(i), i, rng.choice((1, 2, 3))) for i in range(1, n)]
+    for _ in range(rng.randint(0, n)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.choice((1, 2))))
+    g = Multigraph(n, edges)
+    k = rng.randint(1, min(5, n))
+    chosen = [rng.randrange(n)]
+    while len(chosen) < k:
+        chosen.append(rng.choice(sorted({u for v in chosen for u in g.neighbors[v]} - set(chosen))))
+    lbl = {v: i for i, v in enumerate(sorted(chosen))}
+    sub = [
+        (lbl[u], lbl[v], rng.randint(1, m))
+        for (u, v), m in g.adjacency.items()
+        if u in lbl and v in lbl
+    ]
+    for e in list(sub):  # drop some edges while H stays connected
+        rest = [f for f in sub if f is not e]
+        if rng.random() < 0.4 and Multigraph(k, rest, _validated=True).is_connected():
+            sub = rest
+    return g, Multigraph(k, sub)
+
+
+def test_copy_order_pinned_on_atlas():
+    graphs = atlas_up_to(6)
+    for g in graphs:
+        for h in graphs:
+            if h.n <= min(g.n, 5):
+                assert enumerate_copies(g, h).copies == _first_appearance_copies(g, h)
+
+
+def test_copy_order_pinned_on_multigraphs():
+    rng = random.Random(2024)
+    multiple = 0
+    for _ in range(300):
+        g, h = _random_multigraph_pair(rng)
+        assert sorted(embeddings_iter(g, h)) == sorted(brute_embeddings(g, h))
+        expected = _first_appearance_copies(g, h)
+        assert enumerate_copies(g, h).copies == expected
+        cut = enumerate_copies(g, h, limit=2)
+        assert cut.copies == expected[:2]
+        assert cut.complete == (len(expected) <= 2)
+        multiple += any(m > 1 for m in h.adjacency.values())
+    assert multiple > 50
+
+
+def test_rooted_relation_agrees_with_naive_injections():
+    rng = random.Random(31)
+    graphs = atlas_up_to(6)
+    small = [x for x in graphs if x.n <= 5]
+    for _ in range(400):
+        g = rng.choice(graphs)
+        h = rng.choice([x for x in small if x.n <= g.n])
+        naive = {(x, y) for emb in brute_embeddings(g, h) for y, x in enumerate(emb)}
+        assert rooted_copy_relation(g, h) == naive

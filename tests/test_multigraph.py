@@ -214,6 +214,18 @@ def test_laplacian_parallel_pair():
     assert L == [[Fraction(2), Fraction(-2)], [Fraction(-2), Fraction(2)]]
 
 
+def test_laplacian_unit_weights_are_ints():
+    L = parse_graph("3; 0 1 2; 1 2").laplacian()
+    assert L == [[2, -2, 0], [-2, 3, -1], [0, -1, 1]]
+    assert all(type(x) is int for row in L for x in row)
+    weighted = Multigraph(3, [(0, 1, 1, Fraction(1, 2)), (1, 2, 2, 1)]).laplacian()
+    assert weighted == [
+        [Fraction(1, 2), Fraction(-1, 2), 0],
+        [Fraction(-1, 2), Fraction(5, 2), -2],
+        [0, -2, 2],
+    ]
+
+
 def test_laplacian_zero_row_sums_weighted():
     rng = random.Random(7)
     for _ in range(20):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdom.embeddings import CopyLimitExceeded, enumerate_copies
+from gdom.embeddings import CopyLimitExceeded, enumerate_copies, rooted_copy_relation
 from gdom.multigraph import (
     Multigraph,
     complete_graph,
@@ -299,6 +299,68 @@ def test_perturbed_certificates_rejected():
     assert not verify_certificate(
         grid4x4(), cycle_graph(4), TilingCertificate(copies=tiling.copies[:-1])
     )
+
+
+def _star_path_masses():
+    """Marginals of a coupling of (star with 3 leaves, P3), one pair outside the relation.
+
+    The centre of P3 can only sit on the star's centre, so (1, 1) is no rooted
+    copy; the other support pairs all lie in the first embeddings found.
+    """
+    q = Fraction(1, 12)
+    return {(0, 1): 3 * q, (1, 1): q, (1, 0): 2 * q, (2, 0): 2 * q, (2, 2): q, (3, 2): 3 * q}
+
+
+def test_coupling_pair_outside_relation_rejected():
+    g, h = star_graph(3), path_graph(3)
+    masses = _star_path_masses()
+    assert (1, 1) not in rooted_copy_relation(g, h)
+    assert set(masses) - {(1, 1)} <= rooted_copy_relation(g, h)
+    assert not verify_certificate(g, h, CouplingCertificate(masses=masses))
+    # the same marginals without the bad pair's mass are not a coupling either
+    masses[(0, 1)] += masses.pop((1, 1))
+    assert not verify_certificate(g, h, CouplingCertificate(masses=masses))
+
+
+def test_coupling_zero_masses_ignored_anywhere():
+    # P3 dominates P4, but the centre of P3 never sits on an end of P4
+    g, h = path_graph(4), path_graph(3)
+    rel = rooted_copy_relation(g, h)
+    outside = {(x, y) for x in range(g.n) for y in range(h.n)} - rel
+    assert (0, 1) in outside
+    cert = check_domination(g, h)
+    zeros = {pair: Fraction(0) for pair in outside | {(g.n, 0), (0, h.n), (-1, -1)}}
+    assert verify_certificate(g, h, CouplingCertificate(masses={**cert.masses, **zeros}))
+    bad = {**cert.masses, **zeros}
+    bad[next(iter(cert.masses))] += Fraction(1, 97)
+    assert not verify_certificate(g, h, CouplingCertificate(masses=bad))
+
+
+def test_coupling_positive_mass_out_of_range_rejected():
+    g, h = complete_graph(4), complete_graph(3)
+    cert = check_domination(g, h)
+    for pair in ((g.n, 0), (0, h.n), (-1, 0), (0, -1), (-10, 0), (0, -10)):
+        masses = {**cert.masses, pair: Fraction(1, 7)}
+        assert verify_certificate(g, h, CouplingCertificate(masses=masses)) is False
+    # a row that is balanced only through an out-of-range column
+    masses = {(x, y): Fraction(1, 12) for x in range(4) for y in range(3)}
+    masses[(0, 0)] = Fraction(0)
+    masses[(0, h.n)] = Fraction(1, 12)
+    assert verify_certificate(g, h, CouplingCertificate(masses=masses)) is False
+
+
+def test_coupling_certificates_verify_on_incomplete_relations():
+    rng = random.Random(404)
+    incomplete = 0
+    for _ in range(300):
+        g = random_connected(rng, rng.randint(3, 8), extra=rng.randint(0, 4))
+        h = random_connected(rng, rng.randint(2, min(5, g.n)), extra=rng.randint(0, 2))
+        cert = check_domination(g, h)
+        if cert is None:
+            continue
+        assert verify_certificate(g, h, cert)
+        incomplete += len(rooted_copy_relation(g, h)) < g.n * h.n
+    assert incomplete > 20
 
 
 def test_certificate_wrong_isomorphism_type_rejected():

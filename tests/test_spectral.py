@@ -7,6 +7,7 @@ import pytest
 
 from gdom.multigraph import Multigraph, complete_graph, path_graph, single_edge, single_vertex
 from gdom.spectral import (
+    DEFAULT_TOLERANCE,
     FunctionalSpec,
     eigenvalues,
     exp_decay,
@@ -24,7 +25,7 @@ from gdom.spectral import (
     spectral_functional,
 )
 
-from conftest import random_connected
+from conftest import atlas_up_to, random_connected
 
 
 def test_k2_spectrum():
@@ -56,6 +57,28 @@ def test_spectra_against_numpy_oracle():
         mine = eigenvalues(g).values
         ref = sorted(np.linalg.eigvalsh(np.array([[float(x) for x in r] for r in g.laplacian()])))
         assert max(abs(a - b) for a, b in zip(mine, ref)) < 1e-9
+
+
+def _fraction_laplacian(g):
+    """The Laplacian built entirely from Fractions."""
+    L = [[Fraction(0)] * g.n for _ in range(g.n)]
+    for u, v, m, w in g.edges:
+        L[u][v] -= m * w
+        L[v][u] -= m * w
+        L[u][u] += m * w
+        L[v][v] += m * w
+    return L
+
+
+def test_spectra_bit_identical_to_fraction_laplacian():
+    rng = random.Random(11)
+    graphs = atlas_up_to(6) + [
+        random_connected(rng, rng.randint(2, 9), extra=rng.randint(0, 6), weighted=True)
+        for _ in range(60)
+    ]
+    for g in graphs:
+        ref = jacobi_eigenvalues([[float(x) for x in row] for row in _fraction_laplacian(g)], DEFAULT_TOLERANCE)
+        assert eigenvalues(g).values == ref.values
 
 
 def test_trace_identity():
