@@ -6,8 +6,8 @@ Exit codes for ``check``: 0 holds / holds-with-equality, 1 violated,
 or an eigensolver failure.  Every run of ``analyze``, ``relate``, ``check``
 and ``hunt``, failed runs included, appends one self-contained JSONL record
 (schema 1) to ``--log-dir`` so hunts and checks can be replayed: same
-command + seed reproduces the same payload, timestamps aside.  ``report``
-only reads the log and writes nothing.
+command + seed reproduces the same payload, timestamps and elapsed times
+aside.  ``report`` only reads the log and writes nothing.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ def cmd_hunt(args) -> int:
         name = f"counterexample-{result.inequality}-seed{args.seed}-trial{v.trial}.json"
         with open(os.path.join(args.log_dir, name), "w", encoding="utf-8") as fh:
             json.dump(v.to_json(), fh, sort_keys=True, indent=2)
-    print(result.summary())
+    print(f"{result.summary()}, {result.elapsed:.1f}s")
     if args.json:
         print(json.dumps(result.to_json(), sort_keys=True))
     _log_run(args, result.summary(), [result.to_json()])
@@ -385,10 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built by the first main() call
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    global _parser
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     args._argv = ["gdom"] + argv
     try:
         return args.func(args)

@@ -9,6 +9,7 @@ marginals by |G|*|H|.  Every positive answer returns a certificate that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -54,7 +55,7 @@ _BLAND_SWITCH = 200  # Dantzig pivoting until then, Bland afterwards (terminatio
 def feasible_nonnegative(
     rows: list[list[Fraction]], rhs: list[Fraction]
 ) -> Optional[list[Fraction]]:
-    """Some x >= 0 with rows * x = rhs, or None.
+    """Some x >= 0 with rows * x = rhs, or None; ints serve as Fractions.
 
     Exact phase-1 simplex with integer (fraction-free) pivoting: the tableau
     stays integral, true values are entries over the last pivot, and signs
@@ -230,11 +231,12 @@ def check_tiling(
 def _fractional_lp(
     g: Multigraph, h: Multigraph, copy_limit: Optional[int], mode: str, column_key, build_rows
 ) -> Optional[FractionalTilingCertificate]:
-    """Copies weighted so that every LP row sums to 1, scaled to integers.
+    """Copies weighted so that every LP row meets its rhs, scaled to integers.
 
     Copies with equal ``column_key`` cover the rows alike, so the LP runs
-    over the first copy of each key; ``build_rows`` maps those columns to the
-    rows.  With no rows at all (the edge mode on K_1) coverage is vacuous.
+    over the first copy of each key; ``build_rows`` maps those columns to
+    integer rows, each ending in its rhs.  With no rows at all (the edge mode
+    on K_1) coverage is vacuous.
     """
     if h.n > g.n:
         return None
@@ -249,7 +251,7 @@ def _fractional_lp(
     cols = list(reps.values())
     rows = build_rows([clist.copies[i] for i in cols])
     if rows:
-        x = feasible_nonnegative(rows, [Fraction(1)] * len(rows))
+        x = feasible_nonnegative([r[:-1] for r in rows], [r[-1] for r in rows])
     else:
         x = [Fraction(1)] + [Fraction(0)] * (len(cols) - 1)
     if x is None:
@@ -274,11 +276,8 @@ def check_fractional_tiling(
     LP runs over one representative per vertex set.
     """
 
-    def rows(reps: list[Copy]) -> list[list[Fraction]]:
-        return [
-            [Fraction(1) if v in c.vertex_set else Fraction(0) for c in reps]
-            for v in range(g.n)
-        ]
+    def rows(reps: list[Copy]) -> list[list[int]]:
+        return [[int(v in c.vertex_set) for c in reps] + [1] for v in range(g.n)]
 
     return _fractional_lp(g, h, copy_limit, "vertex", lambda c: c.vertex_set, rows)
 
@@ -289,15 +288,18 @@ def check_fractional_edge_tiling(
     """An integer combination of copies covering every edge unit equally often.
 
     Parallel units of one pair are interchangeable, so coverage is accounted
-    per pair, normalized by the pair multiplicity.
+    per pair: a copy's units on the pair against the pair multiplicity, the
+    row divided by its gcd (the row ``clear_denominators`` makes of the
+    normalized one, so the simplex pivots alike).
     """
 
-    def rows(reps: list[Copy]) -> list[list[Fraction]]:
+    def rows(reps: list[Copy]) -> list[list[int]]:
         used = [{(u, v): m for u, v, m in c.edges} for c in reps]
         out = []
-        for u, v in sorted(g.adjacency):
-            denom = Fraction(g.adjacency[(u, v)])
-            out.append([Fraction(cm.get((u, v), 0)) / denom for cm in used])
+        for pair in sorted(g.adjacency):
+            row = [cm.get(pair, 0) for cm in used] + [g.adjacency[pair]]
+            d = math.gcd(*row)
+            out.append([a // d for a in row])
         return out
 
     return _fractional_lp(g, h, copy_limit, "edge", lambda c: c.edges, rows)

@@ -282,11 +282,12 @@ class HuntResult:
     params: dict = field(default_factory=dict)
 
     def summary(self) -> str:
+        """One line that a replay reproduces: wall time is left to ``elapsed``."""
         return (
             f"hunt {self.inequality}: {len(self.violations)} violation(s) in "
             f"{self.checked}/{self.trials} checked trials "
             f"({self.generation_failures} generation failures, "
-            f"{self.resource_skips} resource skips), {self.elapsed:.1f}s"
+            f"{self.resource_skips} resource skips)"
         )
 
     def to_json(self) -> dict:

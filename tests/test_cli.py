@@ -214,6 +214,82 @@ def test_run_log_reproducibility(graphs, capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_run_log_hunt_records_hold_no_wall_time(graphs, capsys, monkeypatch):
+    # each clock reading lies one second further on than the last step did,
+    # so the two hunts take 1 s and 3 s of wall time
+    steps = iter(range(1000))
+    clock = [0.0]
+
+    def perf_counter():
+        clock[0] += next(steps)
+        return clock[0]
+
+    monkeypatch.setattr("gdom.search.time.perf_counter", perf_counter)
+    argv = ["hunt", "spanning_tree", "--trials", "5", "--seed", "5", "--max-n", "6", "--log-dir", graphs["log"]]
+    assert main(argv) == 0 and main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith(", 1.0s") and out[1].endswith(", 3.0s")  # stdout keeps the wall time
+    a, b = RunLog(graphs["log"]).records()
+    assert [a["reports"][0]["elapsed"], b["reports"][0]["elapsed"]] == [1.0, 3.0]
+    for rec in (a, b):
+        rec.pop("timestamp")
+        rec["reports"][0].pop("elapsed")
+    assert a == b
+
+
+def test_reused_parser_leaks_no_state(graphs, capsys, monkeypatch, tmp_path):
+    """One parser serves every main() call of a process, and each call acts
+    as if its parser were new."""
+    from gdom import cli
+
+    g, h = graphs["k4"], graphs["k3"]
+    calls = [
+        ["relate", g, h, "--certificates"],
+        ["relate", g, h],
+        ["check", "spectral_decreasing_convex", g, h, "--hinge", "4", "--hypothesis", "domination"],
+        ["check", "spectral_decreasing_convex", g, h],
+        ["check", "spanning_tree", g, h, "--q", "not-a-number"],
+        ["hunt", "spanning_tree", "--seed", "3", "--trials", "10", "--max-n", "6"],
+    ]
+    builds = []
+    build_parser = cli.build_parser
+
+    def counted_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build_parser)
+    monkeypatch.setattr("gdom.search.time.perf_counter", iter(range(1000)).__next__)
+
+    def run(fresh: bool) -> list:
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.chdir(tmp_path / ("fresh" if fresh else "reused"))
+        outcomes = []
+        for argv in calls:
+            if fresh:
+                cli._parser = None
+            before = len(RunLog("logs").records())
+            try:
+                rc = main([*argv, "--log-dir", "logs"])
+            except SystemExit as exc:
+                rc = exc.code
+            out, err = capsys.readouterr()
+            outcomes.append((rc, out, err, RunLog("logs").records()[before:]))
+        for _, _, _, records in outcomes:
+            for rec in records:
+                rec.pop("timestamp")
+        return outcomes
+
+    (tmp_path / "fresh").mkdir()
+    (tmp_path / "reused").mkdir()
+    expected = run(fresh=True)
+    assert len(builds) == len(calls)
+    builds.clear()
+    assert run(fresh=False) == expected
+    assert len(builds) <= 1
+    assert [rc for rc, *_ in expected] == [0, 0, 0, 0, 2, 0]
+
+
 def test_every_run_appends_one_record(graphs, capsys):
     log = graphs["log"]
     before = 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdom.counting import clear_denominators
 from gdom.embeddings import CopyLimitExceeded, enumerate_copies, rooted_copy_relation
 from gdom.multigraph import (
     Multigraph,
@@ -191,6 +192,61 @@ def test_k4_edge_tiled_by_k3():
 
 def test_star_no_triangle_copies():
     assert check_fractional_edge_tiling(star_graph(2), complete_graph(3)) is None
+
+
+def _fraction_rows_certificate(g, h, mode):
+    """(copies, multiplicities, coverage) from the LP written in Fraction rows:
+    vertex rows 0/1, edge rows c_m/g_m, every rhs 1; None when infeasible."""
+    if h.n > g.n:
+        return None
+    copies = enumerate_copies(g, h).copies
+    if not copies:
+        return None
+    key = (lambda c: c.vertex_set) if mode == "vertex" else (lambda c: c.edges)
+    reps: dict = {}
+    for i, c in enumerate(copies):
+        reps.setdefault(key(c), i)
+    cols = list(reps.values())
+    if mode == "vertex":
+        rows = [[Fraction(v in copies[i].vertex_set) for i in cols] for v in range(g.n)]
+    else:
+        used = [{(u, v): m for u, v, m in copies[i].edges} for i in cols]
+        rows = [[Fraction(cm.get(p, 0), g.adjacency[p]) for cm in used] for p in sorted(g.adjacency)]
+    if rows:
+        x = feasible_nonnegative(rows, [Fraction(1)] * len(rows))
+    else:
+        x = [Fraction(1)] + [Fraction(0)] * (len(cols) - 1)
+    if x is None:
+        return None
+    full = [Fraction(0)] * len(copies)
+    for i, xi in zip(cols, x):
+        full[i] = xi
+    mults, m = clear_denominators(full)
+    return copies, mults, m
+
+
+def _random_multigraph(rng, n, low, high, extra):
+    base = random_connected(rng, n, extra=extra)
+    return Multigraph(n, [(u, v, rng.randint(low, high)) for u, v, _, _ in base.edges])
+
+
+def test_integer_lp_rows_give_the_fraction_rows_certificates():
+    """The integer rows pivot like the Fraction rows they replace, so every
+    certificate (copies, multiplicities, coverage) comes out the same."""
+    pairs = [(g, h) for g in atlas_up_to(6) for h in atlas_up_to(4)]
+    rng = random.Random(2016)
+    for _ in range(240):
+        g = _random_multigraph(rng, rng.randint(3, 6), 2, 3, rng.randint(0, 5))
+        h = _random_multigraph(rng, rng.randint(2, 4), 1, 3, rng.randint(0, 2))
+        pairs.append((g, h))
+    multi_edge_certs = 0
+    for g, h in pairs:
+        for mode, decider in (("vertex", check_fractional_tiling), ("edge", check_fractional_edge_tiling)):
+            cert = decider(g, h)
+            got = None if cert is None else (cert.copies, cert.multiplicities, cert.coverage)
+            assert got == _fraction_rows_certificate(g, h, mode), (g, h, mode)
+            multi_edge_certs += cert is not None and mode == "edge" and not g.is_simple()
+    assert multi_edge_certs > 20
 
 
 # -- domination ---------------------------------------------------------------------
