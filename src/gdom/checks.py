@@ -227,7 +227,6 @@ def verify_relation_hypothesis(
     g: Multigraph,
     h: Multigraph,
     certificate: Optional[Certificate] = None,
-    copy_limit: Optional[int] = None,
 ) -> tuple[bool, Optional[Certificate]]:
     """Certify the relation hypothesis, reusing a supplied certificate if valid."""
     if certificate is not None and verify_certificate(g, h, certificate):
@@ -255,7 +254,7 @@ def verify_relation_hypothesis(
     decider = RELATIONS.get(hypothesis)
     if decider is None:
         raise ValueError(f"unknown relation hypothesis {hypothesis!r}")
-    cert = decider(g, h, copy_limit)
+    cert = decider(g, h)
     return cert is not None, cert
 
 
@@ -318,9 +317,7 @@ def check(
     if not hypothesis_ok:
         report.notes.append(f"{side} is not transitive")
     elif hypothesis in _RELATION_HYPOTHESES:
-        hypothesis_ok, cert = verify_relation_hypothesis(
-            hypothesis, g, h, params.get("certificate"), params.get("copy_limit")
-        )
+        hypothesis_ok, cert = verify_relation_hypothesis(hypothesis, g, h, params.get("certificate"))
         report.hypothesis_ok = hypothesis_ok
         if cert is not None:
             report.certificate = certificate_to_json(cert)

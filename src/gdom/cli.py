@@ -38,7 +38,6 @@ from .counting import (
     count_spanning_trees,
     tutte_polynomial,
 )
-from .embeddings import CopyLimitExceeded
 from .multigraph import Multigraph, has_cut_edge, parse_graph
 from .relations import RELATIONS, certificate_to_json
 from .search import PairGenerator, hunt
@@ -397,7 +396,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args._argv = ["gdom"] + argv
     try:
         return args.func(args)
-    except (OSError, ValueError, CountingBoundExceeded, CopyLimitExceeded, RecursionError, EigensolverError) as exc:
+    except (OSError, ValueError, CountingBoundExceeded, RecursionError, EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.cmd != "report":
             with contextlib.suppress(OSError):  # an unwritable log dir still ends in exit 3

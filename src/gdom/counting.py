@@ -224,36 +224,32 @@ def _tutte_rec(n: int, pairs: tuple[tuple[int, int, int], ...]) -> BivariatePoly
     return _tutte_memo.put(key, result)
 
 
-def tutte_polynomial(
-    g: Multigraph, edge_bound: int = DEFAULT_TUTTE_EDGE_BOUND
-) -> BivariatePoly:
+def tutte_polynomial(g: Multigraph) -> BivariatePoly:
     """Tutte polynomial by deletion-contraction, memoized on canonical codes."""
     units = g.edge_unit_count()
-    if units > edge_bound:
+    if units > DEFAULT_TUTTE_EDGE_BOUND:
         raise CountingBoundExceeded(
-            f"{units} edge units exceed the Tutte bound {edge_bound}"
+            f"{units} edge units exceed the Tutte bound {DEFAULT_TUTTE_EDGE_BOUND}"
         )
     pairs = tuple(sorted((u, v, m) for (u, v), m in g.adjacency.items()))
     return _tutte_rec(g.n, pairs)
 
 
-def count_forests(g: Multigraph, edge_bound: int = DEFAULT_TUTTE_EDGE_BOUND) -> int:
-    return int(tutte_polynomial(g, edge_bound).evaluate(2, 1))
+def count_forests(g: Multigraph) -> int:
+    return int(tutte_polynomial(g).evaluate(2, 1))
 
 
-def count_acyclic_orientations(
-    g: Multigraph, edge_bound: int = DEFAULT_TUTTE_EDGE_BOUND
-) -> int:
-    return int(tutte_polynomial(g, edge_bound).evaluate(2, 0))
+def count_acyclic_orientations(g: Multigraph) -> int:
+    return int(tutte_polynomial(g).evaluate(2, 0))
 
 
 # -- independent sets --------------------------------------------------------
 
 
-def count_independent_sets(g: Multigraph, size_bound: int = DEFAULT_SUBSET_BOUND) -> int:
+def count_independent_sets(g: Multigraph) -> int:
     """Number of independent vertex sets, the empty set included."""
-    if g.n > size_bound:
-        raise CountingBoundExceeded(f"|G| = {g.n} exceeds bound {size_bound}")
+    if g.n > DEFAULT_SUBSET_BOUND:
+        raise CountingBoundExceeded(f"|G| = {g.n} exceeds bound {DEFAULT_SUBSET_BOUND}")
     closed = [1 << v for v in range(g.n)]
     for u, v, _, _ in g.edges:
         closed[u] |= 1 << v
@@ -391,11 +387,10 @@ def count_weighted_homomorphisms(
     g: Multigraph,
     target: HomTarget,
     weights: Optional[dict[int, Fraction]] = None,
-    size_bound: int = DEFAULT_HOM_BOUND,
 ) -> Count:
     """Total weight of adjacency-preserving maps V(G) -> V(target)."""
-    if g.n > size_bound:
-        raise CountingBoundExceeded(f"|G| = {g.n} exceeds bound {size_bound}")
+    if g.n > DEFAULT_HOM_BOUND:
+        raise CountingBoundExceeded(f"|G| = {g.n} exceeds bound {DEFAULT_HOM_BOUND}")
     w = {v: Fraction(weights[v]) for v in range(target.n)} if weights else {
         v: Fraction(1) for v in range(target.n)
     }
@@ -438,11 +433,12 @@ def count_weighted_homomorphisms(
 DEFAULT_MATCHING_UNIT_BOUND = 64
 
 
-def count_matchings(g: Multigraph, unit_bound: int = DEFAULT_MATCHING_UNIT_BOUND) -> int:
+def count_matchings(g: Multigraph) -> int:
     """Matchings over edge units (parallel units are distinct); empty included."""
-    if g.edge_unit_count() > unit_bound:
+    if g.edge_unit_count() > DEFAULT_MATCHING_UNIT_BOUND:
         raise CountingBoundExceeded(
-            f"{g.edge_unit_count()} edge units exceed the matching bound {unit_bound}"
+            f"{g.edge_unit_count()} edge units exceed the matching bound"
+            f" {DEFAULT_MATCHING_UNIT_BOUND}"
         )
     records = sorted((u, v, m) for (u, v), m in g.adjacency.items())
     memo: dict[tuple, int] = {}
@@ -463,18 +459,15 @@ def count_matchings(g: Multigraph, unit_bound: int = DEFAULT_MATCHING_UNIT_BOUND
     return rec(tuple(records))
 
 
-def count_packings(g: Multigraph, k: Multigraph, copy_limit: Optional[int] = None) -> int:
+def count_packings(g: Multigraph, k: Multigraph) -> int:
     """Sets of pairwise vertex-disjoint copies of k in g; the empty packing counts."""
-    from .embeddings import CopyLimitExceeded, enumerate_copies
+    from .embeddings import enumerate_copies
 
     if k.n > g.n:
         return 1
-    clist = enumerate_copies(g, k, limit=copy_limit)
-    if not clist.complete:
-        raise CopyLimitExceeded("copy enumeration truncated; packing count unreliable")
     # ways[used] = packings among the copies seen so far that cover exactly ``used``
     ways = {0: 1}
-    for c in clist.copies:
+    for c in enumerate_copies(g, k).copies:
         mask = sum(1 << v for v in c.vertices)
         for used, count in list(ways.items()):
             if not mask & used:

@@ -12,14 +12,10 @@ raw embeddings, because root identity matters for domination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .multigraph import Multigraph
 from .symmetry import _pair_adjacency, _stabilizer_chain, _vertex_invariants
-
-
-class CopyLimitExceeded(RuntimeError):
-    """Raised by deciders that need a complete copy list but got a truncated one."""
 
 
 @dataclass(frozen=True)
@@ -37,7 +33,6 @@ class Copy:
 @dataclass
 class CopyList:
     copies: list[Copy]
-    complete: bool = True
 
 
 def _search_order(h: Multigraph, h_deg: list[int]) -> list[int]:
@@ -151,26 +146,14 @@ def _copy_of(embedding: tuple[int, ...], h: Multigraph) -> Copy:
     )
 
 
-def enumerate_copies(
-    g: Multigraph, h: Multigraph, limit: Optional[int] = None
-) -> CopyList:
-    """Distinct copy-subgraphs of h in g; complete unless ``limit`` cuts it off.
+def enumerate_copies(g: Multigraph, h: Multigraph) -> CopyList:
+    """Every distinct copy-subgraph of h in g.
 
     Copies come in the order of their first embedding in ``embeddings_iter``.
-    ``limit`` caps the number of distinct copies; when hit, the returned
-    list is flagged incomplete and downstream deciders must treat absence
-    of a certificate as inconclusive.
     """
     if h.n > g.n:
         raise ValueError(f"|H| = {h.n} exceeds |G| = {g.n}")
-    copies: list[Copy] = []
-    complete = True
-    for emb in _search(g, h, each_copy_once=True):
-        if limit is not None and len(copies) >= limit:
-            complete = False
-            break
-        copies.append(_copy_of(emb, h))
-    return CopyList(copies=copies, complete=complete)
+    return CopyList(copies=[_copy_of(emb, h) for emb in _search(g, h, each_copy_once=True)])
 
 
 def rooted_copy_relation(g: Multigraph, h: Multigraph) -> set[tuple[int, int]]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .counting import clear_denominators
-from .embeddings import Copy, CopyLimitExceeded, embeddings_iter, enumerate_copies, rooted_copy_relation
+from .embeddings import Copy, embeddings_iter, enumerate_copies, rooted_copy_relation
 from .multigraph import Multigraph
 from .symmetry import cached_code
 
@@ -192,14 +192,12 @@ class _Dinic:
 # -- deciders ------------------------------------------------------------------
 
 
-def check_tiling(
-    g: Multigraph, h: Multigraph, copy_limit: Optional[int] = None
-) -> Optional[TilingCertificate]:
+def check_tiling(g: Multigraph, h: Multigraph) -> Optional[TilingCertificate]:
     """Exact cover of V(G) by vertex-disjoint copies of H."""
     if h.n > g.n or g.n % h.n != 0:
         return None
-    clist = enumerate_copies(g, h, limit=copy_limit)
-    masks = [sum(1 << v for v in c.vertices) for c in clist.copies]
+    copies = enumerate_copies(g, h).copies
+    masks = [sum(1 << v for v in c.vertices) for c in copies]
     by_vertex: list[list[int]] = [[] for _ in range(g.n)]
     for i, mask in enumerate(masks):
         for v in range(g.n):
@@ -222,14 +220,12 @@ def check_tiling(
         return False
 
     if cover(0):
-        return TilingCertificate(copies=[clist.copies[i] for i in chosen])
-    if not clist.complete:
-        raise CopyLimitExceeded("copy enumeration truncated before a tiling was found")
+        return TilingCertificate(copies=[copies[i] for i in chosen])
     return None
 
 
 def _fractional_lp(
-    g: Multigraph, h: Multigraph, copy_limit: Optional[int], mode: str, column_key, build_rows
+    g: Multigraph, h: Multigraph, mode: str, column_key, build_rows
 ) -> Optional[FractionalTilingCertificate]:
     """Copies weighted so that every LP row meets its rhs, scaled to integers.
 
@@ -240,36 +236,28 @@ def _fractional_lp(
     """
     if h.n > g.n:
         return None
-    clist = enumerate_copies(g, h, limit=copy_limit)
-    if not clist.copies:
-        if not clist.complete:
-            raise CopyLimitExceeded("no copies within limit")
+    copies = enumerate_copies(g, h).copies
+    if not copies:
         return None
     reps: dict = {}
-    for i, c in enumerate(clist.copies):
+    for i, c in enumerate(copies):
         reps.setdefault(column_key(c), i)
     cols = list(reps.values())
-    rows = build_rows([clist.copies[i] for i in cols])
+    rows = build_rows([copies[i] for i in cols])
     if rows:
         x = feasible_nonnegative([r[:-1] for r in rows], [r[-1] for r in rows])
     else:
         x = [Fraction(1)] + [Fraction(0)] * (len(cols) - 1)
     if x is None:
-        if not clist.complete:
-            raise CopyLimitExceeded("copy list truncated; infeasibility not conclusive")
         return None
-    full = [Fraction(0)] * len(clist.copies)
+    full = [Fraction(0)] * len(copies)
     for i, xi in zip(cols, x):
         full[i] = xi
     mults, m = clear_denominators(full)
-    return FractionalTilingCertificate(
-        copies=clist.copies, multiplicities=mults, coverage=m, mode=mode
-    )
+    return FractionalTilingCertificate(copies=copies, multiplicities=mults, coverage=m, mode=mode)
 
 
-def check_fractional_tiling(
-    g: Multigraph, h: Multigraph, copy_limit: Optional[int] = None
-) -> Optional[FractionalTilingCertificate]:
+def check_fractional_tiling(g: Multigraph, h: Multigraph) -> Optional[FractionalTilingCertificate]:
     """An integer combination of copies covering every vertex equally often.
 
     Copies with the same vertex set are interchangeable for coverage, so the
@@ -279,12 +267,10 @@ def check_fractional_tiling(
     def rows(reps: list[Copy]) -> list[list[int]]:
         return [[int(v in c.vertex_set) for c in reps] + [1] for v in range(g.n)]
 
-    return _fractional_lp(g, h, copy_limit, "vertex", lambda c: c.vertex_set, rows)
+    return _fractional_lp(g, h, "vertex", lambda c: c.vertex_set, rows)
 
 
-def check_fractional_edge_tiling(
-    g: Multigraph, h: Multigraph, copy_limit: Optional[int] = None
-) -> Optional[FractionalTilingCertificate]:
+def check_fractional_edge_tiling(g: Multigraph, h: Multigraph) -> Optional[FractionalTilingCertificate]:
     """An integer combination of copies covering every edge unit equally often.
 
     Parallel units of one pair are interchangeable, so coverage is accounted
@@ -302,7 +288,7 @@ def check_fractional_edge_tiling(
             out.append([a // d for a in row])
         return out
 
-    return _fractional_lp(g, h, copy_limit, "edge", lambda c: c.edges, rows)
+    return _fractional_lp(g, h, "edge", lambda c: c.edges, rows)
 
 
 def check_domination(g: Multigraph, h: Multigraph) -> Optional[CouplingCertificate]:
@@ -357,29 +343,17 @@ def domination_hall_condition(
     return True, None
 
 
-def _dominates(g: Multigraph, h: Multigraph, copy_limit: Optional[int] = None):
-    # the rooted-copy relation is never truncated, so a copy limit does not apply
-    return check_domination(g, h)
-
-
-# relation name -> decider(g, h, copy_limit=None), in the order ``gdom relate``
-# reports them; each decider returns a certificate or None, and None when |H| > |G|
+# relation name -> decider(g, h), in the order ``gdom relate`` reports them;
+# each decider returns a certificate or None, and None when |H| > |G|
 RELATIONS = {
     "tiling": check_tiling,
     "fractional_tiling": check_fractional_tiling,
     "fractional_edge_tiling": check_fractional_edge_tiling,
-    "domination": _dominates,
+    "domination": check_domination,
 }
 
 
 # -- certificate verification ---------------------------------------------------
-
-
-def _copy_as_graph(c: Copy) -> Multigraph:
-    lbl = {v: i for i, v in enumerate(c.vertices)}
-    return Multigraph(
-        len(c.vertices), [(lbl[u], lbl[v], m, 1) for u, v, m in c.edges]
-    )
 
 
 def _copy_is_valid(g: Multigraph, h: Multigraph, c: Copy) -> bool:
@@ -387,15 +361,20 @@ def _copy_is_valid(g: Multigraph, h: Multigraph, c: Copy) -> bool:
         return False
     if not all(0 <= v < g.n for v in c.vertices):
         return False
+    # the form ``enumerate_copies`` emits: pairs u < v strictly increasing, m >= 1,
+    # so no unit of G is counted twice
+    prev = None
     for u, v, m in c.edges:
+        if not u < v or m < 1 or (prev is not None and (u, v) <= prev):
+            return False
         if u not in c.vertices or v not in c.vertices:
             return False
         if g.multiplicity(u, v) < m:
             return False
-    try:
-        as_graph = _copy_as_graph(c)
-    except Exception:
-        return False
+        prev = (u, v)
+    # a disconnected copy cannot have the code of connected H
+    lbl = {v: i for i, v in enumerate(c.vertices)}
+    as_graph = Multigraph(h.n, [(lbl[u], lbl[v], m, 1) for u, v, m in c.edges], _validated=True)
     return cached_code(as_graph) == cached_code(h)
 
 

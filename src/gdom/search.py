@@ -21,7 +21,6 @@ from typing import Optional
 from . import checks
 from .checks import INEQUALITIES, CheckReport, InequalityId, check, verify_relation_hypothesis
 from .counting import CountingBoundExceeded
-from .embeddings import CopyLimitExceeded
 from .multigraph import Multigraph, serialize_graph
 from .relations import Certificate
 from .rng import Stream, derive_seed
@@ -369,7 +368,7 @@ def hunt(
             h = None
         try:
             report = check(ineq, g, h, trial_params)
-        except (CountingBoundExceeded, CopyLimitExceeded):
+        except CountingBoundExceeded:
             skips += 1
             continue
         checked += 1

@@ -41,7 +41,7 @@ def _off_norm(a: list[list[float]]) -> float:
     return math.sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
 
 
-def jacobi_eigenvalues(matrix: Sequence[Sequence[float]], tolerance: float) -> Spectrum:
+def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> Spectrum:
     """Cyclic Jacobi rotations; converges fast at desk scale (n <= 64)."""
     n = len(matrix)
     a = [list(map(float, row)) for row in matrix]
@@ -50,7 +50,7 @@ def jacobi_eigenvalues(matrix: Sequence[Sequence[float]], tolerance: float) -> S
     scale = math.sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(n))) or 1.0
     for _ in range(MAX_SWEEPS):
         off = _off_norm(a)
-        if off <= tolerance * scale:
+        if off <= DEFAULT_TOLERANCE * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -79,16 +79,14 @@ def jacobi_eigenvalues(matrix: Sequence[Sequence[float]], tolerance: float) -> S
 _spectra = Memo()
 
 
-def eigenvalues(g: Multigraph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
+def eigenvalues(g: Multigraph) -> Spectrum:
     """Sorted Laplacian eigenvalues with a residual bound; cached per graph."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    key = (g.n, g.edges, tolerance)
+    key = (g.n, g.edges)
     hit = _spectra.get(key)
     if hit is not None:
         return hit
     L = [[float(x) for x in row] for row in g.laplacian()]
-    return _spectra.put(key, jacobi_eigenvalues(L, tolerance))
+    return _spectra.put(key, jacobi_eigenvalues(L))
 
 
 # -- functionals ----------------------------------------------------------
@@ -166,43 +164,27 @@ def shifted_inverse(t) -> FunctionalSpec:
     return FunctionalSpec("shifted_inverse", Fraction(t))
 
 
-def spectral_functional(
-    g: Multigraph, spec: FunctionalSpec, tolerance: float = DEFAULT_TOLERANCE
-) -> float:
+def spectral_functional(g: Multigraph, spec: FunctionalSpec) -> float:
     """Normalized trace (1/|G|) sum f(lambda_i)."""
-    eig = eigenvalues(g, tolerance)
+    eig = eigenvalues(g)
     return sum(spec(max(v, 0.0)) for v in eig.values) / g.n
 
 
-def spectral_functional_error(
-    g: Multigraph, spec: FunctionalSpec, tolerance: float = DEFAULT_TOLERANCE
-) -> float:
+def spectral_functional_error(g: Multigraph, spec: FunctionalSpec) -> float:
     """Bound on the error of spectral_functional from eigenvalue residuals."""
-    eig = eigenvalues(g, tolerance)
+    eig = eigenvalues(g)
     hi = max(eig.values) + eig.residual if eig.values else 0.0
     lip = spec.lipschitz_on(0.0, hi)
     float_noise = 1e-14 * (1.0 + abs(spec(0.0))) * g.n
     return lip * eig.residual + float_noise
 
 
-def heat_trace(g: Multigraph, t: float, tolerance: float = DEFAULT_TOLERANCE) -> float:
+def heat_trace(g: Multigraph, t: float) -> float:
     """Mean return probability (1/|G|) sum_x p_t(x; G) = (1/|G|) sum exp(-t lambda_i)."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    eig = eigenvalues(g, tolerance)
+    eig = eigenvalues(g)
     return sum(math.exp(-t * max(v, 0.0)) for v in eig.values) / g.n
-
-
-def heat_trace_curve(
-    g: Multigraph, ts: Sequence[float], tolerance: float = DEFAULT_TOLERANCE
-) -> list[tuple[float, float]]:
-    return [(t, heat_trace(g, t, tolerance)) for t in sorted(ts)]
-
-
-def heat_trace_curve_csv(curve: list[tuple[float, float]]) -> str:
-    lines = ["t,value"]
-    lines += [f"{t!r},{v!r}" for t, v in curve]
-    return "\n".join(lines) + "\n"
 
 
 def heat_trace_derivative_at_zero(g: Multigraph) -> Fraction:
@@ -224,18 +206,10 @@ def shifted_determinant_exact(g: Multigraph, t: Fraction) -> Fraction:
     return rational_determinant(L)
 
 
-def shifted_normalized_determinant(g: Multigraph, t: Fraction) -> float:
-    """det(Laplacian + t I)^(1/|G|), the |G|-th root taken in floating point."""
-    d = shifted_determinant_exact(g, t)
-    return math.exp((math.log(d.numerator) - math.log(d.denominator)) / g.n)
-
-
 # -- raw traces on explicit Laplacians (for weighted covers) -----------------
 
 
-def heat_trace_sum_from_matrix(
-    matrix: list[list[Fraction]], t: float, tolerance: float = DEFAULT_TOLERANCE
-) -> float:
+def heat_trace_sum_from_matrix(matrix: list[list[Fraction]], t: float) -> float:
     """sum_x p_t(x) for an arbitrary PSD Laplacian-like matrix (not normalized)."""
-    spec = jacobi_eigenvalues([[float(x) for x in row] for row in matrix], tolerance)
+    spec = jacobi_eigenvalues([[float(x) for x in row] for row in matrix])
     return sum(math.exp(-t * max(v, 0.0)) for v in spec.values)

@@ -212,10 +212,10 @@ def _stabilizer_chain(
     return gens, orbits
 
 
-def automorphisms(g: Multigraph, size_bound: int = DEFAULT_SIZE_BOUND) -> AutomorphismInfo:
+def automorphisms(g: Multigraph) -> AutomorphismInfo:
     """Generators, orbit partition, and exact group order (stabilizer chain)."""
-    if g.n > size_bound:
-        raise SizeBoundExceeded(f"|G| = {g.n} exceeds bound {size_bound}")
+    if g.n > DEFAULT_SIZE_BOUND:
+        raise SizeBoundExceeded(f"|G| = {g.n} exceeds bound {DEFAULT_SIZE_BOUND}")
     n = g.n
     adj = _pair_adjacency(g)
     gens, level_orbits = _stabilizer_chain(adj, _vertex_invariants(adj), n)

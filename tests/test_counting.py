@@ -353,7 +353,7 @@ def test_matching_bound_and_long_paths():
     with pytest.raises(CountingBoundExceeded):
         count_matchings(path_graph(80))
     # Fibonacci growth along paths; memoization keeps this instant
-    assert count_matchings(path_graph(50), unit_bound=64) == 20365011074
+    assert count_matchings(path_graph(50)) == 20365011074
 
 
 def test_matchings_vs_brute():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdom.counting import clear_denominators
-from gdom.embeddings import CopyLimitExceeded, enumerate_copies, rooted_copy_relation
+from gdom.embeddings import enumerate_copies, rooted_copy_relation
 from gdom.multigraph import (
     Multigraph,
     complete_graph,
@@ -163,14 +163,6 @@ def test_fractional_tiling_by_edge_vs_scipy_oracle():
             method="highs",
         )
         assert mine == ref.success, g.edges
-
-
-def test_copy_limit_inconclusive():
-    with pytest.raises(CopyLimitExceeded):
-        check_fractional_tiling(path_graph(3), single_edge(), copy_limit=1)
-    # a certificate found before the limit is final
-    cert = check_fractional_tiling(complete_graph(4), complete_graph(4), copy_limit=1)
-    assert cert is not None
 
 
 # -- fractional edge tiling --------------------------------------------------------
@@ -355,6 +347,21 @@ def test_perturbed_certificates_rejected():
     assert not verify_certificate(
         grid4x4(), cycle_graph(4), TilingCertificate(copies=tiling.copies[:-1])
     )
+    # a copy that repeats an edge pair would count one unit of G twice
+    from gdom.checks import HYPOTHESIS_FAILED, check
+    from gdom.embeddings import Copy
+
+    g, h = parse_graph("2; 0 1"), parse_graph("2; 0 1 2")
+    forged = Copy((0, 1), ((0, 1, 1), (0, 1, 1)))
+    for cert in (
+        TilingCertificate([forged]),
+        FractionalTilingCertificate([forged], [1], 1, "vertex"),
+        FractionalTilingCertificate([forged], [1], 2, "edge"),
+    ):
+        assert not verify_certificate(g, h, cert)
+        assert not verify_certificate(g, h, certificate_from_json(certificate_to_json(cert)))
+    report = check("frac_tiling_tree", g, h, {"certificate": TilingCertificate([forged])})
+    assert report.verdict == HYPOTHESIS_FAILED
 
 
 def _star_path_masses():

@@ -73,7 +73,7 @@ def test_orbit_stabilizer_arithmetic():
 
 def test_size_bound():
     with pytest.raises(SizeBoundExceeded):
-        automorphisms(cycle_graph(10), size_bound=5)
+        automorphisms(cycle_graph(symmetry.DEFAULT_SIZE_BOUND + 1))
 
 
 def test_transitivity_examples():
