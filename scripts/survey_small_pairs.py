@@ -15,12 +15,7 @@ from collections import Counter
 
 from gdom.checks import check
 from gdom.multigraph import Multigraph
-from gdom.relations import (
-    check_domination,
-    check_fractional_edge_tiling,
-    check_fractional_tiling,
-    check_tiling,
-)
+from gdom.relations import RELATIONS, relate
 from gdom.symmetry import cached_code
 
 
@@ -54,26 +49,14 @@ def main() -> None:
             if h.n > g.n:
                 continue
             pairs += 1
-            dom = check_domination(g, h) is not None
-            frac = check_fractional_tiling(g, h) is not None
-            edge = check_fractional_edge_tiling(g, h) is not None
-            til = check_tiling(g, h) is not None
-            relation_counts.update(
-                k
-                for k, v in (
-                    ("tiling", til),
-                    ("fractional_tiling", frac),
-                    ("fractional_edge_tiling", edge),
-                    ("domination", dom),
-                )
-                if v
-            )
-            if dom:
+            held = {k for k, cert in relate(g, h).items() if cert is not None}
+            relation_counts.update(held)
+            if "domination" in held:
                 r = check("spanning_tree", g, h, params={"hypothesis": "domination"})
                 verdicts[r.verdict] += 1
 
     print(f"\nrelation frequencies over {pairs} ordered pairs:")
-    for k in ("tiling", "fractional_tiling", "fractional_edge_tiling", "domination"):
+    for k in RELATIONS:
         print(f"  {k}: {relation_counts[k]}")
     print("\nnormalized spanning-tree comparison under domination:")
     for k, v in sorted(verdicts.items()):

@@ -39,7 +39,7 @@ from .counting import (
     tutte_polynomial,
 )
 from .multigraph import Multigraph, has_cut_edge, parse_graph
-from .relations import RELATIONS, certificate_to_json
+from .relations import certificate_to_json, relate
 from .search import PairGenerator, hunt
 from .spectral import EigensolverError, FunctionalSpec, eigenvalues, heat_trace
 from .symmetry import is_transitive
@@ -188,8 +188,7 @@ def cmd_relate(args) -> int:
     h = _load_graph(args.h, args.format)
     out: dict = {}
     verdicts = {}
-    for name, decider in RELATIONS.items():
-        cert = decider(g, h)
+    for name, cert in relate(g, h).items():
         verdicts[name] = cert is not None
         out[name] = {"holds": cert is not None}
         if cert is not None and args.certificates:

@@ -133,17 +133,15 @@ def embeddings_iter(g: Multigraph, h: Multigraph) -> Iterator[tuple[int, ...]]:
     yield from _search(g, h, each_copy_once=False)
 
 
-def _copy_of(embedding: tuple[int, ...], h: Multigraph) -> Copy:
-    pair_mult: dict[tuple[int, int], int] = {}
-    for (a, b), m in h.adjacency.items():
+def _copy_of(embedding: tuple[int, ...], h_pairs: list[tuple[int, int, int]]) -> Copy:
+    """The copy an embedding makes of H, given H's pairs (a, b, mult)."""
+    # injective, so distinct H-pairs land on distinct G-pairs
+    edges = []
+    for a, b, m in h_pairs:
         u, v = embedding[a], embedding[b]
-        if u > v:
-            u, v = v, u
-        pair_mult[(u, v)] = pair_mult.get((u, v), 0) + m
-    return Copy(
-        vertices=tuple(sorted(embedding)),
-        edges=tuple(sorted((u, v, m) for (u, v), m in pair_mult.items())),
-    )
+        edges.append((u, v, m) if u < v else (v, u, m))
+    edges.sort()
+    return Copy(vertices=tuple(sorted(embedding)), edges=tuple(edges))
 
 
 def enumerate_copies(g: Multigraph, h: Multigraph) -> CopyList:
@@ -153,7 +151,8 @@ def enumerate_copies(g: Multigraph, h: Multigraph) -> CopyList:
     """
     if h.n > g.n:
         raise ValueError(f"|H| = {h.n} exceeds |G| = {g.n}")
-    return CopyList(copies=[_copy_of(emb, h) for emb in _search(g, h, each_copy_once=True)])
+    h_pairs = [(a, b, m) for (a, b), m in h.adjacency.items()]
+    return CopyList(copies=[_copy_of(emb, h_pairs) for emb in _search(g, h, each_copy_once=True)])
 
 
 def rooted_copy_relation(g: Multigraph, h: Multigraph) -> set[tuple[int, int]]:

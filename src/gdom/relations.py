@@ -5,6 +5,11 @@ LP feasibility over the copy incidence matrix; domination is an integral
 transportation problem solved by max-flow after scaling the uniform
 marginals by |G|*|H|.  Every positive answer returns a certificate that
 ``verify_certificate`` re-checks from scratch.
+
+``relate`` decides all four on one pair and enumerates the copies of H once
+for the three copy deciders.  Each public decider enumerates for itself.
+The LP is a fraction-free simplex that rescales a row only when a pivot
+touches it.
 """
 
 from __future__ import annotations
@@ -58,9 +63,19 @@ def feasible_nonnegative(
     """Some x >= 0 with rows * x = rhs, or None; ints serve as Fractions.
 
     Exact phase-1 simplex with integer (fraction-free) pivoting: the tableau
-    stays integral, true values are entries over the last pivot, and signs
-    and ratio tests are decided by cross-multiplication.  Dantzig's rule with
-    a Bland fallback guarantees termination without rational arithmetic.
+    stays integral, and signs and ratio tests are decided by
+    cross-multiplication.  Dantzig's rule with a Bland fallback guarantees
+    termination without rational arithmetic.
+
+    Rows are rescaled lazily.  ``row_den[i]`` is the last pivot that touched
+    row i, and the row's true values are its entries over ``row_den[i]``.
+    A pivot rewrites only the rows with a nonzero entry in its column, as
+    ``(piv*a - f*b) // row_den[i]``: over the skipped pivots the factors
+    piv/den telescope, so this is the eager fraction-free update, exactly.
+    The pivot row is first brought to the last pivot, and the objective row
+    is always touched (its entering entry is negative).  Sign and ratio
+    tests read each row at its own positive scale, so the pivots are those
+    of the eager tableau.
     """
     m = len(rows)
     if m == 0:
@@ -68,31 +83,26 @@ def feasible_nonnegative(
     n = len(rows[0])
     T: list[list[int]] = []
     for i in range(m):
-        *row, b = clear_denominators([*rows[i], rhs[i]])[0]
-        if b < 0:
+        row = [*rows[i], rhs[i]]
+        if not all(type(a) is int for a in row):
+            row = clear_denominators(row)[0]
+        if row[-1] < 0:
             row = [-a for a in row]
-            b = -b
+        b = row.pop()
         T.append(row + [1 if j == i else 0 for j in range(m)] + [b])
     basis = [n + i for i in range(m)]
-    width = n + m + 1
-    # phase-1 objective: minimize the sum of artificials, priced out
-    obj = [0] * width
-    for i in range(m):
-        for j in range(width):
-            obj[j] -= T[i][j]
-    for i in range(m):
-        obj[n + i] += 1
-    den_piv = 1  # previous pivot; all true values are entry / den_piv
+    # phase-1 objective: minimize the sum of artificials, priced out; each
+    # artificial column sums to 1, so its reduced cost is 0
+    obj = [-sum(col) for col in zip(*T)]
+    obj[n : n + m] = [0] * m
+    row_den = [1] * m
+    den_piv = 1  # last pivot: the scale of the objective row
 
     pivots = 0
     while True:
         if pivots < _BLAND_SWITCH:
-            enter = None
-            best_cost = 0
-            for j in range(n + m):
-                if obj[j] < best_cost:
-                    best_cost = obj[j]
-                    enter = j
+            best_cost = min(obj[: n + m])
+            enter = obj.index(best_cost) if best_cost < 0 else None
         else:
             enter = next((j for j in range(n + m) if obj[j] < 0), None)
         if enter is None:
@@ -111,22 +121,22 @@ def feasible_nonnegative(
                         leave = i
         if leave is None:
             return None  # cannot happen in phase 1 (objective bounded below)
-        piv = T[leave][enter]
         prow = T[leave]
+        if row_den[leave] != den_piv:
+            d = row_den[leave]
+            prow = T[leave] = [a * den_piv // d for a in prow]
+        piv = prow[enter]
         for i in range(m):
             if i != leave:
                 row = T[i]
                 f = row[enter]
                 if f:
-                    T[i] = [(piv * a - f * b) // den_piv for a, b in zip(row, prow)]
-                else:
-                    T[i] = [(piv * a) // den_piv for a in row]
+                    d = row_den[i]
+                    T[i] = [(piv * a - f * b) // d for a, b in zip(row, prow)]
+                    row_den[i] = piv
         f = obj[enter]
-        if f:
-            obj = [(piv * a - f * b) // den_piv for a, b in zip(obj, prow)]
-        else:
-            obj = [(piv * a) // den_piv for a in obj]
-        den_piv = piv
+        obj = [(piv * a - f * b) // den_piv for a, b in zip(obj, prow)]
+        den_piv = row_den[leave] = piv
         basis[leave] = enter
         pivots += 1
 
@@ -135,7 +145,7 @@ def feasible_nonnegative(
     x = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = Fraction(T[i][-1], den_piv)
+            x[b] = Fraction(T[i][-1], row_den[i])
     return x
 
 
@@ -196,13 +206,16 @@ def check_tiling(g: Multigraph, h: Multigraph) -> Optional[TilingCertificate]:
     """Exact cover of V(G) by vertex-disjoint copies of H."""
     if h.n > g.n or g.n % h.n != 0:
         return None
-    copies = enumerate_copies(g, h).copies
+    return _tiling(g, enumerate_copies(g, h).copies)
+
+
+def _tiling(g: Multigraph, copies: list[Copy]) -> Optional[TilingCertificate]:
+    """The exact cover search of ``check_tiling`` over every copy of H."""
     masks = [sum(1 << v for v in c.vertices) for c in copies]
     by_vertex: list[list[int]] = [[] for _ in range(g.n)]
-    for i, mask in enumerate(masks):
-        for v in range(g.n):
-            if mask >> v & 1:
-                by_vertex[v].append(i)
+    for i, c in enumerate(copies):
+        for v in c.vertices:
+            by_vertex[v].append(i)
     full = (1 << g.n) - 1
     chosen: list[int] = []
 
@@ -225,18 +238,15 @@ def check_tiling(g: Multigraph, h: Multigraph) -> Optional[TilingCertificate]:
 
 
 def _fractional_lp(
-    g: Multigraph, h: Multigraph, mode: str, column_key, build_rows
+    copies: list[Copy], mode: str, column_key, build_rows
 ) -> Optional[FractionalTilingCertificate]:
     """Copies weighted so that every LP row meets its rhs, scaled to integers.
 
-    Copies with equal ``column_key`` cover the rows alike, so the LP runs
-    over the first copy of each key; ``build_rows`` maps those columns to
-    integer rows, each ending in its rhs.  With no rows at all (the edge mode
-    on K_1) coverage is vacuous.
+    ``copies`` are every copy of H.  Copies with equal ``column_key`` cover
+    the rows alike, so the LP runs over the first copy of each key;
+    ``build_rows`` maps those columns to integer rows, each ending in its
+    rhs.  With no rows at all (the edge mode on K_1) coverage is vacuous.
     """
-    if h.n > g.n:
-        return None
-    copies = enumerate_copies(g, h).copies
     if not copies:
         return None
     reps: dict = {}
@@ -254,30 +264,39 @@ def _fractional_lp(
     for i, xi in zip(cols, x):
         full[i] = xi
     mults, m = clear_denominators(full)
-    return FractionalTilingCertificate(copies=copies, multiplicities=mults, coverage=m, mode=mode)
+    # a list of its own: ``relate`` hands one copy list to both modes
+    return FractionalTilingCertificate(copies=list(copies), multiplicities=mults, coverage=m, mode=mode)
 
 
 def check_fractional_tiling(g: Multigraph, h: Multigraph) -> Optional[FractionalTilingCertificate]:
-    """An integer combination of copies covering every vertex equally often.
+    """An integer combination of copies covering every vertex equally often."""
+    return None if h.n > g.n else _fractional_tiling(g, enumerate_copies(g, h).copies)
 
-    Copies with the same vertex set are interchangeable for coverage, so the
-    LP runs over one representative per vertex set.
-    """
+
+def _fractional_tiling(g: Multigraph, copies: list[Copy]) -> Optional[FractionalTilingCertificate]:
+    """Copies with the same (sorted) vertices are interchangeable for
+    coverage, so the LP runs over one representative per vertex set."""
 
     def rows(reps: list[Copy]) -> list[list[int]]:
-        return [[int(v in c.vertex_set) for c in reps] + [1] for v in range(g.n)]
+        out = [[0] * len(reps) + [1] for _ in range(g.n)]
+        for j, c in enumerate(reps):
+            for v in c.vertices:
+                out[v][j] = 1
+        return out
 
-    return _fractional_lp(g, h, "vertex", lambda c: c.vertex_set, rows)
+    return _fractional_lp(copies, "vertex", lambda c: c.vertices, rows)
 
 
 def check_fractional_edge_tiling(g: Multigraph, h: Multigraph) -> Optional[FractionalTilingCertificate]:
-    """An integer combination of copies covering every edge unit equally often.
+    """An integer combination of copies covering every edge unit equally often."""
+    return None if h.n > g.n else _fractional_edge_tiling(g, enumerate_copies(g, h).copies)
 
-    Parallel units of one pair are interchangeable, so coverage is accounted
-    per pair: a copy's units on the pair against the pair multiplicity, the
-    row divided by its gcd (the row ``clear_denominators`` makes of the
-    normalized one, so the simplex pivots alike).
-    """
+
+def _fractional_edge_tiling(g: Multigraph, copies: list[Copy]) -> Optional[FractionalTilingCertificate]:
+    """Parallel units of one pair are interchangeable, so coverage is
+    accounted per pair: a copy's units on the pair against the pair
+    multiplicity, the row divided by its gcd (the row ``clear_denominators``
+    makes of the normalized one, so the simplex pivots alike)."""
 
     def rows(reps: list[Copy]) -> list[list[int]]:
         used = [{(u, v): m for u, v, m in c.edges} for c in reps]
@@ -288,7 +307,7 @@ def check_fractional_edge_tiling(g: Multigraph, h: Multigraph) -> Optional[Fract
             out.append([a // d for a in row])
         return out
 
-    return _fractional_lp(g, h, "edge", lambda c: c.edges, rows)
+    return _fractional_lp(copies, "edge", lambda c: c.edges, rows)
 
 
 def check_domination(g: Multigraph, h: Multigraph) -> Optional[CouplingCertificate]:
@@ -353,6 +372,23 @@ RELATIONS = {
 }
 
 
+def relate(g: Multigraph, h: Multigraph) -> dict[str, Optional[Certificate]]:
+    """Every relation of ``RELATIONS``, in its order: name -> certificate or None.
+
+    Equal to calling each decider, but the copies of H are enumerated once
+    and handed to the three copy deciders.
+    """
+    if h.n > g.n:
+        return dict.fromkeys(RELATIONS)
+    copies = enumerate_copies(g, h).copies
+    return {
+        "tiling": None if g.n % h.n else _tiling(g, copies),
+        "fractional_tiling": _fractional_tiling(g, copies),
+        "fractional_edge_tiling": _fractional_edge_tiling(g, copies),
+        "domination": check_domination(g, h),
+    }
+
+
 # -- certificate verification ---------------------------------------------------
 
 
@@ -404,10 +440,12 @@ def verify_certificate(g: Multigraph, h: Multigraph, cert: Certificate) -> bool:
             if not _copy_is_valid(g, h, c):
                 return False
         if cert.mode == "vertex":
-            for v in range(g.n):
-                if sum(m for c, m in active if v in c.vertex_set) != cert.coverage:
-                    return False
-            return True
+            # valid copies hold distinct vertices of G
+            covered = [0] * g.n
+            for c, m in active:
+                for v in c.vertices:
+                    covered[v] += m
+            return all(k == cert.coverage for k in covered)
         if cert.mode == "edge":
             for (u, v), gm in g.adjacency.items():
                 covered = sum(

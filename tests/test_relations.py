@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdom import relations
 from gdom.counting import clear_denominators
 from gdom.embeddings import enumerate_copies, rooted_copy_relation
 from gdom.multigraph import (
@@ -19,6 +20,7 @@ from gdom.multigraph import (
 from gdom.relations import (
     CouplingCertificate,
     FractionalTilingCertificate,
+    RELATIONS,
     TilingCertificate,
     certificate_from_json,
     certificate_to_json,
@@ -28,6 +30,7 @@ from gdom.relations import (
     check_tiling,
     domination_hall_condition,
     feasible_nonnegative,
+    relate,
     verify_certificate,
 )
 from gdom.symmetry import is_transitive
@@ -84,6 +87,94 @@ def test_simplex_against_scipy_oracle(seed):
         method="highs",
     )
     assert (x is not None) == ref.success
+
+
+def _eager_feasible_nonnegative(rows, rhs):
+    """The simplex with eager row scaling: every pivot rewrites every row to
+    the new pivot.  The reference for the lazy one, pivot for pivot."""
+    m, n = len(rows), len(rows[0])
+    T = []
+    for i in range(m):
+        *row, b = clear_denominators([*rows[i], rhs[i]])[0]
+        if b < 0:
+            row, b = [-a for a in row], -b
+        T.append(row + [1 if j == i else 0 for j in range(m)] + [b])
+    basis = [n + i for i in range(m)]
+    width = n + m + 1
+    obj = [0] * width
+    for i in range(m):
+        for j in range(width):
+            obj[j] -= T[i][j]
+    for i in range(m):
+        obj[n + i] += 1
+    den_piv = 1
+    pivots = 0
+    while True:
+        if pivots < relations._BLAND_SWITCH:
+            enter, best_cost = None, 0
+            for j in range(n + m):
+                if obj[j] < best_cost:
+                    best_cost, enter = obj[j], j
+        else:
+            enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(m):
+            tie = T[i][enter]
+            if tie > 0:
+                if leave is None:
+                    leave = i
+                else:
+                    lhs, rhs_ = T[i][-1] * T[leave][enter], T[leave][-1] * tie
+                    if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[leave]):
+                        leave = i
+        piv, prow = T[leave][enter], T[leave]
+        for i in range(m):
+            if i != leave:
+                f = T[i][enter]
+                T[i] = [(piv * a - f * b) // den_piv for a, b in zip(T[i], prow)]
+        f = obj[enter]
+        obj = [(piv * a - f * b) // den_piv for a, b in zip(obj, prow)]
+        den_piv = piv
+        basis[leave] = enter
+        pivots += 1
+    if obj[-1] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = Fraction(T[i][-1], den_piv)
+    return x
+
+
+def _random_lp(rng, kind):
+    m, n = rng.randint(1, 7), rng.randint(1, 12)
+    if kind == "cover":  # 0/1 rows with rhs 1, the vertex tiling LP's form
+        return [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)], [1] * m
+    if kind == "int":  # small ints, rhs <= 0
+        return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)], [rng.randint(-4, 0) for _ in range(m)]
+
+    def frac():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+    return [[frac() for _ in range(n)] for _ in range(m)], [frac() for _ in range(m)]
+
+
+@pytest.mark.parametrize("bland_switch", [relations._BLAND_SWITCH, 0])
+@pytest.mark.parametrize("kind", ["cover", "int", "fraction"])
+def test_lazy_row_scaling_matches_eager_simplex(monkeypatch, bland_switch, kind):
+    """Rescaling only the rows a pivot touches gives the eager tableau's x,
+    under Dantzig's rule and (switch 0) under Bland's rule alone."""
+    monkeypatch.setattr(relations, "_BLAND_SWITCH", bland_switch)
+    rng = random.Random(f"lazy-{kind}")
+    feasible = 0
+    for _ in range(300):
+        rows, rhs = _random_lp(rng, kind)
+        x = feasible_nonnegative(rows, rhs)
+        assert x == _eager_feasible_nonnegative(rows, rhs), (rows, rhs)
+        feasible += x is not None
+    assert 30 < feasible < 270
 
 
 # -- tiling -------------------------------------------------------------------
@@ -239,6 +330,42 @@ def test_integer_lp_rows_give_the_fraction_rows_certificates():
             assert got == _fraction_rows_certificate(g, h, mode), (g, h, mode)
             multi_edge_certs += cert is not None and mode == "edge" and not g.is_simple()
     assert multi_edge_certs > 20
+
+
+def test_relate_enumerates_copies_once(monkeypatch):
+    calls = []
+    enumerate_once = relations.enumerate_copies
+
+    def counted(g, h):
+        calls.append((g, h))
+        return enumerate_once(g, h)
+
+    monkeypatch.setattr(relations, "enumerate_copies", counted)
+    result = relate(grid4x4(), cycle_graph(4))
+    assert len(calls) == 1
+    assert list(result) == list(RELATIONS)
+    assert result["tiling"] is not None and result["fractional_tiling"] is not None
+    assert relate(single_edge(), complete_graph(3)) == dict.fromkeys(RELATIONS)
+    assert len(calls) == 1
+
+
+def test_relate_equals_the_deciders():
+    """Same certificates as calling each decider on its own: atlas pairs and
+    seeded multigraph pairs."""
+    pairs = [(g, h) for g in atlas_up_to(6) for h in atlas_up_to(4)]
+    rng = random.Random(1602)
+    for _ in range(120):
+        g = _random_multigraph(rng, rng.randint(3, 7), 1, 3, rng.randint(0, 6))
+        h = _random_multigraph(rng, rng.randint(2, 4), 1, 2, rng.randint(0, 2))
+        pairs.append((g, h))
+    held = dict.fromkeys(RELATIONS, 0)
+    for g, h in pairs:
+        result = relate(g, h)
+        assert list(result) == list(RELATIONS)
+        assert result == {name: decider(g, h) for name, decider in RELATIONS.items()}, (g, h)
+        for name, cert in result.items():
+            held[name] += cert is not None
+    assert min(held.values()) > 20, held
 
 
 # -- domination ---------------------------------------------------------------------
