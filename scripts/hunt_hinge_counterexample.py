@@ -34,7 +34,7 @@ def main() -> None:
         args.trials,
         params={"functional": hinge(args.hinge), "hypothesis": "domination"},
     )
-    print(result.summary())
+    print(f"{result.summary()}, {result.elapsed:.1f}s")
     for v in result.violations:
         print(f"\ntrial {v.trial}:")
         print(f"  G = {v.g}")

@@ -66,7 +66,7 @@ def main() -> int:
             res = hunt(ineq, gen, trials // len(STRATEGIES), dict(params))
             total += res.checked
             tag = f"{ineq}[{params.get('family', relation)}] via {strategy}"
-            print(f"{tag}: {res.summary()}")
+            print(f"{tag}: {res.summary()}, {res.elapsed:.1f}s")
             if res.violations:
                 failures += len(res.violations)
                 for v in res.violations:

@@ -2,11 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from gdom import spectral
 from gdom.multigraph import Multigraph, complete_graph, path_graph, single_edge
+from gdom.search import PairGenerator, generate_pair
 from gdom.spectral import (
+    EigensolverError,
     FunctionalSpec,
     eigenvalues,
     exp_decay,
@@ -209,3 +213,27 @@ def test_heat_trace_sum_from_matrix_handles_disconnected():
 def test_jacobi_nonconvergence_guard():
     spec = jacobi_eigenvalues([[2.0]])
     assert spec.values == [2.0]
+
+
+def test_ql_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_QL_STEPS", 0)
+    with pytest.raises(EigensolverError):
+        jacobi_eigenvalues([[2.0, -1.0], [-1.0, 2.0]])
+
+
+def test_residual_bounds_true_eigenvalues():
+    gen = PairGenerator("overlay_copies", 7, max_g=10, max_h=5)
+    pairs = [generate_pair(gen, trial) for trial in range(200)]
+    rng = random.Random(17)
+    weighted = [
+        random_connected(rng, n, extra=rng.randint(0, 2 * n), weighted=True)
+        for n in (rng.randint(2, 12) for _ in range(200))
+    ]
+    graphs = atlas_up_to(6) + [g for p in pairs for g in (p.g, p.h)] + weighted
+    for g in graphs:
+        L = [[float(x) for x in row] for row in g.laplacian()]
+        spec = jacobi_eigenvalues(L)
+        with mpmath.workdps(40):
+            exact = sorted(mpmath.eigsy(mpmath.matrix(L), eigvals_only=True))
+            for computed, true in zip(spec.values, exact):
+                assert abs(mpmath.mpf(computed) - true) <= spec.residual, (g, computed, true, spec.residual)
