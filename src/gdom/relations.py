@@ -4,7 +4,10 @@ Tiling is exact cover by copies; fractional (edge-)tiling is exact rational
 LP feasibility over the copy incidence matrix; domination is an integral
 transportation problem solved by max-flow after scaling the uniform
 marginals by |G|*|H|.  Every positive answer returns a certificate that
-``verify_certificate`` re-checks from scratch.
+``verify_certificate`` re-checks from scratch, and no check searches:
+fractional certificates list only the copies of positive multiplicity, and
+a coupling carries one embedding of H per positive-mass pair (x, y) that
+sends y to x, so it checks in O(|witnesses| * |E(H)|) beside its marginals.
 
 ``relate`` decides all four on one pair and enumerates the copies of H once
 for the three copy deciders.  Each public decider enumerates for itself.
@@ -20,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .counting import clear_denominators
-from .embeddings import Copy, embeddings_iter, enumerate_copies, rooted_copy_relation
+from .embeddings import Copy, _rooted_witnesses, enumerate_copies, rooted_copy_relation
 from .multigraph import Multigraph
 from .symmetry import cached_code
 
@@ -37,7 +40,7 @@ class TilingCertificate:
 
 @dataclass
 class FractionalTilingCertificate:
-    copies: list[Copy]
+    copies: list[Copy]  # the deciders list only copies of positive multiplicity
     multiplicities: list[int]  # aligned with copies, >= 0, not all zero
     coverage: int  # the common cover count m
     mode: str  # "vertex" or "edge"
@@ -46,6 +49,9 @@ class FractionalTilingCertificate:
 @dataclass
 class CouplingCertificate:
     masses: dict[tuple[int, int], Fraction]  # (x in V(G), y in V(H)) -> mass
+    # embeddings of H as image tuples in H's vertex order; each positive-mass
+    # pair (x, y) needs one with emb[y] == x
+    witnesses: list[tuple[int, ...]]
 
 
 Certificate = Union[TilingCertificate, FractionalTilingCertificate, CouplingCertificate]
@@ -246,6 +252,7 @@ def _fractional_lp(
     the rows alike, so the LP runs over the first copy of each key;
     ``build_rows`` maps those columns to integer rows, each ending in its
     rhs.  With no rows at all (the edge mode on K_1) coverage is vacuous.
+    The certificate keeps the copies of positive value, in copy order.
     """
     if not copies:
         return None
@@ -260,12 +267,11 @@ def _fractional_lp(
         x = [Fraction(1)] + [Fraction(0)] * (len(cols) - 1)
     if x is None:
         return None
-    full = [Fraction(0)] * len(copies)
-    for i, xi in zip(cols, x):
-        full[i] = xi
-    mults, m = clear_denominators(full)
-    # a list of its own: ``relate`` hands one copy list to both modes
-    return FractionalTilingCertificate(copies=list(copies), multiplicities=mults, coverage=m, mode=mode)
+    support = [(i, xi) for i, xi in zip(cols, x) if xi]
+    mults, m = clear_denominators([xi for _, xi in support])
+    return FractionalTilingCertificate(
+        copies=[copies[i] for i, _ in support], multiplicities=mults, coverage=m, mode=mode
+    )
 
 
 def check_fractional_tiling(g: Multigraph, h: Multigraph) -> Optional[FractionalTilingCertificate]:
@@ -314,7 +320,7 @@ def check_domination(g: Multigraph, h: Multigraph) -> Optional[CouplingCertifica
     """A coupling of uniform roots supported on rooted embeddings of H in G."""
     if h.n > g.n:
         return None
-    rel = rooted_copy_relation(g, h)
+    rel, found = _rooted_witnesses(g, h)
     if not rel:
         return None
     ng, nh = g.n, h.n
@@ -336,7 +342,15 @@ def check_domination(g: Multigraph, h: Multigraph) -> Optional[CouplingCertifica
         sent = ng * nh - cap_left
         if sent:
             masses[(x, y)] = Fraction(sent, ng * nh)
-    return CouplingCertificate(masses=masses)
+    # the first embedding of each positive-mass pair, in DFS order
+    unwitnessed = set(masses)
+    witnesses = []
+    for emb in found:
+        hit = unwitnessed.intersection(zip(emb, range(nh)))
+        if hit:
+            witnesses.append(emb)
+            unwitnessed -= hit
+    return CouplingCertificate(masses=masses, witnesses=witnesses)
 
 
 def domination_hall_condition(
@@ -447,17 +461,12 @@ def verify_certificate(g: Multigraph, h: Multigraph, cert: Certificate) -> bool:
                     covered[v] += m
             return all(k == cert.coverage for k in covered)
         if cert.mode == "edge":
-            for (u, v), gm in g.adjacency.items():
-                covered = sum(
-                    m * cm
-                    for c, m in active
-                    for (a, b, cm) in c.edges
-                    if (a, b) == (u, v)
-                )
-                if covered != cert.coverage * gm:
-                    return False
-            # copies may not use pairs outside g: _copy_is_valid checked that
-            return True
+            # valid copies use only pairs of G, each at most once
+            units: dict[tuple[int, int], int] = {}
+            for c, m in active:
+                for a, b, cm in c.edges:
+                    units[(a, b)] = units.get((a, b), 0) + m * cm
+            return all(units.get(pair, 0) == cert.coverage * gm for pair, gm in g.adjacency.items())
         return False
 
     if isinstance(cert, CouplingCertificate):
@@ -477,13 +486,18 @@ def verify_certificate(g: Multigraph, h: Multigraph, cert: Certificate) -> bool:
                 unwitnessed.add((x, y))
         if any(r * g.n != den for r in rows) or any(c * h.n != den for c in cols):
             return False
-        # each positive-mass pair (x, y) needs an embedding sending y to x
+        # each witness is an embedding: injective into V(G), every H-pair on
+        # a G-pair of at least its multiplicity
         roots = range(h.n)
-        for emb in embeddings_iter(g, h):
+        for emb in cert.witnesses:
+            if len(emb) != h.n or len(set(emb)) != h.n or not all(0 <= x < g.n for x in emb):
+                return False
+            for (a, b), m in h.adjacency.items():
+                if g.multiplicity(emb[a], emb[b]) < m:
+                    return False
             unwitnessed.difference_update(zip(emb, roots))
-            if not unwitnessed:
-                return True
-        return False
+        # each positive-mass pair (x, y) needs a witness sending y to x
+        return not unwitnessed
 
     raise TypeError(f"unknown certificate type {type(cert)!r}")
 
@@ -520,6 +534,7 @@ def certificate_to_json(cert: Certificate) -> dict:
                 [x, y, f"{m.numerator}/{m.denominator}"]
                 for (x, y), m in sorted(cert.masses.items())
             ],
+            "witnesses": [list(emb) for emb in cert.witnesses],
         }
     raise TypeError(f"unknown certificate type {type(cert)!r}")
 
@@ -536,7 +551,10 @@ def certificate_from_json(obj: dict) -> Certificate:
             mode=obj["mode"],
         )
     if kind == "coupling":
+        if "witnesses" not in obj:
+            raise ValueError("coupling certificate without witnesses")
         return CouplingCertificate(
-            masses={(int(x), int(y)): Fraction(s) for x, y, s in obj["masses"]}
+            masses={(int(x), int(y)): Fraction(s) for x, y, s in obj["masses"]},
+            witnesses=[tuple(int(x) for x in emb) for emb in obj["witnesses"]],
         )
     raise ValueError(f"unknown certificate type {kind!r}")

@@ -284,7 +284,9 @@ def shifted_determinant_exact(g: Multigraph, t: Fraction) -> Fraction:
 # -- raw traces on explicit Laplacians (for weighted covers) -----------------
 
 
-def heat_trace_sum_from_matrix(matrix: list[list[Fraction]], t: float) -> float:
-    """sum_x p_t(x) for an arbitrary PSD Laplacian-like matrix (not normalized)."""
+def heat_trace_sum_from_matrix(matrix: list[list[Fraction]], ts: Sequence[float]) -> list[float]:
+    """sum_x p_t(x) at each t of ``ts`` for an arbitrary PSD Laplacian-like
+    matrix (not normalized), from one spectrum."""
     spec = jacobi_eigenvalues([[float(x) for x in row] for row in matrix])
-    return sum(math.exp(-t * max(v, 0.0)) for v in spec.values)
+    values = [max(v, 0.0) for v in spec.values]
+    return [sum(math.exp(-t * v) for v in values) for t in ts]

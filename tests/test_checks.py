@@ -370,6 +370,26 @@ def test_weighted_cover_heat():
     assert r.verdict == HYPOTHESIS_FAILED
 
 
+def test_weighted_cover_heat_solves_each_spectrum_once(monkeypatch):
+    from gdom import spectral
+    from gdom.multigraph import Memo
+
+    calls = []
+    solve = spectral.jacobi_eigenvalues
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return solve(matrix)
+
+    monkeypatch.setattr(spectral, "jacobi_eigenvalues", counted)
+    monkeypatch.setattr(spectral, "_spectra", Memo())  # G's spectrum is solved here, not recalled
+    g = complete_graph(5)
+    cover = [{"vertices": list(range(5)), "edges": [[u, v, m, "1/2"] for u, v, m, _ in g.edges]}]
+    r = check("weighted_cover_heat", g, params={"weighted_cover": cover})
+    assert r.hypothesis_ok and len(r.points) == len(default_t_grid()) == 13
+    assert calls == [5, 5]  # one for G, one for the cover entry
+
+
 def test_certificate_passthrough():
     cert = check_fractional_tiling(K4, K3)
     r = check("frac_tiling_tree", K4, K3, params={"certificate": cert})

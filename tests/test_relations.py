@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gdom import relations
 from gdom.counting import clear_denominators
-from gdom.embeddings import enumerate_copies, rooted_copy_relation
+from gdom.embeddings import _rooted_witnesses, enumerate_copies, rooted_copy_relation
 from gdom.multigraph import (
     Multigraph,
     complete_graph,
@@ -315,7 +315,8 @@ def _random_multigraph(rng, n, low, high, extra):
 
 def test_integer_lp_rows_give_the_fraction_rows_certificates():
     """The integer rows pivot like the Fraction rows they replace, so every
-    certificate (copies, multiplicities, coverage) comes out the same."""
+    certificate (copies, multiplicities, coverage) comes out the same, less
+    the copies of multiplicity 0."""
     pairs = [(g, h) for g in atlas_up_to(6) for h in atlas_up_to(4)]
     rng = random.Random(2016)
     for _ in range(240):
@@ -327,7 +328,11 @@ def test_integer_lp_rows_give_the_fraction_rows_certificates():
         for mode, decider in (("vertex", check_fractional_tiling), ("edge", check_fractional_edge_tiling)):
             cert = decider(g, h)
             got = None if cert is None else (cert.copies, cert.multiplicities, cert.coverage)
-            assert got == _fraction_rows_certificate(g, h, mode), (g, h, mode)
+            ref = _fraction_rows_certificate(g, h, mode)
+            if ref is not None:
+                copies, mults, m = ref
+                ref = ([c for c, k in zip(copies, mults) if k], [k for k in mults if k], m)
+            assert got == ref, (g, h, mode)
             multi_edge_certs += cert is not None and mode == "edge" and not g.is_simple()
     assert multi_edge_certs > 20
 
@@ -469,7 +474,8 @@ def test_perturbed_certificates_rejected():
     masses = dict(coup.masses)
     key = next(iter(masses))
     masses[key] += Fraction(1, 997)
-    assert not verify_certificate(g, h, CouplingCertificate(masses=masses))
+    witnesses = _relation_witnesses(g, h)
+    assert not verify_certificate(g, h, CouplingCertificate(masses=masses, witnesses=witnesses))
     tiling = check_tiling(grid4x4(), cycle_graph(4))
     assert not verify_certificate(
         grid4x4(), cycle_graph(4), TilingCertificate(copies=tiling.copies[:-1])
@@ -491,6 +497,11 @@ def test_perturbed_certificates_rejected():
     assert report.verdict == HYPOTHESIS_FAILED
 
 
+def _relation_witnesses(g, h):
+    """Embeddings of h into g that together cover the whole rooted copy relation."""
+    return _rooted_witnesses(g, h)[1]
+
+
 def _star_path_masses():
     """Marginals of a coupling of (star with 3 leaves, P3), one pair outside the relation.
 
@@ -504,12 +515,13 @@ def _star_path_masses():
 def test_coupling_pair_outside_relation_rejected():
     g, h = star_graph(3), path_graph(3)
     masses = _star_path_masses()
+    witnesses = _relation_witnesses(g, h)
     assert (1, 1) not in rooted_copy_relation(g, h)
     assert set(masses) - {(1, 1)} <= rooted_copy_relation(g, h)
-    assert not verify_certificate(g, h, CouplingCertificate(masses=masses))
+    assert not verify_certificate(g, h, CouplingCertificate(masses=masses, witnesses=witnesses))
     # the same marginals without the bad pair's mass are not a coupling either
     masses[(0, 1)] += masses.pop((1, 1))
-    assert not verify_certificate(g, h, CouplingCertificate(masses=masses))
+    assert not verify_certificate(g, h, CouplingCertificate(masses=masses, witnesses=witnesses))
 
 
 def test_coupling_zero_masses_ignored_anywhere():
@@ -520,23 +532,25 @@ def test_coupling_zero_masses_ignored_anywhere():
     assert (0, 1) in outside
     cert = check_domination(g, h)
     zeros = {pair: Fraction(0) for pair in outside | {(g.n, 0), (0, h.n), (-1, -1)}}
-    assert verify_certificate(g, h, CouplingCertificate(masses={**cert.masses, **zeros}))
+    witnesses = _relation_witnesses(g, h)
+    assert verify_certificate(g, h, CouplingCertificate(masses={**cert.masses, **zeros}, witnesses=witnesses))
     bad = {**cert.masses, **zeros}
     bad[next(iter(cert.masses))] += Fraction(1, 97)
-    assert not verify_certificate(g, h, CouplingCertificate(masses=bad))
+    assert not verify_certificate(g, h, CouplingCertificate(masses=bad, witnesses=witnesses))
 
 
 def test_coupling_positive_mass_out_of_range_rejected():
     g, h = complete_graph(4), complete_graph(3)
     cert = check_domination(g, h)
+    witnesses = _relation_witnesses(g, h)
     for pair in ((g.n, 0), (0, h.n), (-1, 0), (0, -1), (-10, 0), (0, -10)):
         masses = {**cert.masses, pair: Fraction(1, 7)}
-        assert verify_certificate(g, h, CouplingCertificate(masses=masses)) is False
+        assert verify_certificate(g, h, CouplingCertificate(masses=masses, witnesses=witnesses)) is False
     # a row that is balanced only through an out-of-range column
     masses = {(x, y): Fraction(1, 12) for x in range(4) for y in range(3)}
     masses[(0, 0)] = Fraction(0)
     masses[(0, h.n)] = Fraction(1, 12)
-    assert verify_certificate(g, h, CouplingCertificate(masses=masses)) is False
+    assert verify_certificate(g, h, CouplingCertificate(masses=masses, witnesses=witnesses)) is False
 
 
 def test_coupling_certificates_verify_on_incomplete_relations():
@@ -573,3 +587,89 @@ def test_json_roundtrip_all_certificate_kinds():
         back = certificate_from_json(certificate_to_json(cert))
         target = (g, h) if not isinstance(cert, TilingCertificate) else (grid4x4(), cycle_graph(4))
         assert verify_certificate(*target, back)
+
+
+# -- witness-carrying couplings and support-only fractional certificates -------------
+
+
+def _with_witness(g, h, emb):
+    cert = check_domination(g, h)
+    assert cert is not None and verify_certificate(g, h, cert)
+    return CouplingCertificate(masses=cert.masses, witnesses=[*cert.witnesses, emb])
+
+
+def test_witness_not_an_injective_map_into_g_rejected():
+    # (1, 0, 1) sends both ends of P3 to one vertex, yet every edge of P3 lands
+    g, h = path_graph(4), path_graph(3)
+    for emb in ((1, 0, 1), (0, 1), (0, 1, 2, 3)):
+        assert not verify_certificate(g, h, _with_witness(g, h, emb)), emb
+    # K_1 has no edges to land, so only the range check rejects these
+    g, h = single_edge(), Multigraph(1, [])
+    for emb in ((2,), (-1,)):
+        assert not verify_certificate(g, h, _with_witness(g, h, emb)), emb
+
+
+def test_witness_off_the_edges_of_g_rejected():
+    g, h = path_graph(4), path_graph(3)
+    assert not verify_certificate(g, h, _with_witness(g, h, (0, 1, 3)))
+    # the double edge of H may not land on a single edge of G
+    g, h = parse_graph("3; 0 1 2; 1 2 2; 0 2 1"), parse_graph("2; 0 1 2")
+    assert verify_certificate(g, h, _with_witness(g, h, (2, 1)))
+    assert not verify_certificate(g, h, _with_witness(g, h, (0, 2)))
+
+
+def test_positive_mass_pair_without_witness_rejected():
+    rng = random.Random(909)
+    checked = 0
+    for _ in range(60):
+        g = random_connected(rng, rng.randint(3, 7), extra=rng.randint(0, 4))
+        h = random_connected(rng, rng.randint(2, min(4, g.n)), extra=rng.randint(0, 1))
+        cert = check_domination(g, h)
+        if cert is None:
+            continue
+        for x, y in cert.masses:
+            fewer = [emb for emb in cert.witnesses if emb[y] != x]
+            assert not verify_certificate(g, h, CouplingCertificate(masses=cert.masses, witnesses=fewer))
+        checked += 1
+    assert checked > 20
+
+
+def test_coupling_verification_does_not_search(monkeypatch):
+    from gdom import embeddings
+
+    g, h = path_graph(4), path_graph(3)
+    cert = check_domination(g, h)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("verification searched for embeddings")
+
+    monkeypatch.setattr(embeddings, "_search", no_search)
+    assert verify_certificate(g, h, cert)
+
+
+def test_witnesses_survive_json():
+    for g, h in ((complete_graph(4), complete_graph(3)), (path_graph(4), path_graph(3))):
+        cert = check_domination(g, h)
+        obj = certificate_to_json(cert)
+        assert obj["witnesses"] == [list(emb) for emb in cert.witnesses]
+        assert certificate_from_json(obj) == cert
+
+
+def test_coupling_record_without_witnesses_raises():
+    obj = certificate_to_json(check_domination(complete_graph(4), complete_graph(3)))
+    del obj["witnesses"]
+    with pytest.raises(ValueError):
+        certificate_from_json(obj)
+
+
+def test_fractional_certificates_list_only_their_support():
+    held = 0
+    for g in atlas_up_to(6):
+        for h in atlas_up_to(4):
+            for decider in (check_fractional_tiling, check_fractional_edge_tiling):
+                cert = decider(g, h)
+                if cert is not None:
+                    assert len(cert.copies) == len(cert.multiplicities)
+                    assert all(m > 0 for m in cert.multiplicities), (g, h, cert.mode)
+                    held += 1
+    assert held > 100

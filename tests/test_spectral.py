@@ -206,7 +206,7 @@ def test_heat_trace_sum_from_matrix_handles_disconnected():
         [Fraction(0), Fraction(0), Fraction(1), Fraction(-1)],
         [Fraction(0), Fraction(0), Fraction(-1), Fraction(1)],
     ]
-    total = heat_trace_sum_from_matrix(two_edges, 1.0)
+    total = heat_trace_sum_from_matrix(two_edges, [1.0])[0]
     assert abs(total - 2 * (1 + math.exp(-2))) < 1e-10
 
 
