@@ -155,30 +155,18 @@ def enumerate_copies(g: Multigraph, h: Multigraph) -> CopyList:
     return CopyList(copies=[_copy_of(emb, h_pairs) for emb in _search(g, h, each_copy_once=True)])
 
 
-def _rooted_witnesses(
-    g: Multigraph, h: Multigraph
-) -> tuple[set[tuple[int, int]], list[tuple[int, ...]]]:
-    """The rooted copy relation, and in DFS order each embedding that added
-    a pair to it; every pair's first embedding is among them."""
+def rooted_copy_relation(g: Multigraph, h: Multigraph) -> set[tuple[int, int]]:
+    """Pairs (x, y) with some embedding sending H-vertex y to G-vertex x."""
     rel: set[tuple[int, int]] = set()
-    witnesses: list[tuple[int, ...]] = []
     if h.n > g.n:
-        return rel, witnesses
+        return rel
     full = g.n * h.n
     roots = range(h.n)
     for emb in embeddings_iter(g, h):
-        size = len(rel)
         rel.update(zip(emb, roots))
-        if len(rel) > size:
-            witnesses.append(emb)
-            if len(rel) == full:
-                break
-    return rel, witnesses
-
-
-def rooted_copy_relation(g: Multigraph, h: Multigraph) -> set[tuple[int, int]]:
-    """Pairs (x, y) with some embedding sending H-vertex y to G-vertex x."""
-    return _rooted_witnesses(g, h)[0]
+        if len(rel) == full:
+            break
+    return rel
 
 
 def covers_every_vertex(g: Multigraph, h: Multigraph) -> bool:

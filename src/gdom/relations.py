@@ -2,8 +2,8 @@
 
 Tiling is exact cover by copies; fractional (edge-)tiling is exact rational
 LP feasibility over the copy incidence matrix; domination is an integral
-transportation problem solved by max-flow after scaling the uniform
-marginals by |G|*|H|.  Every positive answer returns a certificate that
+transport of the uniform marginals scaled by |G|*|H|, fed by the rooted
+embedding search.  Every positive answer returns a certificate that
 ``verify_certificate`` re-checks from scratch, and no check searches:
 fractional certificates list only the copies of positive multiplicity, and
 a coupling carries one embedding of H per positive-mass pair (x, y) that
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .counting import clear_denominators
-from .embeddings import Copy, _rooted_witnesses, enumerate_copies, rooted_copy_relation
+from .embeddings import Copy, embeddings_iter, enumerate_copies, rooted_copy_relation
 from .multigraph import Multigraph
 from .symmetry import cached_code
 
@@ -155,56 +155,6 @@ def feasible_nonnegative(
     return x
 
 
-# -- max flow (Dinic) ---------------------------------------------------------
-
-
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.graph: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, rev]
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
-        return len(self.graph[u]) - 1
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for e in self.graph[u]:
-                    if e[1] > 0 and level[e[0]] < 0:
-                        level[e[0]] = level[u] + 1
-                        queue.append(e[0])
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, f: int) -> int:
-                if u == t:
-                    return f
-                while it[u] < len(self.graph[u]):
-                    e = self.graph[u][it[u]]
-                    v = e[0]
-                    if e[1] > 0 and level[v] == level[u] + 1:
-                        d = dfs(v, min(f, e[1]))
-                        if d > 0:
-                            e[1] -= d
-                            self.graph[v][e[2]][1] += d
-                            return d
-                    it[u] += 1
-                return 0
-
-            while True:
-                f = dfs(s, 1 << 62)
-                if f == 0:
-                    break
-                flow += f
-
-
 # -- deciders ------------------------------------------------------------------
 
 
@@ -317,39 +267,97 @@ def _fractional_edge_tiling(g: Multigraph, copies: list[Copy]) -> Optional[Fract
 
 
 def check_domination(g: Multigraph, h: Multigraph) -> Optional[CouplingCertificate]:
-    """A coupling of uniform roots supported on rooted embeddings of H in G."""
+    """A coupling of uniform roots supported on rooted embeddings of H in G.
+
+    The walk over ``embeddings_iter`` feeds an integral transport whose
+    marginals are scaled by |G|*|H|: each G-vertex supplies |H| units and
+    each H-vertex demands |G|.  An embedding that adds rooted pairs (x, y)
+    is kept, and each new pair at once carries the smaller of the supply
+    left at x and the demand left at y.  Once every vertex lies in a found
+    pair, augmenting paths push the rest.  The walk stops at the first
+    embedding after which every unit flows; one that ends short has no
+    augmenting path left, so Hall's condition fails on the whole relation.
+    """
     if h.n > g.n:
         return None
-    rel, found = _rooted_witnesses(g, h)
-    if not rel:
+    supply, demand = [h.n] * g.n, [g.n] * h.n
+    rel: set[tuple[int, int]] = set()  # the pairs found so far
+    flow: dict[tuple[int, int], int] = {}  # found pair -> its units, if it carries any
+    succ: list[list[int]] = [[] for _ in supply]  # x -> the y found with it
+    pred: list[list[int]] = [[] for _ in demand]  # y -> the x found with it
+    found = []  # in DFS order, each embedding that added pairs, with those pairs
+    roots = range(h.n)
+
+    def augment() -> None:
+        """Push units along shortest augmenting paths until none is left.
+
+        A path starts at a G-vertex with supply left, steps from x to y over
+        any found pair and back from y to x' over a pair that carries units,
+        and ends at an H-vertex with demand left.  When none is left, the
+        H-vertices the last search did not reach form a set T that breaks
+        Hall's condition.
+        """
+        while True:
+            back = {x: None for x, left in enumerate(supply) if left}  # x -> the y it came back from
+            came: dict[int, int] = {}  # y -> the x it came from
+            queue = list(back)
+            for x in queue:
+                for y in succ[x]:
+                    if y not in came:
+                        came[y] = x
+                        if demand[y]:
+                            break
+                        for x2 in pred[y]:
+                            if x2 not in back and (x2, y) in flow:
+                                back[x2] = y
+                                queue.append(x2)
+                else:
+                    continue
+                break
+            else:
+                return
+            # back along the path: each step from x to y gains, each step back loses
+            end, gain, lose = y, [], []
+            while True:
+                x = came[y]
+                gain.append((x, y))
+                y = back[x]
+                if y is None:
+                    break
+                lose.append((x, y))
+            units = min(supply[x], demand[end], *(flow[pair] for pair in lose))
+            supply[x] -= units
+            demand[end] -= units
+            for pair in gain:
+                flow[pair] = flow.get(pair, 0) + units
+            for pair in lose:
+                flow[pair] -= units
+                if not flow[pair]:
+                    del flow[pair]
+
+    for emb in embeddings_iter(g, h):
+        if rel.issuperset(zip(emb, roots)):
+            continue
+        added = [(x, y) for y, x in enumerate(emb) if (x, y) not in rel]
+        found.append((emb, added))
+        rel.update(added)
+        for x, y in added:
+            succ[x].append(y)
+            pred[y].append(x)
+            units = min(supply[x], demand[y])
+            if units:
+                flow[(x, y)] = units
+                supply[x] -= units
+                demand[y] -= units
+        if any(demand) and all(succ) and all(pred):
+            augment()
+        if not any(demand):
+            break
+    else:
         return None
-    ng, nh = g.n, h.n
-    src, snk = ng + nh, ng + nh + 1
-    net = _Dinic(ng + nh + 2)
-    for x in range(ng):
-        net.add_edge(src, x, nh)
-    pair_edges: dict[tuple[int, int], tuple[int, int]] = {}
-    for x, y in sorted(rel):
-        idx = net.add_edge(x, ng + y, ng * nh)
-        pair_edges[(x, y)] = (x, idx)
-    for y in range(nh):
-        net.add_edge(ng + y, snk, ng)
-    if net.max_flow(src, snk) != ng * nh:
-        return None
-    masses: dict[tuple[int, int], Fraction] = {}
-    for (x, y), (u, idx) in pair_edges.items():
-        cap_left = net.graph[u][idx][1]
-        sent = ng * nh - cap_left
-        if sent:
-            masses[(x, y)] = Fraction(sent, ng * nh)
+    masses = {pair: Fraction(units, g.n * h.n) for pair, units in sorted(flow.items())}
     # the first embedding of each positive-mass pair, in DFS order
-    unwitnessed = set(masses)
-    witnesses = []
-    for emb in found:
-        hit = unwitnessed.intersection(zip(emb, range(nh)))
-        if hit:
-            witnesses.append(emb)
-            unwitnessed -= hit
+    witnesses = [emb for emb, added in found if not flow.keys().isdisjoint(added)]
     return CouplingCertificate(masses=masses, witnesses=witnesses)
 
 

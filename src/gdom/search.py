@@ -24,6 +24,7 @@ from .counting import CountingBoundExceeded
 from .multigraph import Multigraph, serialize_graph
 from .relations import Certificate
 from .rng import Stream, derive_seed
+from .spectral import EigensolverError
 
 STRATEGIES = ("overlay_copies", "transitive_catalog", "random_connected_pair")
 
@@ -273,20 +274,24 @@ class HuntResult:
     seed: int
     relation: str
     trials: int
-    checked: int
-    violations: list[Violation]
-    elapsed: float
+    checked: int = 0
+    violations: list[Violation] = field(default_factory=list)
+    elapsed: float = 0.0
     generation_failures: int = 0
     resource_skips: int = 0
     params: dict = field(default_factory=dict)
+    errors: dict[str, int] = field(default_factory=dict)  # exception type -> failed trials
+    failed_trials: list[int] = field(default_factory=list)  # each replays from the seed
 
     def summary(self) -> str:
         """One line that a replay reproduces: wall time is left to ``elapsed``."""
+        errors = "".join(f", {n} {kind}" for kind, n in sorted(self.errors.items()))
         return (
             f"hunt {self.inequality}: {len(self.violations)} violation(s) in "
             f"{self.checked}/{self.trials} checked trials "
             f"({self.generation_failures} generation failures, "
-            f"{self.resource_skips} resource skips)"
+            f"{self.resource_skips} resource skips, "
+            f"failed trials {self.failed_trials}{errors})"
         )
 
     def to_json(self) -> dict:
@@ -300,6 +305,8 @@ class HuntResult:
             "violations": [v.to_json() for v in self.violations],
             "generation_failures": self.generation_failures,
             "resource_skips": self.resource_skips,
+            "errors": self.errors,
+            "failed_trials": self.failed_trials,
             "elapsed": self.elapsed,
             "params": self.params,
         }
@@ -341,22 +348,27 @@ def hunt(
     Ids that take no H check one random graph with synthesized parameters
     per trial.  Hypothesis-failed trials are never reported as violations;
     generation failures (attempt cap) and resource-bound trials are counted
-    and skipped.
+    and skipped, and a trial whose check raises ``RecursionError`` or
+    ``EigensolverError`` is counted by type and listed, and the hunt goes on.
     """
     ineq = InequalityId(ineq)
     takes_h = INEQUALITIES[ineq].takes_h
     params = dict(params or {})
     t0 = time.perf_counter()
-    violations: list[Violation] = []
-    checked = 0
-    genfail = 0
-    skips = 0
+    result = HuntResult(
+        inequality=ineq.value,
+        strategy=gen.strategy,
+        seed=gen.seed,
+        relation=gen.relation,
+        trials=trials,
+        params={k: v for k, v in params.items() if isinstance(v, (str, int, float, list))},
+    )
     for trial in range(trials):
         if takes_h:
             try:
                 pair = generate_pair(gen, trial)
             except GenerationError:
-                genfail += 1
+                result.generation_failures += 1
                 continue
             g, h = pair.g, pair.h
             trial_params = dict(params)
@@ -369,26 +381,17 @@ def hunt(
         try:
             report = check(ineq, g, h, trial_params)
         except CountingBoundExceeded:
-            skips += 1
+            result.resource_skips += 1
             continue
-        checked += 1
+        except (RecursionError, EigensolverError) as exc:
+            kind = type(exc).__name__
+            result.errors[kind] = result.errors.get(kind, 0) + 1
+            result.failed_trials.append(trial)
+            continue
+        result.checked += 1
         if report.verdict == checks.VIOLATED:
-            violations.append(
+            result.violations.append(
                 Violation(trial, report, serialize_graph(g), None if h is None else serialize_graph(h))
             )
-    clean_params = {
-        k: v for k, v in params.items() if isinstance(v, (str, int, float, list))
-    }
-    return HuntResult(
-        inequality=ineq.value,
-        strategy=gen.strategy,
-        seed=gen.seed,
-        relation=gen.relation,
-        trials=trials,
-        checked=checked,
-        violations=violations,
-        elapsed=time.perf_counter() - t0,
-        generation_failures=genfail,
-        resource_skips=skips,
-        params=clean_params,
-    )
+    result.elapsed = time.perf_counter() - t0
+    return result

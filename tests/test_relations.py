@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gdom import relations
 from gdom.counting import clear_denominators
-from gdom.embeddings import _rooted_witnesses, enumerate_copies, rooted_copy_relation
+from gdom.embeddings import embeddings_iter, enumerate_copies, rooted_copy_relation
 from gdom.multigraph import (
     Multigraph,
     complete_graph,
@@ -407,24 +407,78 @@ def test_hall_size_bound():
         domination_hall_condition(big, big)
 
 
+def _assert_agrees_with_hall(g, h):
+    cert = check_domination(g, h)
+    feasible, witness = domination_hall_condition(g, h)
+    assert (cert is not None) == feasible, (g, h)
+    if cert is not None:
+        assert verify_certificate(g, h, cert), (g, h)
+    else:
+        # the witness really violates Hall's condition
+        rel = rooted_copy_relation(g, h)
+        reach = {x for (x, y) in rel if y in witness}
+        assert len(reach) * h.n < len(witness) * g.n
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_flow_agrees_with_hall(seed):
     rng = random.Random(seed)
     g = random_connected(rng, rng.randint(2, 8), extra=rng.randint(0, 5))
     h = random_connected(rng, rng.randint(1, min(6, g.n)), extra=rng.randint(0, 3))
-    cert = check_domination(g, h)
-    feasible, witness = domination_hall_condition(g, h)
-    assert (cert is not None) == feasible
-    if cert is not None:
-        assert verify_certificate(g, h, cert)
-    else:
-        # the witness really violates Hall's condition
-        from gdom.embeddings import rooted_copy_relation
+    _assert_agrees_with_hall(g, h)
 
-        rel = rooted_copy_relation(g, h)
-        reach = {x for (x, y) in rel if y in witness}
-        assert len(reach) * h.n < len(witness) * g.n
+
+def test_flow_agrees_with_hall_on_atlas():
+    for g in atlas_up_to(6):
+        for h in atlas_up_to(5):
+            _assert_agrees_with_hall(g, h)
+
+
+def test_domination_stops_at_the_first_complete_coupling(monkeypatch):
+    """A yes may stop the walk early; a no walks every embedding."""
+    pulled = [0]
+
+    def counted(g, h):
+        for emb in embeddings_iter(g, h):
+            pulled[0] += 1
+            yield emb
+
+    monkeypatch.setattr(relations, "embeddings_iter", counted)
+
+    def walk(g, h):
+        pulled[0] = 0
+        cert = check_domination(g, h)
+        return cert, pulled[0], sum(1 for _ in embeddings_iter(g, h))
+
+    cert, n, every = walk(path_graph(4), path_graph(3))
+    assert cert is not None and n < every
+    for g in atlas_up_to(5):
+        for h in atlas_up_to(4):
+            if h.n <= g.n:
+                cert, n, every = walk(g, h)
+                assert n == every if cert is None else n <= every, (g, h)
+
+
+def test_relate_counts_on_the_small_atlas():
+    """The four verdicts over the ordered pairs of connected graphs up to 5
+    vertices with |H| <= |G|, as scripts/survey_small_pairs.py counts them."""
+    graphs = atlas_up_to(5)
+    held = dict.fromkeys(RELATIONS, 0)
+    pairs = 0
+    for g in graphs:
+        for h in graphs:
+            if h.n <= g.n:
+                pairs += 1
+                for name, cert in relate(g, h).items():
+                    held[name] += cert is not None
+    assert pairs == 722
+    assert held == {
+        "tiling": 222,
+        "fractional_tiling": 273,
+        "fractional_edge_tiling": 185,
+        "domination": 336,
+    }
 
 
 @settings(max_examples=40, deadline=None)
@@ -440,7 +494,7 @@ def test_fractional_tiling_implies_domination(seed):
 def test_transitive_shortcuts_on_atlas():
     """For transitive H: domination iff every vertex covered; for transitive G:
     domination iff a copy exists, and then H fractionally tiles G."""
-    from gdom.embeddings import covers_every_vertex, embeddings_iter
+    from gdom.embeddings import covers_every_vertex
 
     graphs = atlas_up_to(5)
     rng = random.Random(77)
@@ -498,8 +552,14 @@ def test_perturbed_certificates_rejected():
 
 
 def _relation_witnesses(g, h):
-    """Embeddings of h into g that together cover the whole rooted copy relation."""
-    return _rooted_witnesses(g, h)[1]
+    """The first embedding of h into g that adds each rooted pair, in DFS
+    order: together they cover the whole rooted copy relation."""
+    rel, witnesses = set(), []
+    for emb in embeddings_iter(g, h):
+        if not rel.issuperset(zip(emb, range(h.n))):
+            rel.update(zip(emb, range(h.n)))
+            witnesses.append(emb)
+    return witnesses
 
 
 def _star_path_masses():

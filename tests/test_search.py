@@ -1,5 +1,6 @@
 import pytest
 
+from gdom import search
 from gdom.checks import VIOLATED
 from gdom.relations import verify_certificate
 from gdom.rng import Stream
@@ -14,7 +15,7 @@ from gdom.search import (
     random_regular_cover,
     transitive_catalog,
 )
-from gdom.spectral import hinge
+from gdom.spectral import EigensolverError, hinge
 from gdom.symmetry import is_transitive
 
 
@@ -164,3 +165,24 @@ def test_hunt_result_json():
     res = hunt("spanning_tree", gen, 10)
     payload = res.to_json()
     assert payload["trials"] == 10 and payload["inequality"] == "spanning_tree"
+
+
+@pytest.mark.parametrize("exc", [RecursionError, EigensolverError])
+def test_hunt_survives_a_failed_trial(monkeypatch, exc):
+    calls = [0]
+    real_check = search.check
+
+    def flaky(ineq, g, h, params):
+        calls[0] += 1
+        if calls[0] == 4:
+            raise exc("injected")
+        return real_check(ineq, g, h, params)
+
+    monkeypatch.setattr(search, "check", flaky)
+    gen = PairGenerator("overlay_copies", seed=1, relation="domination", max_g=6, max_h=3)
+    res = hunt("spanning_tree", gen, 10)
+    assert res.generation_failures == 0 and res.checked == 9
+    assert res.failed_trials == [3] and res.errors == {exc.__name__: 1}
+    payload = res.to_json()
+    assert payload["failed_trials"] == [3] and payload["errors"] == {exc.__name__: 1}
+    assert f"failed trials [3], 1 {exc.__name__})" in res.summary()
