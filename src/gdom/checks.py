@@ -75,7 +75,16 @@ class InequalityId(str, Enum):
     TUTTE_COEFFICIENTS = "tutte_coefficients"
 
 
-_RELATION_HYPOTHESES = {*RELATIONS, "subgraph"}
+# relation hypothesis -> the hypotheses it implies, itself included; a
+# domination coupling's witnesses are embeddings, so domination implies
+# subgraph
+_IMPLIES: dict[str, frozenset[str]] = {
+    "tiling": frozenset({"tiling", "fractional_tiling", "domination", "subgraph"}),
+    "fractional_tiling": frozenset({"fractional_tiling", "domination", "subgraph"}),
+    "fractional_edge_tiling": frozenset({"fractional_edge_tiling", "subgraph"}),
+    "domination": frozenset({"domination", "subgraph"}),
+    "subgraph": frozenset({"subgraph"}),
+}
 
 
 # -- report ------------------------------------------------------------------
@@ -241,13 +250,7 @@ def verify_relation_hypothesis(
                 if certificate.mode == "vertex"
                 else "fractional_edge_tiling"
             )
-        implies = {
-            "tiling": {"tiling", "fractional_tiling", "subgraph", "domination"},
-            "fractional_tiling": {"fractional_tiling", "subgraph", "domination"},
-            "fractional_edge_tiling": {"fractional_edge_tiling", "subgraph"},
-            "domination": {"domination"},
-        }[kind]
-        if hypothesis in implies:
+        if hypothesis in _IMPLIES[kind]:
             return True, certificate
     if hypothesis == "subgraph":
         return _has_copy(g, h), None
@@ -316,7 +319,7 @@ def check(
     hypothesis_ok = not side or is_transitive(g if side == "G" else h)
     if not hypothesis_ok:
         report.notes.append(f"{side} is not transitive")
-    elif hypothesis in _RELATION_HYPOTHESES:
+    elif hypothesis in _IMPLIES:
         hypothesis_ok, cert = verify_relation_hypothesis(hypothesis, g, h, params.get("certificate"))
         report.hypothesis_ok = hypothesis_ok
         if cert is not None:
@@ -698,13 +701,22 @@ _TILINGS = frozenset({"tiling", "fractional_tiling"})
 _NEVER = frozenset()
 
 
+def _false_under_subgraph(hypothesis: str, family: Optional[str], h_transitive: bool) -> bool:
+    # G = 9; 0 1; 0 7; 1 2; 1 3; 1 5; 1 7; 2 4; 3 6; 5 8 contains H = K3 and
+    # violates each claim that uses this (tests/test_checks.py pins it)
+    return hypothesis == "subgraph"
+
+
 @dataclass(frozen=True)
 class Inequality:
     """One inequality: its default relation hypothesis (``"params"`` means a
     single graph plus parameters, no H), its checker, the hypotheses under
-    which the claim is proven (None: every hypothesis), when the claim is
-    known false outside them (else it is conjectured), and which graph, if
-    any, the claim needs vertex-transitive."""
+    which the claim is proven (None: the default and every hypothesis that
+    implies it, or any hypothesis for a claim with no H, which no relation
+    constrains), when the claim is known false outside them (else it is
+    conjectured), and which graph, if any, the claim needs vertex-transitive.
+
+    A claim is known false only where a test pins a counterexample."""
 
     hypothesis: str
     checker: Callable[[Multigraph, Optional[Multigraph], dict, CheckReport], None]
@@ -718,24 +730,36 @@ class Inequality:
 
 
 INEQUALITIES: dict[InequalityId, Inequality] = {
-    InequalityId.SPANNING_TREE: Inequality("domination", _check_tree_ratio, _TILINGS),
+    InequalityId.SPANNING_TREE: Inequality(
+        "domination", _check_tree_ratio, _TILINGS, known_false=_false_under_subgraph
+    ),
     InequalityId.TREE_PRODUCT: Inequality("subgraph", _check_tree_product),
     InequalityId.MINOR_POWER: Inequality("subgraph", _check_minor_power, transitive="G"),
     InequalityId.TRANSITIVE_G: Inequality("domination", _check_transitive_g, transitive="G"),
-    InequalityId.TRANSITIVE_H: Inequality("domination", _check_tree_ratio, transitive="H"),
-    InequalityId.FRAC_TILING_TREE: Inequality("fractional_tiling", _check_tree_ratio),
+    InequalityId.TRANSITIVE_H: Inequality(
+        "domination", _check_tree_ratio, known_false=_false_under_subgraph, transitive="H"
+    ),
+    InequalityId.FRAC_TILING_TREE: Inequality(
+        "fractional_tiling", _check_tree_ratio, known_false=_false_under_subgraph
+    ),
     InequalityId.KOTELJANSKII_STEP: Inequality("params", _check_koteljanskii_step),
     InequalityId.COVER_PRODUCT: Inequality("params", _check_cover_product),
-    InequalityId.HEAT_TRACE_FRAC: Inequality("fractional_tiling", _check_heat_trace, _TILINGS),
+    InequalityId.HEAT_TRACE_FRAC: Inequality(
+        "fractional_tiling", _check_heat_trace, _TILINGS, known_false=_false_under_subgraph
+    ),
     InequalityId.WEIGHTED_COVER_HEAT: Inequality("params", _check_weighted_cover_heat),
     InequalityId.SPECTRAL_DECREASING_CONVEX: Inequality(
         "fractional_tiling",
         partial(_check_spectral_functionals, direction="le", need="decreasing_convex"),
         _TILINGS,
-        known_false=lambda hypothesis, family, h_transitive: not h_transitive,
+        known_false=lambda hypothesis, family, h_transitive: (
+            not h_transitive or _false_under_subgraph(hypothesis, family, h_transitive)
+        ),
     ),
-    InequalityId.OP_MONOTONE: Inequality("domination", _check_op_monotone),
-    InequalityId.CHAR_POLY: Inequality("domination", _check_char_poly),
+    InequalityId.OP_MONOTONE: Inequality(
+        "domination", _check_op_monotone, known_false=_false_under_subgraph
+    ),
+    InequalityId.CHAR_POLY: Inequality("domination", _check_char_poly, known_false=_false_under_subgraph),
     InequalityId.VERTEX_COUNTING: Inequality(
         "fractional_tiling",
         _check_vertex_counting,
@@ -751,8 +775,12 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
         _NEVER,
         known_false=lambda hypothesis, family, h_transitive: hypothesis not in _TILINGS,
     ),
-    InequalityId.TUTTE_POINTWISE: Inequality("domination", _check_tutte_pointwise, _NEVER),
-    InequalityId.TUTTE_COEFFICIENTS: Inequality("domination", _check_tutte_coefficients, _NEVER),
+    InequalityId.TUTTE_POINTWISE: Inequality(
+        "domination", _check_tutte_pointwise, _NEVER, known_false=_false_under_subgraph
+    ),
+    InequalityId.TUTTE_COEFFICIENTS: Inequality(
+        "domination", _check_tutte_coefficients, _NEVER, known_false=_false_under_subgraph
+    ),
 }
 
 
@@ -761,7 +789,15 @@ def claim_status(
 ) -> str:
     """Proven / conjectured / known-false status of the claim being checked."""
     entry = INEQUALITIES[InequalityId(ineq)]
-    if entry.proven_under is None or hypothesis in entry.proven_under:
+    if entry.proven_under is None:
+        proven = (
+            not entry.takes_h
+            or hypothesis == entry.hypothesis
+            or entry.hypothesis in _IMPLIES.get(hypothesis, ())
+        )
+    else:
+        proven = hypothesis in entry.proven_under
+    if proven:
         return PROVEN
     return KNOWN_FALSE if entry.known_false(hypothesis, family, h_transitive) else CONJECTURED
 

@@ -6,6 +6,12 @@ surgery (vertex contraction, edge-set contraction, subdivision) stays in
 exact arithmetic.  Loops produced by contraction are discarded; the
 number discarded is reported through the module logger for debugging.
 
+A weight whose value is an integer is stored as that ``int`` (a unit
+weight as ``1``), any other as a normalized ``Fraction``.  Since
+``Fraction(k) == k`` and ``hash(Fraction(k)) == hash(k)``, both spellings
+of a graph give the same value, and unweighted graphs are built, compared
+and hashed without a ``Fraction``.
+
 Values are immutable once constructed and safe to share across threads.
 """
 
@@ -19,8 +25,8 @@ from typing import Iterable, Optional, Sequence
 
 log = logging.getLogger(__name__)
 
-# (u, v, mult, weight) with u < v
-Edge = tuple[int, int, int, Fraction]
+# (u, v, mult, weight) with u < v; an integral weight is an int
+Edge = tuple[int, int, int, int | Fraction]
 
 GRAPH6_MAX = 62  # single-byte size encoding only; desk scale
 
@@ -59,15 +65,18 @@ class Multigraph:
     ):
         if n < 1:
             raise GraphError("vertex count must be positive")
-        merged: dict[tuple[int, int, Fraction], int] = {}
+        merged: dict[tuple[int, int, int | Fraction], int] = {}
         for rec in edges:
             if len(rec) == 2:
-                u, v, mult, weight = rec[0], rec[1], 1, Fraction(1)
+                u, v, mult, weight = rec[0], rec[1], 1, 1
             elif len(rec) == 3:
-                u, v, mult, weight = rec[0], rec[1], rec[2], Fraction(1)
+                u, v, mult, weight = rec[0], rec[1], rec[2], 1
             else:
                 u, v, mult, weight = rec
-                weight = Fraction(weight)
+                if type(weight) is not int:
+                    weight = Fraction(weight)
+                    if weight.denominator == 1:
+                        weight = weight.numerator
             if u == v:
                 raise GraphError(f"loop at vertex {u} not allowed")
             if not (0 <= u < n and 0 <= v < n):
@@ -170,12 +179,12 @@ class Multigraph:
     def laplacian(self) -> list[list[int | Fraction]]:
         """Weighted Laplacian: off-diagonal -(mult * weight), zero row sums.
 
-        Unit-weight edges add the int ``mult``, so an unweighted graph gives an
-        int matrix; entries touched by other weights are Fractions.
+        Integral weights are ints, so a graph without fractional weights gives
+        an int matrix; entries touched by other weights are Fractions.
         """
         L: list[list[int | Fraction]] = [[0] * self.n for _ in range(self.n)]
         for u, v, m, w in self.edges:
-            x = m if w == 1 else m * w
+            x = m * w
             L[u][v] -= x
             L[v][u] -= x
             L[u][u] += x
@@ -347,10 +356,6 @@ def has_cut_edge(g: Multigraph) -> bool:
 _FORMATS = ("edge_list", "graph6", "json")
 
 
-def _fraction_str(w: Fraction) -> str:
-    return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
-
-
 def _parse_fraction(tok: str, pos: int) -> Fraction:
     try:
         return Fraction(tok)
@@ -381,7 +386,7 @@ def _parse_edge_list(text: str) -> Multigraph:
         except ValueError:
             raise FormatError(f"bad endpoints in {clause.strip()!r}", pos) from None
         mult = 1
-        weight = Fraction(1)
+        weight = 1
         if len(toks) >= 3:
             try:
                 mult = int(toks[2])
@@ -408,7 +413,7 @@ def _serialize_edge_list(g: Multigraph) -> str:
         elif w == 1:
             clauses.append(f"{u} {v} {m}")
         else:
-            clauses.append(f"{u} {v} {m} {_fraction_str(w)}")
+            clauses.append(f"{u} {v} {m} {w}")
     return "; ".join(clauses)
 
 
@@ -442,7 +447,7 @@ def _parse_graph6(text: str) -> Multigraph:
     for v in range(1, n):
         for u in range(v):
             if bits[idx]:
-                edges.append((u, v, 1, Fraction(1)))
+                edges.append((u, v))
             idx += 1
     return Multigraph(n, edges)
 
@@ -475,20 +480,11 @@ def _parse_json(text: str) -> Multigraph:
         raise FormatError(f"bad JSON: {exc.msg}", exc.pos) from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise FormatError("JSON graph needs keys 'n' and 'edges'")
-    edges = []
     for rec in obj["edges"]:
-        if len(rec) == 2:
-            u, v, m, w = rec[0], rec[1], 1, Fraction(1)
-        elif len(rec) == 3:
-            u, v, m, w = rec[0], rec[1], rec[2], Fraction(1)
-        elif len(rec) == 4:
-            u, v, m = rec[0], rec[1], rec[2]
-            w = Fraction(str(rec[3])) if isinstance(rec[3], str) else Fraction(rec[3])
-        else:
+        if not 2 <= len(rec) <= 4:
             raise FormatError(f"bad edge record {rec!r}")
-        edges.append((u, v, m, w))
     try:
-        return Multigraph(obj["n"], edges, labels=obj.get("labels"))
+        return Multigraph(obj["n"], obj["edges"], labels=obj.get("labels"))
     except DisconnectedError:
         raise
     except GraphError as exc:
@@ -498,7 +494,7 @@ def _parse_json(text: str) -> Multigraph:
 def _serialize_json(g: Multigraph) -> str:
     recs = []
     for u, v, m, w in g.edges:
-        recs.append([u, v, m, int(w) if w.denominator == 1 else _fraction_str(w)])
+        recs.append([u, v, m, w if type(w) is int else str(w)])
     obj: dict = {"n": g.n, "edges": recs}
     if g.labels is not None:
         obj["labels"] = list(g.labels)

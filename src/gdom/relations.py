@@ -105,7 +105,7 @@ def feasible_nonnegative(
     den_piv = 1  # last pivot: the scale of the objective row
 
     pivots = 0
-    while True:
+    while obj[-1]:  # the scaled phase-1 objective; once 0, no pivot moves x
         if pivots < _BLAND_SWITCH:
             best_cost = min(obj[: n + m])
             enter = obj.index(best_cost) if best_cost < 0 else None

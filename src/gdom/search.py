@@ -21,7 +21,7 @@ from typing import Optional
 from . import checks
 from .checks import INEQUALITIES, CheckReport, InequalityId, check, verify_relation_hypothesis
 from .counting import CountingBoundExceeded
-from .multigraph import Multigraph, serialize_graph
+from .multigraph import Memo, Multigraph, serialize_graph
 from .relations import Certificate
 from .rng import Stream, derive_seed
 from .spectral import EigensolverError
@@ -122,9 +122,15 @@ def random_connected_subgraph(rng: Stream, g: Multigraph, k: int) -> Multigraph:
     return Multigraph(n, [(u, v, m, 1) for u, v, m in keep])
 
 
-def transitive_catalog(max_n: int) -> list[Multigraph]:
+_catalogs = Memo()
+
+
+def transitive_catalog(max_n: int) -> tuple[Multigraph, ...]:
     """Vertex-transitive graphs at desk scale: cycles, completes, hypercubes,
-    balanced complete bipartite, circulants."""
+    balanced complete bipartite, circulants.  Built once per ``max_n``."""
+    hit = _catalogs.get(max_n)
+    if hit is not None:
+        return hit
     out: list[Multigraph] = []
     for n in range(2, max_n + 1):
         out.append(Multigraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]))
@@ -148,7 +154,7 @@ def transitive_catalog(max_n: int) -> list[Multigraph]:
                     j = (i + step) % n
                     pairs.add((min(i, j), max(i, j)))
             out.append(Multigraph(n, sorted((u, v, 1, 1) for u, v in pairs)))
-    return out
+    return _catalogs.put(max_n, tuple(out))
 
 
 def overlay_copies(rng: Stream, h: Multigraph, k: int, max_g: int) -> Multigraph:

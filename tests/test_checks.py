@@ -10,6 +10,7 @@ from gdom.checks import (
     HOLDS_WITH_EQUALITY,
     HYPOTHESIS_FAILED,
     INCONCLUSIVE,
+    INEQUALITIES,
     KNOWN_FALSE,
     PROVEN,
     VIOLATED,
@@ -25,6 +26,7 @@ from gdom.checks import (
     compare_normalized_powers,
     default_t_grid,
     entropy_nats,
+    verify_relation_hypothesis,
 )
 from gdom.counting import HomTarget
 from gdom.multigraph import (
@@ -36,9 +38,10 @@ from gdom.multigraph import (
     single_edge,
     star_graph,
 )
-from gdom.relations import check_fractional_tiling
+from gdom.relations import RELATIONS, check_domination, check_fractional_tiling
+from gdom.rng import Stream, derive_seed
 from gdom.spectral import hinge, shifted_log
-from gdom.search import transitive_catalog
+from gdom.search import random_connected_graph, transitive_catalog
 
 from conftest import atlas_up_to
 
@@ -412,27 +415,27 @@ _HYPOTHESES = ("tiling", "fractional_tiling", "fractional_edge_tiling", "dominat
 _STATUS_CODE = {PROVEN: "P", CONJECTURED: "C", KNOWN_FALSE: "F"}
 # (id, family, h_transitive) -> status under each of _HYPOTHESES, in order
 _STATUS_TABLE = {
-    ("spanning_tree", None, False): "PPCCCC",
-    ("tree_product", None, False): "PPPPPP",
-    ("minor_power", None, False): "PPPPPP",
-    ("transitive_G", None, False): "PPPPPP",
-    ("transitive_H", None, False): "PPPPPP",
-    ("frac_tiling_tree", None, False): "PPPPPP",
+    ("spanning_tree", None, False): "PPCCFC",
+    ("tree_product", None, False): "PPPPPC",
+    ("minor_power", None, False): "PPPPPC",
+    ("transitive_G", None, False): "PPCPCC",
+    ("transitive_H", None, False): "PPCPFC",
+    ("frac_tiling_tree", None, False): "PPCCFC",
     ("koteljanskii_step", None, False): "PPPPPP",
     ("cover_product", None, False): "PPPPPP",
-    ("heat_trace_frac", None, False): "PPCCCC",
+    ("heat_trace_frac", None, False): "PPCCFC",
     ("weighted_cover_heat", None, False): "PPPPPP",
     ("spectral_decreasing_convex", None, False): "PPFFFF",
-    ("spectral_decreasing_convex", None, True): "PPCCCC",
-    ("op_monotone", None, False): "PPPPPP",
-    ("char_poly", None, False): "PPPPPP",
+    ("spectral_decreasing_convex", None, True): "PPCCFC",
+    ("op_monotone", None, False): "PPCPFC",
+    ("char_poly", None, False): "PPCPFC",
     ("vertex_counting", None, False): "PPCCCC",
     ("vertex_counting", "proper_colorings", False): "PPCCCC",
     ("vertex_counting", "independent_sets", False): "PPFFFF",
     ("edge_counting", None, False): "CCPCCC",
     ("matchings_lower", None, False): "CCFFFF",
-    ("tutte_pointwise", None, False): "CCCCCC",
-    ("tutte_coefficients", None, False): "CCCCCC",
+    ("tutte_pointwise", None, False): "CCCCFC",
+    ("tutte_coefficients", None, False): "CCCCFC",
 }
 
 
@@ -443,6 +446,53 @@ def test_status_table_spot_checks():
             _STATUS_CODE[claim_status(InequalityId(ineq), hyp, family, h_transitive)] for hyp in _HYPOTHESES
         )
         assert got == expected, (ineq, family, h_transitive)
+
+
+# a subgraph pair, found by a 3,000-pair seed-5 random_connected_pair sweep,
+# on which each claim below fails
+_SUBGRAPH_G = parse_graph("9; 0 1; 0 7; 1 2; 1 3; 1 5; 1 7; 2 4; 3 6; 5 8")
+_REFUTED_UNDER_SUBGRAPH = (
+    "spanning_tree",
+    "transitive_H",
+    "frac_tiling_tree",
+    "heat_trace_frac",
+    "spectral_decreasing_convex",
+    "op_monotone",
+    "char_poly",
+    "tutte_pointwise",
+    "tutte_coefficients",
+)
+
+
+@pytest.mark.parametrize("ineq", _REFUTED_UNDER_SUBGRAPH)
+def test_subgraph_alone_is_too_weak(ineq):
+    r = check(ineq, _SUBGRAPH_G, K3, params={"hypothesis": "subgraph"})
+    assert (r.hypothesis_ok, r.verdict, r.status) == (True, VIOLATED, KNOWN_FALSE)
+    assert check(ineq, _SUBGRAPH_G, K3).verdict == HYPOTHESIS_FAILED  # under its default
+
+
+def test_coupling_certifies_subgraph():
+    cert = check_domination(K4, K3)
+    assert verify_relation_hypothesis("subgraph", K4, K3, cert) == (True, cert)
+
+
+def test_no_violation_is_proven_under_any_relation_hypothesis():
+    # every id that takes H, under every relation hypothesis, on 300 small
+    # seeded pairs (G up to 9 vertices, H up to 4): a claim reported proven
+    # must never be violated
+    ids = [ineq for ineq, entry in INEQUALITIES.items() if entry.takes_h]
+    violated = 0
+    for trial in range(300):
+        rng = Stream(derive_seed(5, trial))
+        g = random_connected_graph(rng, rng.randint(2, 9))
+        h = random_connected_graph(rng, rng.randint(1, min(4, g.n)))
+        for hypothesis in (*RELATIONS, "subgraph"):
+            for ineq in ids:
+                r = check(ineq, g, h, params={"hypothesis": hypothesis})
+                if r.verdict == VIOLATED:
+                    violated += 1
+                    assert r.status != PROVEN, (ineq.value, hypothesis, r.g, r.h)
+    assert violated > 0  # the sweep reaches claims that fail
 
 
 def test_report_json_roundtrippable():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -330,3 +331,120 @@ def test_merges_equal_weight_records():
     g2 = Multigraph(2, [(0, 1, 1, Fraction(1)), (0, 1, 1, Fraction(2))])
     assert len(g2.edges) == 2
     assert g2.multiplicity(0, 1) == 2
+
+
+# -- integral weights are ints ----------------------------------------------------
+
+# each weight value with its int (or normalized) form and its other spellings
+_WEIGHT_FORMS = {
+    1: (1, Fraction(1), "1"),
+    2: (2, Fraction(2)),
+    Fraction(1, 2): (Fraction(1, 2), "1/2"),
+}
+
+
+def _weighted_records(rng, n, values):
+    """A random connected record list on n vertices; weight values from ``values``."""
+    recs = [(rng.randrange(i), i, rng.randint(1, 2), rng.choice(values)) for i in range(1, n)]
+    for _ in range(rng.randint(0, n) if n > 1 else 0):
+        u, v = rng.sample(range(n), 2)
+        recs.append((u, v, rng.randint(1, 2), rng.choice(values)))
+    return recs
+
+
+def _spellings(recs, rng):
+    """The records with the int forms, and with another spelling of each weight."""
+    ints = [(u, v, m, _WEIGHT_FORMS[w][0]) for u, v, m, w in recs]
+    others = [(u, v, m, rng.choice(_WEIGHT_FORMS[w][1:])) for u, v, m, w in recs]
+    return ints, others
+
+
+def _edge_list_text(n, recs):
+    """Edge-list text; about half the unit-weight clauses omit the weight."""
+    clauses = [str(n)]
+    for u, v, m, w in recs:
+        clauses.append(f"{u} {v} {m}" if w == 1 and (u + v) % 2 else f"{u} {v} {m} {w}")
+    return "; ".join(clauses)
+
+
+def _same_value(a, b):
+    assert a.edges == b.edges and a == b and hash(a) == hash(b)
+    assert [type(w) for *_, w in a.edges] == [type(w) for *_, w in b.edges]
+    assert all((type(w) is int) == (w.denominator == 1) for *_, w in a.edges)
+    la, lb = a.laplacian(), b.laplacian()
+    assert la == lb and [list(map(type, row)) for row in la] == [list(map(type, row)) for row in lb]
+    for fmt in ("edge_list", "json") + (("graph6",) if a.is_simple() and a.is_unweighted() else ()):
+        assert serialize_graph(a, fmt) == serialize_graph(b, fmt)
+
+
+@pytest.mark.parametrize("values", [(1,), (1, 2), (1, 2, Fraction(1, 2))])
+def test_int_and_fraction_weights_give_one_value(values):
+    rng = random.Random(f"weights-{len(values)}")
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        recs = _weighted_records(rng, n, values)
+        ints, others = _spellings(recs, rng)
+        g = Multigraph(n, ints)
+        _same_value(g, Multigraph(n, others))
+        _same_value(g, parse_graph(_edge_list_text(n, ints), "edge_list"))
+        js = {"n": n, "edges": [[u, v, m, w if type(w) is int else str(w)] for u, v, m, w in others]}
+        _same_value(g, parse_graph(json.dumps(js), "json"))
+        if g.is_simple() and g.is_unweighted():
+            _same_value(g, parse_graph(serialize_graph(g, "graph6"), "graph6"))
+
+
+def test_unit_weights_are_stored_as_ints():
+    for g in (
+        parse_graph("3; 0 1; 1 2 2; 0 2 1 1"),
+        parse_graph('{"n": 2, "edges": [[0, 1], [0, 1, 2], [0, 1, 1, "1"], [0, 1, 1, 1.0]]}', "json"),
+        parse_graph("Bw", "graph6"),
+        Multigraph(2, [(0, 1, 1, Fraction(4, 4)), (0, 1, 1, True)]),
+    ):
+        assert all(type(w) is int and w == 1 for *_, w in g.edges), g.edges
+    assert parse_graph("2; 0 1 1 6/3").edges == ((0, 1, 1, 2),)
+    assert type(parse_graph("2; 0 1 1 6/3").edges[0][3]) is int
+
+
+def test_int_and_fraction_spellings_share_memo_entries(monkeypatch):
+    from gdom import spectral, symmetry
+    from gdom.multigraph import Memo
+
+    monkeypatch.setattr(spectral, "_spectra", Memo())
+    monkeypatch.setattr(symmetry, "_codes", Memo())
+    rng = random.Random(3)
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        ints, others = _spellings(_weighted_records(rng, n, (1, 2)), rng)
+        g, h = Multigraph(n, ints), Multigraph(n, others)
+        assert spectral.eigenvalues(h) is spectral.eigenvalues(g)
+        assert symmetry.cached_code(h) is symmetry.cached_code(g)
+    assert len(spectral._spectra._values) == len(symmetry._codes._values) <= 20
+
+
+@pytest.mark.parametrize("weight", [0, -1, Fraction(0), Fraction(-1, 2), Fraction(-3), "0", "-2/3"])
+def test_non_positive_weights_rejected(weight):
+    with pytest.raises(GraphError):
+        Multigraph(2, [(0, 1, 1, weight)])
+    with pytest.raises(GraphError):
+        parse_graph(f"2; 0 1 1 {weight}")
+    with pytest.raises(GraphError):
+        parse_graph(f'{{"n": 2, "edges": [[0, 1, 1, "{weight}"]]}}', "json")
+
+
+def test_unit_weight_hunt_hashes_no_fraction(monkeypatch):
+    from gdom.search import PairGenerator, hunt
+    from gdom.spectral import hinge
+
+    params = {"functional": hinge(4), "hypothesis": "domination"}
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    gen = PairGenerator("overlay_copies", seed=2024, relation="domination", max_g=10, max_h=5)
+    result = hunt("spectral_decreasing_convex", gen, 100, params=params)
+    assert result.checked == 100
+    assert calls == []

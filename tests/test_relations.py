@@ -1,3 +1,4 @@
+import builtins
 import random
 from fractions import Fraction
 
@@ -62,6 +63,20 @@ def test_simplex_negative_rhs_rows():
     one = Fraction(1)
     x = feasible_nonnegative([[-one, -one]], [Fraction(-2)])
     assert x is not None and sum(x) == 2
+
+
+def test_phase1_stops_when_objective_reaches_zero(monkeypatch):
+    """x0 = 1 zeroes the objective after one pivot; x1 still has a negative
+    reduced cost, so Dantzig's rule alone would make a degenerate pivot."""
+    costs = []
+
+    def dantzig_min(xs):
+        costs.append(builtins.min(xs))
+        return costs[-1]
+
+    monkeypatch.setattr(relations, "min", dantzig_min, raising=False)
+    assert feasible_nonnegative([[1, 0], [1, 1]], [1, 1]) == [1, 0]
+    assert [c < 0 for c in costs] == [True]
 
 
 @settings(max_examples=80, deadline=None)

@@ -24,6 +24,12 @@ def test_catalog_is_transitive():
         assert is_transitive(g), g
 
 
+def test_catalog_is_built_once_per_size():
+    catalog = transitive_catalog(8)
+    assert isinstance(catalog, tuple) and transitive_catalog(8) is catalog
+    assert transitive_catalog(6) == tuple(g for g in catalog if g.n <= 6)
+
+
 def test_random_connected_graph_connected():
     rng = Stream(5)
     for _ in range(30):
