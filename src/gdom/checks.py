@@ -28,15 +28,7 @@ from . import counting, spectral
 from .counting import Count
 from .embeddings import embeddings_iter, enumerate_copies
 from .multigraph import Multigraph, contract_complement, contract_subgraph_edges, has_cut_edge, serialize_graph
-from .relations import (
-    RELATIONS,
-    Certificate,
-    CouplingCertificate,
-    FractionalTilingCertificate,
-    TilingCertificate,
-    certificate_to_json,
-    verify_certificate,
-)
+from .relations import RELATIONS, Certificate, certificate_to_json, verify_certificate
 from .spectral import FunctionalSpec, heat_trace, spectral_functional, spectral_functional_error
 from .symmetry import cached_code, is_transitive
 
@@ -238,19 +230,8 @@ def verify_relation_hypothesis(
     certificate: Optional[Certificate] = None,
 ) -> tuple[bool, Optional[Certificate]]:
     """Certify the relation hypothesis, reusing a supplied certificate if valid."""
-    if certificate is not None and verify_certificate(g, h, certificate):
-        kind = {
-            TilingCertificate: "tiling",
-            FractionalTilingCertificate: None,  # mode decides
-            CouplingCertificate: "domination",
-        }[type(certificate)]
-        if isinstance(certificate, FractionalTilingCertificate):
-            kind = (
-                "fractional_tiling"
-                if certificate.mode == "vertex"
-                else "fractional_edge_tiling"
-            )
-        if hypothesis in _IMPLIES[kind]:
+    if certificate is not None and hypothesis in _IMPLIES[certificate.relation]:
+        if verify_certificate(g, h, certificate):
             return True, certificate
     if hypothesis == "subgraph":
         return _has_copy(g, h), None
@@ -297,12 +278,16 @@ def check(
     params: Optional[dict] = None,
 ) -> CheckReport:
     """Run one inequality check; :data:`INEQUALITIES` gives each id's
-    hypothesis, checker and claim status."""
+    hypothesis, default family, checker and claim status.  The hypothesis
+    must be a relation of ``_IMPLIES`` for an id that takes H, else "params"."""
     ineq = InequalityId(ineq)
     entry = INEQUALITIES[ineq]
     params = dict(params or {})
     hypothesis = params.get("hypothesis", entry.hypothesis)
-    family = params.get("family")
+    valid = tuple(_IMPLIES) if entry.takes_h else ("params",)
+    if hypothesis not in valid:
+        raise ValueError(f"{ineq.value} takes no hypothesis {hypothesis!r}; expected one of {valid}")
+    family = params.get("family", entry.family)
     report = CheckReport(
         inequality=ineq.value,
         verdict=INCONCLUSIVE,
@@ -319,7 +304,7 @@ def check(
     hypothesis_ok = not side or is_transitive(g if side == "G" else h)
     if not hypothesis_ok:
         report.notes.append(f"{side} is not transitive")
-    elif hypothesis in _IMPLIES:
+    elif entry.takes_h:
         hypothesis_ok, cert = verify_relation_hypothesis(hypothesis, g, h, params.get("certificate"))
         report.hypothesis_ok = hypothesis_ok
         if cert is not None:
@@ -617,26 +602,22 @@ def _check_char_poly(g, h, params: dict, report: CheckReport) -> None:
 
 
 def _check_vertex_counting(g, h, params: dict, report: CheckReport) -> None:
-    family = params.get("family", "independent_sets")
-    report.family = family
-    fg = vertex_family_count(g, family, params)
-    fh = vertex_family_count(h, family, params)
+    fg = vertex_family_count(g, report.family, params)
+    fh = vertex_family_count(h, report.family, params)
     report.lhs, report.rhs = fg, fh
     report.params["normalization"] = f"lhs^(1/{g.n}) vs rhs^(1/{h.n})"
     report.verdict = compare_normalized_powers(fg, g.n, fh, h.n, "le")
 
 
 def _check_edge_counting(g, h, params: dict, report: CheckReport) -> None:
-    family = params.get("family", "forests")
-    report.family = family
     eg, eh = g.edge_unit_count(), h.edge_unit_count()
     if eh == 0 or eg == 0:
         report.verdict = HYPOTHESIS_FAILED
         report.hypothesis_ok = False
         report.notes.append("edge-normalized comparison needs at least one edge on each side")
         return
-    fg = edge_family_count(g, family)
-    fh = edge_family_count(h, family)
+    fg = edge_family_count(g, report.family)
+    fh = edge_family_count(h, report.family)
     report.lhs, report.rhs = fg, fh
     report.params["normalization"] = f"lhs^(1/{eg}) vs rhs^(1/{eh})"
     report.verdict = compare_normalized_powers(fg, eg, fh, eh, "le")
@@ -714,7 +695,8 @@ class Inequality:
     which the claim is proven (None: the default and every hypothesis that
     implies it, or any hypothesis for a claim with no H, which no relation
     constrains), when the claim is known false outside them (else it is
-    conjectured), and which graph, if any, the claim needs vertex-transitive.
+    conjectured), which graph, if any, the claim needs vertex-transitive,
+    and the family counted when the params name none.
 
     A claim is known false only where a test pins a counterexample."""
 
@@ -723,6 +705,7 @@ class Inequality:
     proven_under: Optional[frozenset[str]] = None
     known_false: Callable[[str, Optional[str], bool], bool] = lambda hypothesis, family, h_transitive: False
     transitive: Optional[str] = None
+    family: Optional[str] = None
 
     @property
     def takes_h(self) -> bool:
@@ -765,9 +748,10 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
         _check_vertex_counting,
         _TILINGS,
         known_false=lambda hypothesis, family, h_transitive: family == "independent_sets",
+        family="independent_sets",
     ),
     InequalityId.EDGE_COUNTING: Inequality(
-        "fractional_edge_tiling", _check_edge_counting, frozenset({"fractional_edge_tiling"})
+        "fractional_edge_tiling", _check_edge_counting, frozenset({"fractional_edge_tiling"}), family="forests"
     ),
     InequalityId.MATCHINGS_LOWER: Inequality(
         "fractional_tiling",

@@ -11,7 +11,7 @@ raw embeddings, because root identity matters for domination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .multigraph import Multigraph
@@ -20,14 +20,14 @@ from .symmetry import _pair_adjacency, _stabilizer_chain, _vertex_invariants
 
 @dataclass(frozen=True)
 class Copy:
-    """A subgraph of G isomorphic to H."""
+    """A subgraph of G isomorphic to H, with the embedding that made it:
+    ``image`` lists the G-vertex of each H-vertex, in H's order.  Embeddings
+    that differ by an automorphism of H make the same copy, so ``image``
+    takes no part in ``==`` or hashing, and dedup and order are unchanged."""
 
     vertices: tuple[int, ...]  # sorted
     edges: tuple[tuple[int, int, int], ...]  # sorted (u, v, mult), u < v
-
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
+    image: tuple[int, ...] = field(compare=False)
 
 
 @dataclass
@@ -141,13 +141,14 @@ def _copy_of(embedding: tuple[int, ...], h_pairs: list[tuple[int, int, int]]) ->
         u, v = embedding[a], embedding[b]
         edges.append((u, v, m) if u < v else (v, u, m))
     edges.sort()
-    return Copy(vertices=tuple(sorted(embedding)), edges=tuple(edges))
+    return Copy(vertices=tuple(sorted(embedding)), edges=tuple(edges), image=embedding)
 
 
 def enumerate_copies(g: Multigraph, h: Multigraph) -> CopyList:
     """Every distinct copy-subgraph of h in g.
 
-    Copies come in the order of their first embedding in ``embeddings_iter``.
+    Copies come in the order of their first embedding in ``embeddings_iter``,
+    and each carries that embedding as its ``image``.
     """
     if h.n > g.n:
         raise ValueError(f"|H| = {h.n} exceeds |G| = {g.n}")

@@ -4,10 +4,12 @@ Tiling is exact cover by copies; fractional (edge-)tiling is exact rational
 LP feasibility over the copy incidence matrix; domination is an integral
 transport of the uniform marginals scaled by |G|*|H|, fed by the rooted
 embedding search.  Every positive answer returns a certificate that
-``verify_certificate`` re-checks from scratch, and no check searches:
+``verify_certificate`` re-checks from scratch, and no check searches or
+needs a canonical labelling: each copy carries the embedding that makes it,
 fractional certificates list only the copies of positive multiplicity, and
 a coupling carries one embedding of H per positive-mass pair (x, y) that
-sends y to x, so it checks in O(|witnesses| * |E(H)|) beside its marginals.
+sends y to x.  One embedding check, O(|E(H)|), serves copies and witnesses
+alike.
 
 ``relate`` decides all four on one pair and enumerates the copies of H once
 for the three copy deciders.  Each public decider enumerates for itself.
@@ -23,18 +25,19 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .counting import clear_denominators
-from .embeddings import Copy, embeddings_iter, enumerate_copies, rooted_copy_relation
+from .embeddings import Copy, _copy_of, embeddings_iter, enumerate_copies, rooted_copy_relation
 from .multigraph import Multigraph
-from .symmetry import cached_code
 
 HALL_SIZE_BOUND = 20
 
 
 # -- certificates ------------------------------------------------------------
+# each names the relation of ``RELATIONS`` it proves; a class attribute, no field
 
 
 @dataclass
 class TilingCertificate:
+    relation = "tiling"
     copies: list[Copy]  # vertex-disjoint, covering V(G) exactly once
 
 
@@ -45,9 +48,14 @@ class FractionalTilingCertificate:
     coverage: int  # the common cover count m
     mode: str  # "vertex" or "edge"
 
+    @property
+    def relation(self) -> str:
+        return "fractional_tiling" if self.mode == "vertex" else "fractional_edge_tiling"
+
 
 @dataclass
 class CouplingCertificate:
+    relation = "domination"
     masses: dict[tuple[int, int], Fraction]  # (x in V(G), y in V(H)) -> mass
     # embeddings of H as image tuples in H's vertex order; each positive-mass
     # pair (x, y) needs one with emb[y] == x
@@ -414,34 +422,29 @@ def relate(g: Multigraph, h: Multigraph) -> dict[str, Optional[Certificate]]:
 # -- certificate verification ---------------------------------------------------
 
 
-def _copy_is_valid(g: Multigraph, h: Multigraph, c: Copy) -> bool:
-    if len(set(c.vertices)) != len(c.vertices) or len(c.vertices) != h.n:
+def _is_embedding(g: Multigraph, h: Multigraph, emb: tuple[int, ...]) -> bool:
+    """True iff ``emb`` (H's vertices in order) is injective into V(G) and
+    sends every H-pair to a G-pair of at least its multiplicity."""
+    if len(emb) != h.n or len(set(emb)) != h.n or not all(0 <= x < g.n for x in emb):
         return False
-    if not all(0 <= v < g.n for v in c.vertices):
-        return False
-    # the form ``enumerate_copies`` emits: pairs u < v strictly increasing, m >= 1,
-    # so no unit of G is counted twice
-    prev = None
-    for u, v, m in c.edges:
-        if not u < v or m < 1 or (prev is not None and (u, v) <= prev):
+    for (a, b), m in h.adjacency.items():
+        if g.multiplicity(emb[a], emb[b]) < m:
             return False
-        if u not in c.vertices or v not in c.vertices:
-            return False
-        if g.multiplicity(u, v) < m:
-            return False
-        prev = (u, v)
-    # a disconnected copy cannot have the code of connected H
-    lbl = {v: i for i, v in enumerate(c.vertices)}
-    as_graph = Multigraph(h.n, [(lbl[u], lbl[v], m, 1) for u, v, m in c.edges], _validated=True)
-    return cached_code(as_graph) == cached_code(h)
+    return True
+
+
+def _copy_is_valid(g: Multigraph, h: Multigraph, h_pairs: list, c: Copy) -> bool:
+    # so its vertices are distinct, its pairs sorted and each used once, and it is isomorphic to H
+    return _is_embedding(g, h, c.image) and c == _copy_of(c.image, h_pairs)
 
 
 def verify_certificate(g: Multigraph, h: Multigraph, cert: Certificate) -> bool:
     """Re-validate every certificate invariant from scratch."""
+    h_pairs = [(a, b, m) for (a, b), m in h.adjacency.items()]
     if isinstance(cert, TilingCertificate):
         seen: set[int] = set()
         for c in cert.copies:
-            if not _copy_is_valid(g, h, c):
+            if not _copy_is_valid(g, h, h_pairs, c):
                 return False
             if seen & set(c.vertices):
                 return False
@@ -459,7 +462,7 @@ def verify_certificate(g: Multigraph, h: Multigraph, cert: Certificate) -> bool:
             (c, m) for c, m in zip(cert.copies, cert.multiplicities) if m > 0
         ]
         for c, _ in active:
-            if not _copy_is_valid(g, h, c):
+            if not _copy_is_valid(g, h, h_pairs, c):
                 return False
         if cert.mode == "vertex":
             # valid copies hold distinct vertices of G
@@ -494,15 +497,10 @@ def verify_certificate(g: Multigraph, h: Multigraph, cert: Certificate) -> bool:
                 unwitnessed.add((x, y))
         if any(r * g.n != den for r in rows) or any(c * h.n != den for c in cols):
             return False
-        # each witness is an embedding: injective into V(G), every H-pair on
-        # a G-pair of at least its multiplicity
         roots = range(h.n)
         for emb in cert.witnesses:
-            if len(emb) != h.n or len(set(emb)) != h.n or not all(0 <= x < g.n for x in emb):
+            if not _is_embedding(g, h, emb):
                 return False
-            for (a, b), m in h.adjacency.items():
-                if g.multiplicity(emb[a], emb[b]) < m:
-                    return False
             unwitnessed.difference_update(zip(emb, roots))
         # each positive-mass pair (x, y) needs a witness sending y to x
         return not unwitnessed
@@ -514,13 +512,18 @@ def verify_certificate(g: Multigraph, h: Multigraph, cert: Certificate) -> bool:
 
 
 def _copy_to_json(c: Copy) -> dict:
-    return {"vertices": list(c.vertices), "edges": [list(e) for e in c.edges]}
+    # vertices == sorted(image) in every valid copy
+    return {"image": list(c.image), "edges": [list(e) for e in c.edges]}
 
 
 def _copy_from_json(obj: dict) -> Copy:
+    if "image" not in obj:
+        raise ValueError("copy record without an image")
+    image = tuple(int(x) for x in obj["image"])
     return Copy(
-        vertices=tuple(obj["vertices"]),
+        vertices=tuple(sorted(image)),
         edges=tuple((int(u), int(v), int(m)) for u, v, m in obj["edges"]),
+        image=image,
     )
 
 

@@ -129,6 +129,19 @@ def test_vertex_counting_star_violation():
     assert r.status == KNOWN_FALSE
 
 
+def test_default_family_sets_the_claim_status():
+    # without a family the checker counts independent sets, so the claim
+    # status is that family's
+    plain = check("vertex_counting", star_graph(4), EDGE, {"hypothesis": "domination"})
+    named = check("vertex_counting", star_graph(4), EDGE, {"hypothesis": "domination", "family": "independent_sets"})
+    for r in (plain, named):
+        assert (r.family, r.verdict, r.status, r.lhs, r.rhs) == ("independent_sets", VIOLATED, KNOWN_FALSE, 17, 3)
+    plain = check("edge_counting", cycle_graph(6), P3)
+    named = check("edge_counting", cycle_graph(6), P3, {"family": "forests"})
+    for r in (plain, named):
+        assert (r.family, r.status, r.lhs, r.rhs) == ("forests", PROVEN, named.lhs, named.rhs)
+
+
 def test_vertex_counting_under_fractional_tiling_is_proven():
     r = check("vertex_counting", K4, K3, params={"family": "independent_sets"})
     assert r.status == PROVEN
@@ -469,6 +482,19 @@ def test_subgraph_alone_is_too_weak(ineq):
     r = check(ineq, _SUBGRAPH_G, K3, params={"hypothesis": "subgraph"})
     assert (r.hypothesis_ok, r.verdict, r.status) == (True, VIOLATED, KNOWN_FALSE)
     assert check(ineq, _SUBGRAPH_G, K3).verdict == HYPOTHESIS_FAILED  # under its default
+
+
+def test_check_rejects_a_hypothesis_it_cannot_honour():
+    # an id that takes H needs a relation hypothesis; one that takes none, "params"
+    for hypothesis in ("bogus", "params"):
+        with pytest.raises(ValueError, match="expected one of"):
+            check("char_poly", _SUBGRAPH_G, K3, params={"hypothesis": hypothesis})
+    ab = {"a": [0, 1], "b": [1, 2]}
+    for hypothesis in ("bogus", "tiling", "subgraph"):
+        with pytest.raises(ValueError, match="expected one of"):
+            check("koteljanskii_step", K4, params={**ab, "hypothesis": hypothesis})
+    r = check("koteljanskii_step", K4, params={**ab, "hypothesis": "params"})
+    assert r.verdict == check("koteljanskii_step", K4, params=ab).verdict
 
 
 def test_coupling_certifies_subgraph():

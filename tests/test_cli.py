@@ -97,6 +97,23 @@ def test_check_exit_codes(graphs, capsys):
     assert main(["check", "bogus_id", graphs["k4"], graphs["k3"], "--log-dir", graphs["log"]]) == 3
 
 
+def test_check_hypothesis_it_cannot_honour_is_an_error(graphs, tmp_path, capsys):
+    ab = ["--a", "0,1", "--b", "1,2"]
+    for i, argv in enumerate(
+        (
+            ["char_poly", graphs["k4"], graphs["k3"], "--hypothesis", "bogus"],
+            ["char_poly", graphs["k4"], graphs["k3"], "--hypothesis", "params"],
+            ["koteljanskii_step", graphs["k4"], "--hypothesis", "tiling", *ab],
+            ["koteljanskii_step", graphs["k4"], "--hypothesis", "bogus", *ab],
+        )
+    ):
+        log = str(tmp_path / f"log{i}")
+        assert main(["check", *argv, "--log-dir", log]) == 3, argv
+        assert "expected one of" in capsys.readouterr().err
+        (record,) = RunLog(log).records()
+        assert record["summary"].startswith("check error: ") and record["reports"] == []
+
+
 def test_check_resource_bound_is_an_error(tmp_path, capsys):
     # K8 has 28 edge units, over the Tutte bound of 24
     k8 = tmp_path / "k8.txt"

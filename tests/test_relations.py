@@ -1,5 +1,8 @@
+import ast
 import builtins
+import inspect
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from gdom import relations
 from gdom.counting import clear_denominators
-from gdom.embeddings import embeddings_iter, enumerate_copies, rooted_copy_relation
+from gdom.embeddings import _copy_of, embeddings_iter, enumerate_copies, rooted_copy_relation
 from gdom.multigraph import (
     Multigraph,
     complete_graph,
@@ -300,13 +303,13 @@ def _fraction_rows_certificate(g, h, mode):
     copies = enumerate_copies(g, h).copies
     if not copies:
         return None
-    key = (lambda c: c.vertex_set) if mode == "vertex" else (lambda c: c.edges)
+    key = (lambda c: c.vertices) if mode == "vertex" else (lambda c: c.edges)
     reps: dict = {}
     for i, c in enumerate(copies):
         reps.setdefault(key(c), i)
     cols = list(reps.values())
     if mode == "vertex":
-        rows = [[Fraction(v in copies[i].vertex_set) for i in cols] for v in range(g.n)]
+        rows = [[Fraction(v in copies[i].vertices) for i in cols] for v in range(g.n)]
     else:
         used = [{(u, v): m for u, v, m in copies[i].edges} for i in cols]
         rows = [[Fraction(cm.get(p, 0), g.adjacency[p]) for cm in used] for p in sorted(g.adjacency)]
@@ -554,7 +557,7 @@ def test_perturbed_certificates_rejected():
     from gdom.embeddings import Copy
 
     g, h = parse_graph("2; 0 1"), parse_graph("2; 0 1 2")
-    forged = Copy((0, 1), ((0, 1, 1), (0, 1, 1)))
+    forged = Copy((0, 1), ((0, 1, 1), (0, 1, 1)), (0, 1))
     for cert in (
         TilingCertificate([forged]),
         FractionalTilingCertificate([forged], [1], 1, "vertex"),
@@ -648,6 +651,72 @@ def test_certificate_wrong_isomorphism_type_rejected():
     cert = TilingCertificate(copies=[cl.copies[0]])
     # copies are paths, h claims triangle
     assert not verify_certificate(g, complete_graph(3), cert)
+    # in K3 one P3 copy covers every vertex, and its image embeds K3 too:
+    # only the triangle's third edge, missing from the copy, rejects it
+    k3 = complete_graph(3)
+    cert = TilingCertificate(copies=enumerate_copies(k3, path_graph(3)).copies[:1])
+    assert relations._is_embedding(k3, k3, cert.copies[0].image)
+    assert not verify_certificate(k3, k3, cert)
+
+
+# -- copies checked through the embedding they carry ------------------------------------
+
+
+def _forgeries(g, h, c):
+    """(what is wrong, copy) for copies forged from c, a valid P3 copy in C6."""
+    x, y, z = c.image  # y is the centre of P3
+    yield "not injective", replace(c, image=(x, y, x))  # both H-edges land on x-y
+    yield "out of range", replace(c, image=(x, y, g.n))
+    yield "negative", replace(c, image=(x, y, -1))
+    yield "too short", replace(c, image=(x, y))
+    yield "too long", replace(c, image=(*c.image, next(v for v in range(g.n) if v not in c.image)))
+    # the copy (y, x, z) makes, whose H-edge x-z misses C6
+    yield "edge off G", _copy_of((y, x, z), [(a, b, m) for (a, b), m in h.adjacency.items()])
+    yield "edge dropped", replace(c, edges=c.edges[:1])
+    yield "edge doubled", replace(c, edges=tuple((u, v, 2) for u, v, _ in c.edges))
+    yield "edge swapped", replace(c, edges=((min(x, z), max(x, z), 1), *c.edges[1:]))
+    yield "other vertices", replace(c, vertices=tuple(sorted((v + 1) % g.n for v in c.vertices)))
+    yield "unsorted vertices", replace(c, vertices=c.vertices[::-1])
+
+
+def test_copy_not_made_by_its_image_rejected():
+    g, h = cycle_graph(6), path_graph(3)
+    for cert in (check_tiling(g, h), check_fractional_tiling(g, h), check_fractional_edge_tiling(g, h)):
+        c = cert.copies[0]
+        assert verify_certificate(g, h, cert)
+        # an image that differs by an automorphism of H makes the same copy
+        assert verify_certificate(g, h, replace(cert, copies=[replace(c, image=c.image[::-1]), *cert.copies[1:]]))
+        for what, forged in _forgeries(g, h, c):
+            assert forged != c or forged.image != c.image, what
+            bad = replace(cert, copies=[forged, *cert.copies[1:]])
+            assert not verify_certificate(g, h, bad), (cert.relation, what)
+
+
+def test_verification_imports_nothing_from_symmetry():
+    tree = ast.parse(inspect.getsource(relations))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    assert not any("symmetry" in m for m in modules), modules
+
+
+def test_json_keeps_every_image():
+    k4, k3, c6, p3 = complete_graph(4), complete_graph(3), cycle_graph(6), path_graph(3)
+    for g, h, decider in (
+        (grid4x4(), cycle_graph(4), check_tiling),
+        (k4, k3, check_fractional_tiling),
+        (k4, k3, check_fractional_edge_tiling),
+        (c6, p3, check_fractional_edge_tiling),
+    ):
+        cert = decider(g, h)
+        obj = certificate_to_json(cert)
+        assert all(set(rec) == {"image", "edges"} for rec in obj["copies"])
+        back = certificate_from_json(obj)
+        # == ignores the images, so they are compared apart
+        assert back == cert and [c.image for c in back.copies] == [c.image for c in cert.copies]
+        assert verify_certificate(g, h, back)
+        del obj["copies"][0]["image"]
+        with pytest.raises(ValueError):
+            certificate_from_json(obj)
 
 
 def test_json_roundtrip_all_certificate_kinds():
@@ -710,16 +779,25 @@ def test_positive_mass_pair_without_witness_rejected():
 
 
 def test_coupling_verification_does_not_search(monkeypatch):
-    from gdom import embeddings
+    """No certificate kind searches for embeddings or computes a canonical code."""
+    from gdom import embeddings, symmetry
 
-    g, h = path_graph(4), path_graph(3)
-    cert = check_domination(g, h)
+    k4, k3 = complete_graph(4), complete_graph(3)
+    pairs = [
+        (grid4x4(), cycle_graph(4), check_tiling),
+        (k4, k3, check_fractional_tiling),
+        (k4, k3, check_fractional_edge_tiling),
+        (path_graph(4), path_graph(3), check_domination),
+    ]
+    certs = [(g, h, decider(g, h)) for g, h, decider in pairs]
 
-    def no_search(*args, **kwargs):
-        raise AssertionError("verification searched for embeddings")
+    def refuse(*args, **kwargs):
+        raise AssertionError("verification searched or computed a canonical code")
 
-    monkeypatch.setattr(embeddings, "_search", no_search)
-    assert verify_certificate(g, h, cert)
+    for module, name in ((embeddings, "_search"), (symmetry, "canonical_code"), (symmetry, "cached_code")):
+        monkeypatch.setattr(module, name, refuse)
+    for g, h, cert in certs:
+        assert verify_certificate(g, h, cert), cert.relation
 
 
 def test_witnesses_survive_json():
