@@ -3,11 +3,14 @@
 Each checker verifies its relation hypothesis first (producing a
 certificate), then compares both sides.  Exact quantities are compared by
 big-integer cross-exponentiation: a^(1/m) >= b^(1/n) iff a^n >= b^m for
-positive exact values, so equality cases are decided, never guessed.
-Spectral quantities are compared in floating point under an explicit error
+positive exact values, so equality cases are decided, never guessed.  The
+log-determinant family is exact too: (1/n) sum log(lambda_i + t) is
+(1/n) log det(L + tI), so ``op_monotone`` and ``char_poly`` both compare
+Bareiss determinants.  Only the remaining spectral functionals and the
+entropy comparison are made in floating point under an explicit error
 budget; a difference inside the budget is reported inconclusive, never a
 false violation.  Continuous-parameter claims are checked on finite grids
-named in the report.
+named in the report; an empty grid is an error.
 
 :data:`INEQUALITIES` is the one place an inequality is defined: for each
 :class:`InequalityId` it holds the default hypothesis, the checker, the
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from math import log
 from typing import Callable, Optional, Sequence, Union
 
@@ -41,6 +43,8 @@ INCONCLUSIVE = "inconclusive"
 PROVEN = "proven"
 CONJECTURED = "conjectured"
 KNOWN_FALSE = "known_false"
+
+SHEARER_BUDGET = 1e-9  # entropies are sums of float logs; a closer difference is inconclusive
 
 VERTEX_FAMILIES = ("independent_sets", "proper_colorings", "weighted_homomorphisms")
 EDGE_FAMILIES = ("acyclic_orientations", "forests", "matchings")
@@ -334,6 +338,8 @@ def _assert_strict(report: CheckReport, why: str) -> None:
 
 def _settle_grid(report: CheckReport, note_violation: bool = False) -> None:
     """Aggregate the grid points; report the first violated point, else the last."""
+    if not report.points:
+        raise ValueError(f"{report.inequality} needs a nonempty grid")
     report.verdict = aggregate_verdicts([p.verdict for p in report.points])
     bad = next((p for p in report.points if p.verdict == VIOLATED), report.points[-1])
     report.lhs, report.rhs, report.error_bound = bad.lhs, bad.rhs, bad.error_bound
@@ -427,18 +433,27 @@ def _check_koteljanskii_step(g, h, params: dict, report: CheckReport) -> None:
         )
 
 
+def _cover_degree(sets: Sequence[Sequence[int]], n: int) -> Optional[int]:
+    """The m with which the sets cover each of range(n) exactly m times, or
+    None if they cover it unevenly; an index outside range(n) is a ValueError."""
+    counts = [0] * n
+    for s in sets:
+        for v in s:
+            if not 0 <= v < n:
+                raise ValueError(f"cover index {v} out of range({n})")
+            counts[v] += 1
+    m = counts[0] if counts else 0
+    return m if all(c == m for c in counts) else None
+
+
 def _check_cover_product(g, h, params: dict, report: CheckReport) -> None:
     cover = params.get("cover")
     if cover is None:
         raise MissingParameter("cover_product needs params['cover']")
     sets = [frozenset(int(v) for v in s) for s in cover]
-    counts = [0] * g.n
-    for s in sets:
-        for v in s:
-            counts[v] += 1
-    m = counts[0] if counts else 0
+    m = _cover_degree(sets, g.n)
     report.params["cover_sizes"] = [len(s) for s in sets]
-    if m < 1 or any(c != m for c in counts):
+    if not m:
         report.verdict = HYPOTHESIS_FAILED
         report.notes.append("cover is not m-regular over the vertices")
         return
@@ -490,6 +505,8 @@ def _cover_entry_laplacian(entry: dict) -> tuple[list[list[Fraction]], int, dict
         u, v, m, w = int(rec[0]), int(rec[1]), int(rec[2]), Fraction(rec[3])
         if u not in lbl or v not in lbl:
             raise ValueError("cover entry edge outside its vertex set")
+        if m < 1 or w <= 0:
+            raise ValueError("cover entry edge needs multiplicity >= 1 and a positive weight")
         a, b = lbl[u], lbl[v]
         x = m * w
         L[a][b] -= x
@@ -497,7 +514,7 @@ def _cover_entry_laplacian(entry: dict) -> tuple[list[list[Fraction]], int, dict
         L[a][a] += x
         L[b][b] += x
         key = (min(u, v), max(u, v))
-        weights[key] = weights.get(key, Fraction(0)) + m * w
+        weights[key] = weights.get(key, Fraction(0)) + x
     return L, n, weights
 
 
@@ -505,14 +522,8 @@ def _check_weighted_cover_heat(g, h, params: dict, report: CheckReport) -> None:
     cover = params.get("weighted_cover")
     if cover is None:
         raise MissingParameter("weighted_cover_heat needs params['weighted_cover']")
-    counts = [0] * g.n
-    entries = []
-    for entry in cover:
-        entries.append(entry)
-        for v in entry["vertices"]:
-            counts[int(v)] += 1
-    m = counts[0] if counts else 0
-    if m < 1 or any(c != m for c in counts):
+    m = _cover_degree([[int(v) for v in entry["vertices"]] for entry in cover], g.n)
+    if not m:
         report.verdict = HYPOTHESIS_FAILED
         report.notes.append("cover does not hit every vertex the same number of times")
         return
@@ -522,7 +533,7 @@ def _check_weighted_cover_heat(g, h, params: dict, report: CheckReport) -> None:
         g_weight[(u, v)] = g_weight.get((u, v), Fraction(0)) + mult * w
     lap_data = []
     total_weight_on: dict[tuple[int, int], Fraction] = {}
-    for entry in entries:
+    for entry in cover:
         L, n, weights = _cover_entry_laplacian(entry)
         lap_data.append((L, n))
         for pair, w in weights.items():
@@ -552,22 +563,15 @@ def _check_weighted_cover_heat(g, h, params: dict, report: CheckReport) -> None:
     _settle_grid(report)
 
 
-def _resolve_functionals(params: dict, need: str) -> list[FunctionalSpec]:
+def _resolve_functionals(params: dict) -> list[FunctionalSpec]:
     fs = params.get("functional")
     if fs is None:
-        fs = [FunctionalSpec("exp_decay", Fraction(t)) for t in _resolve_t_grid(params)]
-    elif isinstance(fs, FunctionalSpec):
-        fs = [fs]
-    for f in fs:
-        if need == "decreasing_convex" and not (f.decreasing and f.convex):
-            raise ValueError(f"functional {f.describe()} is not decreasing convex")
-        if need == "op_monotone" and not f.operator_monotone_increasing:
-            raise ValueError(f"functional {f.describe()} is not operator monotone increasing")
-    return list(fs)
+        return [FunctionalSpec("exp_decay", Fraction(t)) for t in _resolve_t_grid(params)]
+    return [fs] if isinstance(fs, FunctionalSpec) else list(fs)
 
 
-def _check_spectral_functionals(g, h, params: dict, report: CheckReport, direction: str, need: str) -> None:
-    fs = _resolve_functionals(params, need)
+def _check_spectral_functionals(g, h, params: dict, report: CheckReport) -> None:
+    fs = _resolve_functionals(params)
     report.exact = False
     report.params["functionals"] = [f.describe() for f in fs]
     for f in fs:
@@ -575,21 +579,14 @@ def _check_spectral_functionals(g, h, params: dict, report: CheckReport, directi
         lhs = spectral_functional(g, f)
         rhs = spectral_functional(h, f)
         report.points.append(
-            GridPoint(f.describe(), lhs, rhs, compare_float(lhs, rhs, direction, budget), budget)
+            GridPoint(f.describe(), lhs, rhs, compare_float(lhs, rhs, "le", budget), budget)
         )
     _settle_grid(report, note_violation=True)
 
 
-def _check_op_monotone(g, h, params: dict, report: CheckReport) -> None:
-    if "functional" not in params:
-        params = dict(params)
-        params["functional"] = [
-            FunctionalSpec("shifted_log", Fraction(t)) for t in _resolve_t_grid(params)
-        ]
-    _check_spectral_functionals(g, h, params, report, direction="ge", need="op_monotone")
-
-
 def _check_char_poly(g, h, params: dict, report: CheckReport) -> None:
+    """det(L_G + tI)^(1/|G|) >= det(L_H + tI)^(1/|H|) on the t grid: the
+    operator-monotone trace inequality for log(s + t), decided exactly."""
     grid = _resolve_t_grid(params)
     report.params["t_grid"] = [str(t) for t in grid]
     for t in grid:
@@ -733,15 +730,13 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
     InequalityId.WEIGHTED_COVER_HEAT: Inequality("params", _check_weighted_cover_heat),
     InequalityId.SPECTRAL_DECREASING_CONVEX: Inequality(
         "fractional_tiling",
-        partial(_check_spectral_functionals, direction="le", need="decreasing_convex"),
+        _check_spectral_functionals,
         _TILINGS,
         known_false=lambda hypothesis, family, h_transitive: (
             not h_transitive or _false_under_subgraph(hypothesis, family, h_transitive)
         ),
     ),
-    InequalityId.OP_MONOTONE: Inequality(
-        "domination", _check_op_monotone, known_false=_false_under_subgraph
-    ),
+    InequalityId.OP_MONOTONE: Inequality("domination", _check_char_poly, known_false=_false_under_subgraph),
     InequalityId.CHAR_POLY: Inequality("domination", _check_char_poly, known_false=_false_under_subgraph),
     InequalityId.VERTEX_COUNTING: Inequality(
         "fractional_tiling",
@@ -823,38 +818,27 @@ def entropy_nats(probs: dict[tuple, Fraction]) -> float:
     return -sum(float(p) * log(float(p)) for p in probs.values() if p != 1)
 
 
-def check_shearer(
-    dist: JointDistribution,
-    cover: Sequence[Sequence[int]],
-    r: int,
-    budget: float = 1e-9,
-) -> CheckReport:
+def check_shearer(dist: JointDistribution, cover: Sequence[Sequence[int]], r: int) -> CheckReport:
     """r * H(X_1..X_k) <= sum over cover sets S of H(X_S), for an r-regular cover."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     sets = [tuple(sorted(set(int(i) for i in s))) for s in cover]
-    counts = [0] * dist.k
-    for s in sets:
-        for i in s:
-            if not 0 <= i < dist.k:
-                raise ValueError(f"cover index {i} out of range")
-            counts[i] += 1
-    if any(c != r for c in counts):
-        raise ValueError(f"cover is not {r}-regular: coordinate counts {counts}")
+    if _cover_degree(sets, dist.k) != r:
+        raise ValueError(f"cover is not {r}-regular over {dist.k} coordinates")
     joint = entropy_nats(dist.probs)
     lhs = r * joint
     parts = [entropy_nats(dist.marginal(s)) for s in sets]
     rhs = sum(parts)
     report = CheckReport(
         inequality="shearer",
-        verdict=compare_float(lhs, rhs, "le", budget),
+        verdict=compare_float(lhs, rhs, "le", SHEARER_BUDGET),
         hypothesis=f"{r}-regular cover",
         hypothesis_ok=True,
         status=PROVEN,
         lhs=lhs,
         rhs=rhs,
         exact=False,
-        error_bound=budget,
+        error_bound=SHEARER_BUDGET,
         params={"r": r, "cover": [list(s) for s in sets], "support": len(dist.probs)},
     )
     return report

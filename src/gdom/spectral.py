@@ -3,8 +3,7 @@
 Eigenvalues come from Householder tridiagonalisation followed by implicit
 QL with Wilkinson shifts; floating point enters only here.  Shifted
 determinants stay exact (Bareiss over rationals) so the operator-monotone
-checks can be decided by big-integer comparison, with floats only for
-roots and logs.
+checks can be decided by big-integer comparison.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ MAX_QL_STEPS = 30  # QL steps allowed per eigenvalue before EigensolverError
 # against 40-digit eigenvalues was 0.48 of n^2 * 2^-53 * ||A||_F.
 BACKWARD_ERROR_FACTOR = 4
 
-FUNCTIONAL_FAMILIES = ("exp_decay", "hinge", "shifted_log", "shifted_inverse")
+FUNCTIONAL_FAMILIES = ("exp_decay", "hinge", "shifted_inverse")
 
 
 class EigensolverError(RuntimeError):
@@ -169,12 +168,11 @@ def eigenvalues(g: Multigraph) -> Spectrum:
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """One of a closed family of spectral test functions.
+    """One of a closed family of decreasing convex spectral test functions.
 
-    exp_decay(t):        s -> exp(-t s),   t > 0    decreasing convex
-    hinge(c):            s -> max(c-s, 0)           decreasing convex
-    shifted_log(t):      s -> log(s+t),    t > 0    increasing, operator monotone
-    shifted_inverse(t):  s -> 1/(s+t),     t > 0    decreasing convex
+    exp_decay(t):        s -> exp(-t s),   t > 0
+    hinge(c):            s -> max(c-s, 0)
+    shifted_inverse(t):  s -> 1/(s+t),     t > 0
     """
 
     family: str
@@ -186,26 +184,12 @@ class FunctionalSpec:
         if self.family != "hinge" and self.param <= 0:
             raise ValueError(f"{self.family} needs a positive parameter")
 
-    @property
-    def decreasing(self) -> bool:
-        return self.family in ("exp_decay", "hinge", "shifted_inverse")
-
-    @property
-    def convex(self) -> bool:
-        return self.family in ("exp_decay", "hinge", "shifted_inverse")
-
-    @property
-    def operator_monotone_increasing(self) -> bool:
-        return self.family == "shifted_log"
-
     def __call__(self, s: float) -> float:
         p = float(self.param)
         if self.family == "exp_decay":
             return math.exp(-p * s)
         if self.family == "hinge":
             return max(p - s, 0.0)
-        if self.family == "shifted_log":
-            return math.log(s + p)
         return 1.0 / (s + p)
 
     def lipschitz_on(self, lo: float, hi: float) -> float:
@@ -215,8 +199,6 @@ class FunctionalSpec:
             return p * math.exp(-p * lo)
         if self.family == "hinge":
             return 1.0
-        if self.family == "shifted_log":
-            return 1.0 / (lo + p)
         return 1.0 / (lo + p) ** 2
 
     def describe(self) -> str:
@@ -229,10 +211,6 @@ def exp_decay(t) -> FunctionalSpec:
 
 def hinge(c) -> FunctionalSpec:
     return FunctionalSpec("hinge", Fraction(c))
-
-
-def shifted_log(t) -> FunctionalSpec:
-    return FunctionalSpec("shifted_log", Fraction(t))
 
 
 def shifted_inverse(t) -> FunctionalSpec:

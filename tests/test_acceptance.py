@@ -481,7 +481,7 @@ def test_criterion_13_shearer_suite():
         support = rng.randint(1, min(64, 3**k))
         dist = _random_joint(rng, k, support)
         cover, r = _random_cover(rng, k)
-        report = check_shearer(dist, cover, r, budget=1e-9)
+        report = check_shearer(dist, cover, r)
         assert report.verdict in (HOLDS, HOLDS_WITH_EQUALITY, INCONCLUSIVE)
         assert report.lhs <= report.rhs + 1e-9
     _pass(13, "r H(X) <= sum H(X_S) within 1e-9 on 10^3 random distributions and covers")

@@ -40,8 +40,8 @@ from gdom.multigraph import (
 )
 from gdom.relations import RELATIONS, check_domination, check_fractional_tiling
 from gdom.rng import Stream, derive_seed
-from gdom.spectral import hinge, shifted_log
-from gdom.search import random_connected_graph, transitive_catalog
+from gdom.spectral import hinge
+from gdom.search import PairGenerator, generate_pair, random_connected_graph, transitive_catalog
 
 from conftest import atlas_up_to
 
@@ -245,9 +245,21 @@ def test_cover_product():
     assert r.verdict == HYPOTHESIS_FAILED
 
 
+@pytest.mark.parametrize("vertex", [4, -1])
+def test_cover_index_out_of_range_is_an_error(vertex):
+    # a negative index must not wrap round to the last vertex
+    cover = [[0], [1], [2], [3], [vertex]]
+    with pytest.raises(ValueError, match="out of range"):
+        check("cover_product", K4, params={"cover": cover})
+    weighted = [{"vertices": s, "edges": []} for s in cover]
+    with pytest.raises(ValueError, match="out of range"):
+        check("weighted_cover_heat", K4, params={"weighted_cover": weighted})
+
+
 def test_op_monotone_and_char_poly():
     r = check("op_monotone", K4, K3)
-    assert r.verdict == HOLDS and r.status == PROVEN
+    assert r.verdict == HOLDS and r.status == PROVEN and r.exact and r.error_bound == 0
+    assert r.params["t_grid"] == [str(t) for t in default_t_grid()] and "functionals" not in r.params
     r = check("char_poly", K4, K3)
     assert r.verdict == HOLDS and r.exact
     # det(K4 + I) = 125, det(K3 + I) = 16 at t=1: 125^3 vs 16^4
@@ -255,9 +267,53 @@ def test_op_monotone_and_char_poly():
     assert point.lhs == 125 and point.rhs == 16
 
 
+def test_op_monotone_is_char_poly_on_a_domination_corpus():
+    # op_monotone states the log-determinant inequality that char_poly decides:
+    # the same points, values and verdicts, and every point decided
+    for strategy, seed in (("random_connected_pair", 5), ("overlay_copies", 2024), ("transitive_catalog", 7)):
+        gen = PairGenerator(strategy, seed=seed, relation="domination", max_g=8, max_h=4)
+        for trial in range(12):
+            pair = generate_pair(gen, trial)
+            params = {"certificate": pair.certificate}
+            op = check("op_monotone", pair.g, pair.h, params)
+            cp = check("char_poly", pair.g, pair.h, params)
+            assert [p.to_json() for p in op.points] == [p.to_json() for p in cp.points], (op.g, op.h)
+            assert op.verdict == cp.verdict in (HOLDS, HOLDS_WITH_EQUALITY) and op.exact
+
+
+def test_op_monotone_decides_a_relabelled_path_exactly():
+    g, h = parse_graph("3; 0 1; 1 2"), parse_graph("3; 0 1; 0 2")
+    r = check("op_monotone", g, h)
+    assert r.verdict == HOLDS_WITH_EQUALITY and r.exact
+    assert all(p.lhs == p.rhs and p.error_bound == 0 for p in r.points)
+    assert r.points[0].label == "t=1/64"
+
+
+def test_op_monotone_calls_no_eigensolver(monkeypatch):
+    from gdom import spectral
+
+    def refuse(*args):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(spectral, "jacobi_eigenvalues", refuse)
+    monkeypatch.setattr(spectral, "eigenvalues", refuse)
+    assert check("op_monotone", K4, K3).verdict == HOLDS
+    assert check("op_monotone", cycle_graph(6), P3).ok
+
+
+def test_empty_grid_is_an_error():
+    for ineq, params in (
+        ("heat_trace_frac", {"t_grid": []}),
+        ("spectral_decreasing_convex", {"functional": []}),
+        ("op_monotone", {"t_grid": []}),
+        ("char_poly", {"t_grid": []}),
+        ("tutte_pointwise", {"xy_grid": []}),
+    ):
+        with pytest.raises(ValueError, match="nonempty grid"):
+            check(ineq, K4, K3, params)
+
+
 def test_spectral_decreasing_convex_validation():
-    with pytest.raises(ValueError):
-        check("spectral_decreasing_convex", K4, K3, params={"functional": shifted_log(1)})
     r = check("spectral_decreasing_convex", K4, K3, params={"functional": hinge(4)})
     assert r.verdict == HOLDS and r.status == PROVEN
 
@@ -384,6 +440,14 @@ def test_weighted_cover_heat():
     heavy = [{"vertices": [0, 1, 2], "edges": [[0, 1, 1, "3"], [1, 2, 1, "1"]]}]
     r = check("weighted_cover_heat", g, params={"weighted_cover": heavy})
     assert r.verdict == HYPOTHESIS_FAILED
+
+
+@pytest.mark.parametrize("edge", [[0, 1, 1, "-1"], [0, 1, 1, "0"], [0, 1, 0, "1"], [0, 1, -1, "1"]])
+def test_weighted_cover_entry_must_be_a_weighted_graph(edge):
+    # every vertex of K4 once; a negative or zero unit would make the bound vacuous
+    cover = [{"vertices": [0, 1], "edges": [edge]}, {"vertices": [2, 3], "edges": [[2, 3, 1, "1"]]}]
+    with pytest.raises(ValueError, match="positive weight"):
+        check("weighted_cover_heat", K4, params={"weighted_cover": cover})
 
 
 def test_weighted_cover_heat_solves_each_spectrum_once(monkeypatch):

@@ -114,6 +114,29 @@ def test_check_hypothesis_it_cannot_honour_is_an_error(graphs, tmp_path, capsys)
         assert record["summary"].startswith("check error: ") and record["reports"] == []
 
 
+def test_check_empty_grid_is_an_error(graphs, tmp_path, capsys):
+    # no grid point is no verdict: exit 3 with an error record, not a traceback ending in exit 1
+    for i, argv in enumerate(
+        (
+            ["heat_trace_frac", graphs["k4"], graphs["k3"], "--t-grid", ","],
+            ["char_poly", graphs["k4"], graphs["k3"], "--t-grid", ","],
+            ["tutte_pointwise", graphs["k4"], graphs["k3"], "--grid", ";"],
+        )
+    ):
+        log = str(tmp_path / f"log{i}")
+        assert main(["check", *argv, "--log-dir", log]) == 3, argv
+        assert "needs a nonempty grid" in capsys.readouterr().err
+        (record,) = RunLog(log).records()
+        assert record["summary"].startswith("check error: ") and record["reports"] == []
+
+
+def test_check_op_monotone_is_exact(graphs, capsys):
+    rc = main(["check", "op_monotone", graphs["k4"], graphs["k3"], "--json", "--log-dir", graphs["log"]])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0 and payload["exact"] is True and payload["error_bound"] == 0
+    assert payload["points"][0]["at"] == "t=1/64"
+
+
 def test_check_resource_bound_is_an_error(tmp_path, capsys):
     # K8 has 28 edge units, over the Tutte bound of 24
     k8 = tmp_path / "k8.txt"

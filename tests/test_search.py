@@ -131,7 +131,7 @@ def test_hunt_vertex_counting_finds_star_type_violation():
 
 
 def test_hunt_proven_spectral_ids_never_violate():
-    # p.opmon is a theorem under domination: exact char_poly and float op_monotone
+    # p.opmon is a theorem under domination: char_poly and op_monotone, both exact
     gen = PairGenerator("overlay_copies", seed=31, relation="domination", max_g=8, max_h=4)
     res = hunt("char_poly", gen, 250)
     assert res.violations == [], res.summary()
