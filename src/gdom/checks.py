@@ -232,8 +232,13 @@ def verify_relation_hypothesis(
     g: Multigraph,
     h: Multigraph,
     certificate: Optional[Certificate] = None,
+    known: Sequence[tuple[int, ...]] = (),
 ) -> tuple[bool, Optional[Certificate]]:
-    """Certify the relation hypothesis, reusing a supplied certificate if valid."""
+    """Certify the relation hypothesis, reusing a supplied certificate if valid.
+
+    ``known`` embeddings of H in G go to the domination decider alone, which
+    walks them before its own search; no other hypothesis reads them.
+    """
     if certificate is not None and hypothesis in _IMPLIES[certificate.relation]:
         if verify_certificate(g, h, certificate):
             return True, certificate
@@ -242,7 +247,7 @@ def verify_relation_hypothesis(
     decider = RELATIONS.get(hypothesis)
     if decider is None:
         raise ValueError(f"unknown relation hypothesis {hypothesis!r}")
-    cert = decider(g, h)
+    cert = decider(g, h, known) if hypothesis == "domination" else decider(g, h)
     return cert is not None, cert
 
 

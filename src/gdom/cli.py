@@ -82,8 +82,16 @@ def _input_digests(args) -> dict:
     return digests
 
 
+def _fraction(token: str) -> Fraction:
+    """A rational flag value; a zero denominator is bad input like any other."""
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token.strip()!r}") from None
+
+
 def _parse_t_grid(text: str) -> list[Fraction]:
-    return [Fraction(tok) for tok in text.split(",") if tok.strip()]
+    return [_fraction(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_xy_grid(text: str) -> list[tuple[Fraction, Fraction]]:
@@ -93,7 +101,7 @@ def _parse_xy_grid(text: str) -> list[tuple[Fraction, Fraction]]:
         if not clause:
             continue
         x, y = clause.split(",")
-        pts.append((Fraction(x), Fraction(y)))
+        pts.append((_fraction(x), _fraction(y)))
     return pts
 
 
@@ -236,7 +244,7 @@ def _build_params(args, family: Optional[str]) -> dict:
     if args.grid:
         params["xy_grid"] = _parse_xy_grid(args.grid)
     if args.hinge is not None:
-        params["functional"] = FunctionalSpec("hinge", Fraction(args.hinge))
+        params["functional"] = FunctionalSpec("hinge", _fraction(args.hinge))
     if args.q is not None:
         params["q"] = args.q
     if args.a:

@@ -9,7 +9,9 @@ needs a canonical labelling: each copy carries the embedding that makes it,
 fractional certificates list only the copies of positive multiplicity, and
 a coupling carries one embedding of H per positive-mass pair (x, y) that
 sends y to x.  One embedding check, O(|E(H)|), serves copies and witnesses
-alike.
+alike.  A coupling's witnesses are the first embedding of each positive-mass
+pair in walk order, and the walk takes any embeddings the caller already
+holds (a generator builds its pairs from some) before the full search.
 
 ``relate`` decides all four on one pair and enumerates the copies of H once
 for the three copy deciders.  Each public decider enumerates for itself.
@@ -22,7 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import chain
+from typing import Iterable, Optional, Union
 
 from .counting import clear_denominators
 from .embeddings import Copy, _copy_of, embeddings_iter, enumerate_copies, rooted_copy_relation
@@ -274,18 +277,31 @@ def _fractional_edge_tiling(g: Multigraph, copies: list[Copy]) -> Optional[Fract
     return _fractional_lp(copies, "edge", lambda c: c.edges, rows)
 
 
-def check_domination(g: Multigraph, h: Multigraph) -> Optional[CouplingCertificate]:
+def check_domination(
+    g: Multigraph, h: Multigraph, known: Iterable[tuple[int, ...]] = ()
+) -> Optional[CouplingCertificate]:
     """A coupling of uniform roots supported on rooted embeddings of H in G.
 
-    The walk over ``embeddings_iter`` feeds an integral transport whose
-    marginals are scaled by |G|*|H|: each G-vertex supplies |H| units and
-    each H-vertex demands |G|.  An embedding that adds rooted pairs (x, y)
-    is kept, and each new pair at once carries the smaller of the supply
-    left at x and the demand left at y.  Once every vertex lies in a found
-    pair, augmenting paths push the rest.  The walk stops at the first
-    embedding after which every unit flows; one that ends short has no
-    augmenting path left, so Hall's condition fails on the whole relation.
+    ``known`` lists embeddings of H in G that the caller already holds, as
+    image tuples in H's vertex order; one that is not an embedding raises
+    ``ValueError``.  The walk takes them first and then every embedding of
+    ``embeddings_iter``.  An embedding that adds no rooted pair is skipped,
+    so ``known`` changes how soon the walk stops, never the answer.
+
+    The walk feeds an integral transport whose marginals are scaled by
+    |G|*|H|: each G-vertex supplies |H| units and each H-vertex demands
+    |G|.  An embedding that adds rooted pairs (x, y) is kept, and each new
+    pair at once carries the smaller of the supply left at x and the demand
+    left at y.  Once every vertex lies in a found pair, augmenting paths
+    push the rest.  The walk stops at the first embedding after which every
+    unit flows; one that ends short has no augmenting path left, so Hall's
+    condition fails on the whole relation.  The witnesses are the first
+    embedding of each positive-mass pair in walk order, known ones first.
     """
+    known = [tuple(emb) for emb in known]
+    for emb in known:
+        if not _is_embedding(g, h, emb):
+            raise ValueError(f"{list(emb)} is not an embedding of H in G")
     if h.n > g.n:
         return None
     supply, demand = [h.n] * g.n, [g.n] * h.n
@@ -293,7 +309,7 @@ def check_domination(g: Multigraph, h: Multigraph) -> Optional[CouplingCertifica
     flow: dict[tuple[int, int], int] = {}  # found pair -> its units, if it carries any
     succ: list[list[int]] = [[] for _ in supply]  # x -> the y found with it
     pred: list[list[int]] = [[] for _ in demand]  # y -> the x found with it
-    found = []  # in DFS order, each embedding that added pairs, with those pairs
+    found = []  # in walk order, each embedding that added pairs, with those pairs
     roots = range(h.n)
 
     def augment() -> None:
@@ -343,7 +359,7 @@ def check_domination(g: Multigraph, h: Multigraph) -> Optional[CouplingCertifica
                 if not flow[pair]:
                     del flow[pair]
 
-    for emb in embeddings_iter(g, h):
+    for emb in chain(known, embeddings_iter(g, h)):
         if rel.issuperset(zip(emb, roots)):
             continue
         added = [(x, y) for y, x in enumerate(emb) if (x, y) not in rel]
@@ -364,7 +380,7 @@ def check_domination(g: Multigraph, h: Multigraph) -> Optional[CouplingCertifica
     else:
         return None
     masses = {pair: Fraction(units, g.n * h.n) for pair, units in sorted(flow.items())}
-    # the first embedding of each positive-mass pair, in DFS order
+    # the first embedding of each positive-mass pair, in walk order
     witnesses = [emb for emb, added in found if not flow.keys().isdisjoint(added)]
     return CouplingCertificate(masses=masses, witnesses=witnesses)
 

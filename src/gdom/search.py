@@ -6,6 +6,9 @@ pairs a vertex-transitive graph with a random connected subgraph, and
 ``random_connected_pair`` draws both sides independently.  Each emitted
 pair's claimed relation is re-proved by the relation deciders before use;
 rejection continues until a valid pair appears or the attempt cap trips.
+The first two build the pair from embeddings of H in G and hand them to
+the domination decider, which checks them and walks them before its own
+search: the same yes or no, usually found sooner.
 
 All randomness flows from the generator's 64-bit seed through the
 SplitMix64 streams in :mod:`gdom.rng`, so a (strategy, seed, bounds)
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from . import checks
@@ -24,7 +28,7 @@ from .counting import CountingBoundExceeded
 from .multigraph import Memo, Multigraph, serialize_graph
 from .relations import Certificate
 from .rng import Stream, derive_seed
-from .spectral import EigensolverError
+from .spectral import EigensolverError, FunctionalSpec
 
 STRATEGIES = ("overlay_copies", "transitive_catalog", "random_connected_pair")
 
@@ -76,8 +80,11 @@ def random_connected_graph(rng: Stream, n: int, extra_hi: Optional[int] = None) 
     return Multigraph(n, [(u, v, 1, 1) for u, v in pairs])
 
 
-def random_connected_subgraph(rng: Stream, g: Multigraph, k: int) -> Multigraph:
-    """A connected k-vertex subgraph of g, relabeled to 0..k-1."""
+def random_connected_subgraph(
+    rng: Stream, g: Multigraph, k: int
+) -> tuple[Multigraph, tuple[int, ...]]:
+    """A connected k-vertex subgraph of g, relabeled to 0..k-1, with the
+    embedding that undoes the relabeling: H-vertex i goes to ``chosen[i]``."""
     start = rng.randrange(g.n)
     chosen = [start]
     in_set = {start}
@@ -119,7 +126,7 @@ def random_connected_subgraph(rng: Stream, g: Multigraph, k: int) -> Multigraph:
         elif rng.chance(1, 2):
             mult = rng.randint(1, m)
             keep.append((u, v, mult))
-    return Multigraph(n, [(u, v, m, 1) for u, v, m in keep])
+    return Multigraph(n, [(u, v, m, 1) for u, v, m in keep]), tuple(chosen)
 
 
 _catalogs = Memo()
@@ -157,13 +164,18 @@ def transitive_catalog(max_n: int) -> tuple[Multigraph, ...]:
     return _catalogs.put(max_n, tuple(out))
 
 
-def overlay_copies(rng: Stream, h: Multigraph, k: int, max_g: int) -> Multigraph:
-    """Union of k copies of h, each glued to the existing graph at a random
-    nonempty vertex overlap; every vertex ends up inside a copy."""
+def overlay_copies(
+    rng: Stream, h: Multigraph, k: int, max_g: int
+) -> tuple[Multigraph, list[tuple[int, ...]]]:
+    """Union of at most k copies of h, each glued to the existing graph at a
+    random nonempty vertex overlap; every vertex ends up inside a copy.
+    Returns the graph and the embedding of h that placed each copy."""
     n = h.n
     pair_mult: dict[tuple[int, int], int] = {}
+    placed: list[tuple[int, ...]] = []
 
     def add_copy(mapping: list[int]) -> None:
+        placed.append(tuple(mapping))
         for (a, b), m in h.adjacency.items():
             u, v = mapping[a], mapping[b]
             if u > v:
@@ -189,44 +201,45 @@ def overlay_copies(rng: Stream, h: Multigraph, k: int, max_g: int) -> Multigraph
                 nxt += 1
         g_n = nxt
         add_copy(mapping)
-    return Multigraph(g_n, [(u, v, m, 1) for (u, v), m in pair_mult.items()])
+    return Multigraph(g_n, [(u, v, m, 1) for (u, v), m in pair_mult.items()]), placed
 
 
 # -- pair generation -----------------------------------------------------------
 
 
-def _propose(rng: Stream, gen: PairGenerator) -> Optional[tuple[Multigraph, Multigraph]]:
+def _propose(rng: Stream, gen: PairGenerator) -> tuple[Multigraph, Multigraph, list[tuple[int, ...]]]:
+    """(G, H, the embeddings of H in G that built the pair)."""
     if gen.strategy == "overlay_copies":
         hn = rng.randint(2, gen.max_h)
         h = random_connected_graph(rng, hn, extra_hi=hn + 2)
-        g = overlay_copies(rng, h, rng.randint(2, 4), gen.max_g)
-        return g, h
+        g, known = overlay_copies(rng, h, rng.randint(2, 4), gen.max_g)
+        return g, h, known
     if gen.strategy == "transitive_catalog":
         catalog = transitive_catalog(gen.max_g)
         g = rng.choice(catalog)
         k = rng.randint(1, min(gen.max_h, g.n))
-        h = random_connected_subgraph(rng, g, k)
-        return g, h
+        h, emb = random_connected_subgraph(rng, g, k)
+        return g, h, [emb]
     gn = rng.randint(2, gen.max_g)
     g = random_connected_graph(rng, gn)
     h = random_connected_graph(rng, rng.randint(1, min(gen.max_h, gn)))
-    return g, h
+    return g, h, []
 
 
 def generate_pair(gen: PairGenerator, trial: int = 0) -> GeneratedPair:
     """Deterministic (strategy, seed, trial) -> verified pair; rejection-samples.
 
-    Subgraph pairs carry no certificate: the checker re-proves the embedding.
+    Only the domination decider reads a proposal's embeddings.  They change
+    no answer; its witnesses are the first embedding of each positive-mass
+    pair in walk order, the proposal's own first.  Subgraph pairs carry no
+    certificate: the checker re-proves the embedding.
     """
     for attempt in range(gen.max_attempts):
         rng = Stream(derive_seed(gen.seed, trial, attempt))
-        proposal = _propose(rng, gen)
-        if proposal is None:
-            continue
-        g, h = proposal
+        g, h, known = _propose(rng, gen)
         if h.n > g.n:
             continue
-        ok, cert = verify_relation_hypothesis(gen.relation, g, h)
+        ok, cert = verify_relation_hypothesis(gen.relation, g, h, known=known)
         if ok:
             return GeneratedPair(
                 g=g, h=h, relation=gen.relation, certificate=cert, trial=trial, attempts=attempt + 1
@@ -318,6 +331,21 @@ class HuntResult:
         }
 
 
+_LOGGED_PARAMS = (str, int, float, list, tuple, Fraction, FunctionalSpec)
+
+
+def _param_json(value):
+    """A hunt parameter as the run log keeps it: a Fraction as "p/q", a
+    functional by its description, a grid element by element."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, FunctionalSpec):
+        return value.describe()
+    if isinstance(value, (list, tuple)):
+        return [_param_json(v) for v in value]
+    return value
+
+
 def _hunt_params_trial(
     ineq: InequalityId, gen: PairGenerator, trial: int, params: dict
 ) -> tuple[Optional[Multigraph], dict]:
@@ -331,8 +359,6 @@ def _hunt_params_trial(
         extra["cover"] = random_regular_cover(rng, g.n, rng.randint(1, 3))
     else:
         # cover g by itself with randomly reduced weights; hypothesis (ii) holds
-        from fractions import Fraction
-
         scale = Fraction(rng.randint(1, 4), 4)
         extra["weighted_cover"] = [
             {
@@ -367,7 +393,7 @@ def hunt(
         seed=gen.seed,
         relation=gen.relation,
         trials=trials,
-        params={k: v for k, v in params.items() if isinstance(v, (str, int, float, list))},
+        params={k: _param_json(v) for k, v in params.items() if isinstance(v, _LOGGED_PARAMS)},
     )
     for trial in range(trials):
         if takes_h:

@@ -130,6 +130,22 @@ def test_check_empty_grid_is_an_error(graphs, tmp_path, capsys):
         assert record["summary"].startswith("check error: ") and record["reports"] == []
 
 
+def test_zero_denominator_is_an_error(graphs, tmp_path, capsys):
+    # Fraction raises ZeroDivisionError, which is bad input: exit 3 with an error record
+    for i, argv in enumerate(
+        (
+            ["char_poly", graphs["k4"], graphs["k3"], "--t-grid", "1/0"],
+            ["tutte_pointwise", graphs["k4"], graphs["k3"], "--grid", "1/0,1"],
+            ["spectral_decreasing_convex", graphs["k4"], graphs["k3"], "--hinge", "1/0"],
+        )
+    ):
+        log = str(tmp_path / f"log{i}")
+        assert main(["check", *argv, "--log-dir", log]) == 3, argv
+        assert "zero denominator in '1/0'" in capsys.readouterr().err
+        (record,) = RunLog(log).records()
+        assert record["summary"].startswith("check error: ") and record["reports"] == []
+
+
 def test_check_op_monotone_is_exact(graphs, capsys):
     rc = main(["check", "op_monotone", graphs["k4"], graphs["k3"], "--json", "--log-dir", graphs["log"]])
     payload = json.loads(capsys.readouterr().out)
@@ -221,6 +237,22 @@ def test_hunt_writes_counterexample_bundles(graphs, capsys, tmp_path):
         bundle = json.load(fh)
     assert bundle["report"]["verdict"] == "violated"
     assert bundle["g"] and bundle["h"]
+
+
+def test_hunt_records_keep_their_params_as_json(tmp_path, capsys):
+    for i, (argv, params) in enumerate(
+        (
+            (["heat_trace_frac", "--t-grid", "1/2"], {"t_grid": ["1/2"]}),
+            (["tutte_pointwise", "--grid", "1,1;2,2"], {"xy_grid": [["1/1", "1/1"], ["2/1", "2/1"]]}),
+            (["spectral_decreasing_convex", "--hinge", "4", "--json"], {"functional": "hinge(4)"}),
+        )
+    ):
+        log = str(tmp_path / f"log{i}")
+        assert main(["hunt", *argv, "--trials", "3", "--log-dir", log]) == 0, argv
+        capsys.readouterr()
+        (record,) = RunLog(log).records()
+        (result,) = record["reports"]
+        assert result["params"] == params and result["checked"] + result["generation_failures"] == 3
 
 
 def test_run_log_reproducibility(graphs, capsys):

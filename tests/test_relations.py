@@ -478,6 +478,36 @@ def test_domination_stops_at_the_first_complete_coupling(monkeypatch):
                 assert n == every if cert is None else n <= every, (g, h)
 
 
+def test_known_embeddings_change_no_domination_answer():
+    """Known embeddings, walked first, decide every atlas pair as the bare
+    walk does, and the certificate they give verifies, also from JSON."""
+    rng = random.Random(16)
+    seeded = 0
+    for g in atlas_up_to(6):
+        for h in atlas_up_to(5):
+            if h.n > g.n:
+                continue
+            every = list(embeddings_iter(g, h))
+            known = rng.sample(every, rng.randint(0, min(len(every), 6)))
+            cert = check_domination(g, h, known)
+            assert (cert is None) == (check_domination(g, h) is None), (g, h)
+            if cert is not None:
+                assert verify_certificate(g, h, cert), (g, h)
+                assert verify_certificate(g, h, certificate_from_json(certificate_to_json(cert))), (g, h)
+                seeded += bool(known)
+    assert seeded > 1000
+
+
+def test_known_entry_that_is_not_an_embedding_raises():
+    g, h = path_graph(4), path_graph(3)
+    assert check_domination(g, h, [(0, 1, 2), [3, 2, 1]]) is not None
+    for bad in ((0, 1, 3), (1, 0, 1), (0, 1), (0, 1, 4)):
+        with pytest.raises(ValueError):
+            check_domination(g, h, [(0, 1, 2), bad])
+    with pytest.raises(ValueError):  # no embedding exists when |H| > |G|
+        check_domination(h, g, [(0, 1, 2, 3)])
+
+
 def test_relate_counts_on_the_small_atlas():
     """The four verdicts over the ordered pairs of connected graphs up to 5
     vertices with |H| <= |G|, as scripts/survey_small_pairs.py counts them."""

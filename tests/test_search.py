@@ -43,7 +43,7 @@ def test_random_subgraph_is_a_copy():
     rng = Stream(6)
     for _ in range(30):
         g = random_connected_graph(rng, rng.randint(2, 8), extra_hi=4)
-        h = random_connected_subgraph(rng, g, rng.randint(1, g.n))
+        h, _ = random_connected_subgraph(rng, g, rng.randint(1, g.n))
         assert h.is_connected()
         assert next(embeddings_iter(g, h), None) is not None
 
@@ -54,7 +54,7 @@ def test_overlay_covers_every_vertex():
     rng = Stream(87)
     for _ in range(20):
         h = random_connected_graph(rng, rng.randint(2, 4), extra_hi=2)
-        g = overlay_copies(rng, h, rng.randint(2, 4), 10)
+        g, _ = overlay_copies(rng, h, rng.randint(2, 4), 10)
         assert g.n <= 10
         assert covers_every_vertex(g, h)
 
@@ -65,6 +65,34 @@ def test_generate_pair_deterministic_and_verified():
     b = generate_pair(gen, 3)
     assert a.g == b.g and a.h == b.h
     assert verify_certificate(a.g, a.h, a.certificate)
+
+
+@pytest.mark.parametrize("strategy, seed", [("overlay_copies", 2024), ("transitive_catalog", 7)])
+def test_proposal_embeddings_change_no_generated_pair(monkeypatch, strategy, seed):
+    """The embeddings a proposal was built from only speed the domination
+    decider up: every trial gives the same pair after the same attempts."""
+    gen = PairGenerator(strategy, seed=seed, relation="domination", max_g=10, max_h=5)
+    seeded = [generate_pair(gen, trial) for trial in range(200)]
+    verify = search.verify_relation_hypothesis
+    monkeypatch.setattr(
+        search, "verify_relation_hypothesis", lambda hyp, g, h, known=(): verify(hyp, g, h)
+    )
+    for a in seeded:
+        b = generate_pair(gen, a.trial)
+        assert (a.g, a.h, a.attempts) == (b.g, b.h, b.attempts), a.trial
+        assert verify_certificate(a.g, a.h, a.certificate), a.trial
+
+
+def test_proposals_carry_embeddings_of_h_in_g():
+    from gdom.relations import _is_embedding
+
+    for strategy in ("overlay_copies", "transitive_catalog"):
+        gen = PairGenerator(strategy, seed=5, max_g=10, max_h=5)
+        for attempt in range(100):
+            g, h, known = search._propose(Stream(attempt), gen)
+            assert known and all(_is_embedding(g, h, emb) for emb in known), (strategy, attempt)
+    g, h, known = search._propose(Stream(0), PairGenerator("random_connected_pair", seed=5))
+    assert known == []
 
 
 def test_generate_fractional_tiling_pairs():
