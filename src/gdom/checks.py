@@ -14,12 +14,15 @@ named in the report; an empty grid is an error.
 
 :data:`INEQUALITIES` is the one place an inequality is defined: for each
 :class:`InequalityId` it holds the default hypothesis, the checker, the
-hypotheses under which the claim is proven and when it is known false.
-:func:`check`, :func:`claim_status` and the hunt read only that table.
+params keys it reads, the hypotheses under which the claim is proven and
+when it is known false.  :func:`check`, :func:`claim_status` and the hunt
+read only that table.  Beside it, :data:`PARAMS` is the one place a check
+parameter is defined: its parser, default and JSON writer.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -27,10 +30,11 @@ from math import log
 from typing import Callable, Optional, Sequence, Union
 
 from . import counting, spectral
-from .counting import Count
+from .counting import Count, HomTarget
 from .embeddings import embeddings_iter, enumerate_copies
 from .multigraph import Multigraph, contract_complement, contract_subgraph_edges, has_cut_edge, serialize_graph
-from .relations import RELATIONS, Certificate, certificate_to_json, verify_certificate
+from .multigraph import parse_graph
+from .relations import RELATIONS, Certificate, certificate_from_json, certificate_to_json, verify_certificate
 from .spectral import FunctionalSpec, heat_trace, spectral_functional, spectral_functional_error
 from .symmetry import cached_code, is_transitive
 
@@ -46,8 +50,14 @@ KNOWN_FALSE = "known_false"
 
 SHEARER_BUDGET = 1e-9  # entropies are sums of float logs; a closer difference is inconclusive
 
-VERTEX_FAMILIES = ("independent_sets", "proper_colorings", "weighted_homomorphisms")
-EDGE_FAMILIES = ("acyclic_orientations", "forests", "matchings")
+# family -> the params keys it reads besides those of its id: the arguments,
+# in order, that ``counting.count_<family>`` takes after the graph
+VERTEX_FAMILIES = {
+    "independent_sets": (),
+    "proper_colorings": ("q",),
+    "weighted_homomorphisms": ("hom_target", "hom_weights"),
+}
+EDGE_FAMILIES = dict.fromkeys(("acyclic_orientations", "forests", "matchings"), ())
 
 
 class InequalityId(str, Enum):
@@ -83,19 +93,16 @@ _IMPLIES: dict[str, frozenset[str]] = {
 }
 
 
+# params keys that a report keeps in fields of their own
+_OWN_FIELDS = ("hypothesis", "family", "certificate")
+
+
 # -- report ------------------------------------------------------------------
 
 
 def _value_repr(v) -> Optional[Union[str, float]]:
-    if v is None:
-        return None
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return v
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-    return str(v)
+    """A float as itself, an exact value as its ``str``: "3", "1/2"."""
+    return v if v is None or isinstance(v, float) else str(v)
 
 
 @dataclass
@@ -141,25 +148,8 @@ class CheckReport:
         return self.verdict in (HOLDS, HOLDS_WITH_EQUALITY)
 
     def to_json(self) -> dict:
-        return {
-            "inequality": self.inequality,
-            "verdict": self.verdict,
-            "status": self.status,
-            "hypothesis": self.hypothesis,
-            "hypothesis_ok": self.hypothesis_ok,
-            "g": self.g,
-            "h": self.h,
-            "family": self.family,
-            "lhs": _value_repr(self.lhs),
-            "rhs": _value_repr(self.rhs),
-            "exact": self.exact,
-            "error_bound": self.error_bound,
-            "certificate": self.certificate,
-            "strictness": self.strictness,
-            "params": self.params,
-            "points": [p.to_json() for p in self.points],
-            "notes": self.notes,
-        }
+        lhs, rhs = _value_repr(self.lhs), _value_repr(self.rhs)
+        return {**vars(self), "lhs": lhs, "rhs": rhs, "points": [p.to_json() for p in self.points]}
 
 
 # -- grids and comparisons ------------------------------------------------------
@@ -254,27 +244,10 @@ def verify_relation_hypothesis(
 # -- family counters ---------------------------------------------------------------
 
 
-def vertex_family_count(g: Multigraph, family: str, params: dict) -> Count:
-    if family == "independent_sets":
-        return counting.count_independent_sets(g)
-    if family == "proper_colorings":
-        return counting.count_proper_colorings(g, int(params.get("q", 3)))
-    if family == "weighted_homomorphisms":
-        target = params.get("hom_target")
-        if target is None:
-            raise MissingParameter("weighted_homomorphisms needs params['hom_target']")
-        return counting.count_weighted_homomorphisms(g, target, params.get("hom_weights"))
-    raise ValueError(f"unknown vertex family {family!r}; expected one of {VERTEX_FAMILIES}")
-
-
-def edge_family_count(g: Multigraph, family: str) -> int:
-    if family == "acyclic_orientations":
-        return counting.count_acyclic_orientations(g)
-    if family == "forests":
-        return counting.count_forests(g)
-    if family == "matchings":
-        return counting.count_matchings(g)
-    raise ValueError(f"unknown edge family {family!r}; expected one of {EDGE_FAMILIES}")
+def family_count(g: Multigraph, family: str, params: dict) -> Count:
+    """``counting.count_<family>`` of g, given the params keys the family reads."""
+    keys = {**VERTEX_FAMILIES, **EDGE_FAMILIES}[family]
+    return getattr(counting, f"count_{family}")(g, *(params.get(key) for key in keys))
 
 
 # -- the checker --------------------------------------------------------------------
@@ -287,11 +260,11 @@ def check(
     params: Optional[dict] = None,
 ) -> CheckReport:
     """Run one inequality check; :data:`INEQUALITIES` gives each id's
-    hypothesis, default family, checker and claim status.  The hypothesis
+    hypothesis, default family, params, checker and claim status.  The hypothesis
     must be a relation of ``_IMPLIES`` for an id that takes H, else "params"."""
     ineq = InequalityId(ineq)
     entry = INEQUALITIES[ineq]
-    params = dict(params or {})
+    params = parse_params(ineq, params)
     hypothesis = params.get("hypothesis", entry.hypothesis)
     valid = tuple(_IMPLIES) if entry.takes_h else ("params",)
     if hypothesis not in valid:
@@ -305,6 +278,7 @@ def check(
         g=serialize_graph(g),
         h=None if h is None else serialize_graph(h),
         family=family,
+        params=params_to_json({k: v for k, v in params.items() if k not in _OWN_FIELDS}),
     )
     if entry.takes_h and h is None:
         raise MissingParameter(f"{ineq.value} needs a second graph")
@@ -343,8 +317,6 @@ def _assert_strict(report: CheckReport, why: str) -> None:
 
 def _settle_grid(report: CheckReport, note_violation: bool = False) -> None:
     """Aggregate the grid points; report the first violated point, else the last."""
-    if not report.points:
-        raise ValueError(f"{report.inequality} needs a nonempty grid")
     report.verdict = aggregate_verdicts([p.verdict for p in report.points])
     bad = next((p for p in report.points if p.verdict == VIOLATED), report.points[-1])
     report.lhs, report.rhs, report.error_bound = bad.lhs, bad.rhs, bad.error_bound
@@ -352,11 +324,15 @@ def _settle_grid(report: CheckReport, note_violation: bool = False) -> None:
         report.notes.append(f"violated at {bad.label}")
 
 
+def _compare_normalized(report: CheckReport, lhs, n_lhs: int, rhs, n_rhs: int, direction: str) -> None:
+    report.lhs, report.rhs = lhs, rhs
+    report.params["normalization"] = f"lhs^(1/{n_lhs}) vs rhs^(1/{n_rhs})"
+    report.verdict = compare_normalized_powers(lhs, n_lhs, rhs, n_rhs, direction)
+
+
 def _check_tree_ratio(g, h, params: dict, report: CheckReport) -> None:
     tg, th = counting.count_spanning_trees(g), counting.count_spanning_trees(h)
-    report.lhs, report.rhs = tg, th
-    report.params["normalization"] = f"lhs^(1/{g.n}) vs rhs^(1/{h.n})"
-    report.verdict = compare_normalized_powers(tg, g.n, th, h.n, "ge")
+    _compare_normalized(report, tg, g.n, th, h.n, "ge")
 
 
 def _check_transitive_g(g, h, params: dict, report: CheckReport) -> None:
@@ -399,30 +375,18 @@ def _check_minor_power(g, h, params: dict, report: CheckReport) -> None:
         _assert_strict(report, "no cut-edge, |G| > |H|")
 
 
-def _resolve_subsets(g: Multigraph, params: dict, keys=("a", "b")) -> list[frozenset[int]]:
-    out = []
-    for k in keys:
-        if k not in params:
-            raise MissingParameter(f"koteljanskii_step needs params[{k!r}]")
-        s = frozenset(int(v) for v in params[k])
-        if not s.issubset(range(g.n)):
-            raise ValueError(f"subset {k} out of range")
-        out.append(s)
-    return out
-
-
 def _tau_contract(g: Multigraph, a: frozenset[int]) -> Count:
     return counting.count_spanning_trees(contract_complement(g, a))
 
 
 def _check_koteljanskii_step(g, h, params: dict, report: CheckReport) -> None:
-    a, b = _resolve_subsets(g, params)
+    a, b = params["a"], params["b"]
+    if not (a | b).issubset(range(g.n)):
+        raise ValueError(f"subsets a and b must lie in range({g.n})")
     union, inter = a | b, a & b
     lhs = Fraction(_tau_contract(g, a)) * Fraction(_tau_contract(g, b))
     rhs = Fraction(_tau_contract(g, union)) * Fraction(_tau_contract(g, inter))
     report.lhs, report.rhs = lhs, rhs
-    report.params["a"] = sorted(a)
-    report.params["b"] = sorted(b)
     crossing = any(
         g.multiplicity(u, v) > 0 for u in a - b for v in b - a
     )
@@ -452,10 +416,7 @@ def _cover_degree(sets: Sequence[Sequence[int]], n: int) -> Optional[int]:
 
 
 def _check_cover_product(g, h, params: dict, report: CheckReport) -> None:
-    cover = params.get("cover")
-    if cover is None:
-        raise MissingParameter("cover_product needs params['cover']")
-    sets = [frozenset(int(v) for v in s) for s in cover]
+    sets = params["cover"]
     m = _cover_degree(sets, g.n)
     report.params["cover_sizes"] = [len(s) for s in sets]
     if not m:
@@ -472,16 +433,8 @@ def _check_cover_product(g, h, params: dict, report: CheckReport) -> None:
     report.verdict = compare_exact(lhs, rhs, "ge")
 
 
-def _resolve_t_grid(params: dict) -> list[Fraction]:
-    grid = params.get("t_grid")
-    if grid is None:
-        return default_t_grid()
-    return [Fraction(t) for t in grid]
-
-
 def _check_heat_trace(g, h, params: dict, report: CheckReport) -> None:
-    grid = _resolve_t_grid(params)
-    report.params["t_grid"] = [str(t) for t in grid]
+    grid = params["t_grid"]
     report.exact = False
     if g.is_unweighted() and h.is_unweighted() and cached_code(g) == cached_code(h):
         # isomorphic graphs have identical traces at every t
@@ -501,17 +454,11 @@ def _check_heat_trace(g, h, params: dict, report: CheckReport) -> None:
 
 
 def _cover_entry_laplacian(entry: dict) -> tuple[list[list[Fraction]], int, dict]:
-    verts = [int(v) for v in entry["vertices"]]
-    lbl = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
+    lbl = {v: i for i, v in enumerate(entry["vertices"])}
+    n = len(lbl)
     L = [[Fraction(0)] * n for _ in range(n)]
     weights: dict[tuple[int, int], Fraction] = {}
-    for rec in entry["edges"]:
-        u, v, m, w = int(rec[0]), int(rec[1]), int(rec[2]), Fraction(rec[3])
-        if u not in lbl or v not in lbl:
-            raise ValueError("cover entry edge outside its vertex set")
-        if m < 1 or w <= 0:
-            raise ValueError("cover entry edge needs multiplicity >= 1 and a positive weight")
+    for u, v, m, w in entry["edges"]:
         a, b = lbl[u], lbl[v]
         x = m * w
         L[a][b] -= x
@@ -524,10 +471,8 @@ def _cover_entry_laplacian(entry: dict) -> tuple[list[list[Fraction]], int, dict
 
 
 def _check_weighted_cover_heat(g, h, params: dict, report: CheckReport) -> None:
-    cover = params.get("weighted_cover")
-    if cover is None:
-        raise MissingParameter("weighted_cover_heat needs params['weighted_cover']")
-    m = _cover_degree([[int(v) for v in entry["vertices"]] for entry in cover], g.n)
+    cover = params["weighted_cover"]
+    m = _cover_degree([entry["vertices"] for entry in cover], g.n)
     if not m:
         report.verdict = HYPOTHESIS_FAILED
         report.notes.append("cover does not hit every vertex the same number of times")
@@ -555,8 +500,7 @@ def _check_weighted_cover_heat(g, h, params: dict, report: CheckReport) -> None:
     report.hypothesis_ok = True
     report.params["m"] = m
     big_n = sum(n for _, n in lap_data)
-    grid = _resolve_t_grid(params)
-    report.params["t_grid"] = [str(t) for t in grid]
+    grid = params["t_grid"]
     report.exact = False
     ts = [float(t) for t in grid]
     sums = [spectral.heat_trace_sum_from_matrix(L, ts) for L, _ in lap_data]
@@ -568,18 +512,9 @@ def _check_weighted_cover_heat(g, h, params: dict, report: CheckReport) -> None:
     _settle_grid(report)
 
 
-def _resolve_functionals(params: dict) -> list[FunctionalSpec]:
-    fs = params.get("functional")
-    if fs is None:
-        return [FunctionalSpec("exp_decay", Fraction(t)) for t in _resolve_t_grid(params)]
-    return [fs] if isinstance(fs, FunctionalSpec) else list(fs)
-
-
 def _check_spectral_functionals(g, h, params: dict, report: CheckReport) -> None:
-    fs = _resolve_functionals(params)
     report.exact = False
-    report.params["functionals"] = [f.describe() for f in fs]
-    for f in fs:
+    for f in params["functional"]:
         budget = spectral_functional_error(g, f) + spectral_functional_error(h, f)
         lhs = spectral_functional(g, f)
         rhs = spectral_functional(h, f)
@@ -592,9 +527,7 @@ def _check_spectral_functionals(g, h, params: dict, report: CheckReport) -> None
 def _check_char_poly(g, h, params: dict, report: CheckReport) -> None:
     """det(L_G + tI)^(1/|G|) >= det(L_H + tI)^(1/|H|) on the t grid: the
     operator-monotone trace inequality for log(s + t), decided exactly."""
-    grid = _resolve_t_grid(params)
-    report.params["t_grid"] = [str(t) for t in grid]
-    for t in grid:
+    for t in params["t_grid"]:
         dg = spectral.shifted_determinant_exact(g, t)
         dh = spectral.shifted_determinant_exact(h, t)
         v = compare_normalized_powers(dg, g.n, dh, h.n, "ge")
@@ -603,55 +536,33 @@ def _check_char_poly(g, h, params: dict, report: CheckReport) -> None:
     report.params["normalization"] = f"det^(1/{g.n}) vs det^(1/{h.n})"
 
 
-def _check_vertex_counting(g, h, params: dict, report: CheckReport) -> None:
-    fg = vertex_family_count(g, report.family, params)
-    fh = vertex_family_count(h, report.family, params)
-    report.lhs, report.rhs = fg, fh
-    report.params["normalization"] = f"lhs^(1/{g.n}) vs rhs^(1/{h.n})"
-    report.verdict = compare_normalized_powers(fg, g.n, fh, h.n, "le")
-
-
-def _check_edge_counting(g, h, params: dict, report: CheckReport) -> None:
-    eg, eh = g.edge_unit_count(), h.edge_unit_count()
-    if eh == 0 or eg == 0:
+def _check_family_counting(g, h, params: dict, report: CheckReport) -> None:
+    """The family's counts, normalized per vertex, or per edge unit for an edge family."""
+    ng, nh = (g.edge_unit_count(), h.edge_unit_count()) if report.family in EDGE_FAMILIES else (g.n, h.n)
+    if ng == 0 or nh == 0:
         report.verdict = HYPOTHESIS_FAILED
         report.hypothesis_ok = False
         report.notes.append("edge-normalized comparison needs at least one edge on each side")
         return
-    fg = edge_family_count(g, report.family)
-    fh = edge_family_count(h, report.family)
-    report.lhs, report.rhs = fg, fh
-    report.params["normalization"] = f"lhs^(1/{eg}) vs rhs^(1/{eh})"
-    report.verdict = compare_normalized_powers(fg, eg, fh, eh, "le")
+    fg, fh = family_count(g, report.family, params), family_count(h, report.family, params)
+    _compare_normalized(report, fg, ng, fh, nh, "le")
 
 
 def _check_matchings_lower(g, h, params: dict, report: CheckReport) -> None:
     k = params.get("packing_by")
     if k is None:
-        fg = counting.count_matchings(g)
-        fh = counting.count_matchings(h)
+        fg, fh = counting.count_matchings(g), counting.count_matchings(h)
         report.family = "matchings"
     else:
-        fg = counting.count_packings(g, k)
-        fh = counting.count_packings(h, k)
+        fg, fh = counting.count_packings(g, k), counting.count_packings(h, k)
         report.family = "packings"
-        report.params["packing_by"] = serialize_graph(k)
-    report.lhs, report.rhs = fg, fh
-    report.params["normalization"] = f"lhs^(1/{g.n}) vs rhs^(1/{h.n})"
-    report.verdict = compare_normalized_powers(fg, g.n, fh, h.n, "ge")
+    _compare_normalized(report, fg, g.n, fh, h.n, "ge")
 
 
 def _check_tutte_pointwise(g, h, params: dict, report: CheckReport) -> None:
-    grid = params.get("xy_grid")
-    if grid is None:
-        grid = default_xy_grid()
-    grid = [(Fraction(x), Fraction(y)) for x, y in grid]
-    if any(x < 1 or y < 1 for x, y in grid):
-        raise ValueError("tutte_pointwise grid needs x, y >= 1")
-    report.params["xy_grid"] = [f"({x},{y})" for x, y in grid]
     tg = counting.tutte_polynomial(g)
     th = counting.tutte_polynomial(h)
-    for x, y in grid:
+    for x, y in params["xy_grid"]:
         a = tg.evaluate(x, y)
         b = th.evaluate(x, y)
         v = compare_normalized_powers(a, g.n, b, h.n, "ge")
@@ -698,7 +609,8 @@ class Inequality:
     implies it, or any hypothesis for a claim with no H, which no relation
     constrains), when the claim is known false outside them (else it is
     conjectured), which graph, if any, the claim needs vertex-transitive,
-    and the family counted when the params name none.
+    the :data:`PARAMS` keys its checker reads, the families it counts and
+    the keys each reads, and the family counted when the params name none.
 
     A claim is known false only where a test pins a counterexample."""
 
@@ -707,11 +619,20 @@ class Inequality:
     proven_under: Optional[frozenset[str]] = None
     known_false: Callable[[str, Optional[str], bool], bool] = lambda hypothesis, family, h_transitive: False
     transitive: Optional[str] = None
+    reads: tuple[str, ...] = ()
+    families: Optional[dict[str, tuple[str, ...]]] = None
     family: Optional[str] = None
 
     @property
     def takes_h(self) -> bool:
         return self.hypothesis != "params"
+
+    def keys(self, family: Optional[str]) -> set[str]:
+        """The params keys a check of this id and family reads."""
+        if self.families is not None and family not in self.families:
+            raise ValueError(f"unknown family {family!r}; expected one of {tuple(self.families)}")
+        by_family = ("family", *self.families[family]) if self.families else ()
+        return {"hypothesis", *self.reads, *by_family, *(("certificate",) if self.takes_h else ())}
 
 
 INEQUALITIES: dict[InequalityId, Inequality] = {
@@ -727,12 +648,14 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
     InequalityId.FRAC_TILING_TREE: Inequality(
         "fractional_tiling", _check_tree_ratio, known_false=_false_under_subgraph
     ),
-    InequalityId.KOTELJANSKII_STEP: Inequality("params", _check_koteljanskii_step),
-    InequalityId.COVER_PRODUCT: Inequality("params", _check_cover_product),
+    InequalityId.KOTELJANSKII_STEP: Inequality("params", _check_koteljanskii_step, reads=("a", "b")),
+    InequalityId.COVER_PRODUCT: Inequality("params", _check_cover_product, reads=("cover",)),
     InequalityId.HEAT_TRACE_FRAC: Inequality(
-        "fractional_tiling", _check_heat_trace, _TILINGS, known_false=_false_under_subgraph
+        "fractional_tiling", _check_heat_trace, _TILINGS, known_false=_false_under_subgraph, reads=("t_grid",)
     ),
-    InequalityId.WEIGHTED_COVER_HEAT: Inequality("params", _check_weighted_cover_heat),
+    InequalityId.WEIGHTED_COVER_HEAT: Inequality(
+        "params", _check_weighted_cover_heat, reads=("weighted_cover", "t_grid")
+    ),
     InequalityId.SPECTRAL_DECREASING_CONVEX: Inequality(
         "fractional_tiling",
         _check_spectral_functionals,
@@ -740,27 +663,38 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
         known_false=lambda hypothesis, family, h_transitive: (
             not h_transitive or _false_under_subgraph(hypothesis, family, h_transitive)
         ),
+        reads=("functional",),
     ),
-    InequalityId.OP_MONOTONE: Inequality("domination", _check_char_poly, known_false=_false_under_subgraph),
-    InequalityId.CHAR_POLY: Inequality("domination", _check_char_poly, known_false=_false_under_subgraph),
+    InequalityId.OP_MONOTONE: Inequality(
+        "domination", _check_char_poly, known_false=_false_under_subgraph, reads=("t_grid",)
+    ),
+    InequalityId.CHAR_POLY: Inequality(
+        "domination", _check_char_poly, known_false=_false_under_subgraph, reads=("t_grid",)
+    ),
     InequalityId.VERTEX_COUNTING: Inequality(
         "fractional_tiling",
-        _check_vertex_counting,
+        _check_family_counting,
         _TILINGS,
         known_false=lambda hypothesis, family, h_transitive: family == "independent_sets",
+        families=VERTEX_FAMILIES,
         family="independent_sets",
     ),
     InequalityId.EDGE_COUNTING: Inequality(
-        "fractional_edge_tiling", _check_edge_counting, frozenset({"fractional_edge_tiling"}), family="forests"
+        "fractional_edge_tiling",
+        _check_family_counting,
+        frozenset({"fractional_edge_tiling"}),
+        families=EDGE_FAMILIES,
+        family="forests",
     ),
     InequalityId.MATCHINGS_LOWER: Inequality(
         "fractional_tiling",
         _check_matchings_lower,
         _NEVER,
         known_false=lambda hypothesis, family, h_transitive: hypothesis not in _TILINGS,
+        reads=("packing_by",),
     ),
     InequalityId.TUTTE_POINTWISE: Inequality(
-        "domination", _check_tutte_pointwise, _NEVER, known_false=_false_under_subgraph
+        "domination", _check_tutte_pointwise, _NEVER, known_false=_false_under_subgraph, reads=("xy_grid",)
     ),
     InequalityId.TUTTE_COEFFICIENTS: Inequality(
         "domination", _check_tutte_coefficients, _NEVER, known_false=_false_under_subgraph
@@ -784,6 +718,161 @@ def claim_status(
     if proven:
         return PROVEN
     return KNOWN_FALSE if entry.known_false(hypothesis, family, h_transitive) else CONJECTURED
+
+
+# -- the parameter table ----------------------------------------------------------------
+
+
+def _rational(value) -> Fraction:
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {str(value).strip()!r}") from None
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _list(item: Callable, sep: str = ",", grid: bool = True) -> Callable[[object], list]:
+    """A parser of a list, of text split at ``sep`` or of one native item,
+    that reads each item with ``item``; an empty grid is an error."""
+
+    def parse(value) -> list:
+        if isinstance(value, str):
+            value = [tok for tok in map(str.strip, value.split(sep)) if tok]
+        out = [item(v) for v in (value if isinstance(value, Iterable) else [value])]
+        if grid and not out:
+            raise ValueError("needs a nonempty grid")
+        return out
+
+    return parse
+
+
+_ints = _list(_int, grid=False)
+
+
+def _xy_point(point) -> tuple[Fraction, Fraction]:
+    xy = _list(_rational, grid=False)(point)
+    if len(xy) != 2 or min(xy) < 1:
+        raise ValueError(f"{point!r} is not one x,y pair with x, y >= 1")
+    return xy[0], xy[1]
+
+
+def _functional(value) -> FunctionalSpec:
+    """'hinge(4)' as ``describe`` writes it; a bare c, as ``--hinge`` gives it, is hinge(c)."""
+    if isinstance(value, FunctionalSpec):
+        return value
+    family, _, param = str(value).removesuffix(")").partition("(")
+    return FunctionalSpec(family, _rational(param)) if param else FunctionalSpec("hinge", _rational(family))
+
+
+def _cover_entry(entry) -> dict:
+    vertices = _ints(entry["vertices"])
+    edges = [(_int(u), _int(v), _int(m), _rational(w)) for u, v, m, w in entry["edges"]]
+    if any(u not in vertices or v not in vertices for u, v, _, _ in edges):
+        raise ValueError("cover entry edge outside its vertex set")
+    if any(m < 1 or w <= 0 for _, _, m, w in edges):
+        raise ValueError("cover entry edge needs multiplicity >= 1 and a positive weight")
+    return {"vertices": vertices, "edges": edges}
+
+
+def _hom_target(value) -> HomTarget:
+    if isinstance(value, HomTarget):
+        return value
+    n, edges = _int(value["n"]), frozenset(tuple(sorted(_ints(e))) for e in value["edges"])
+    if any(len(e) != 2 or not 0 <= e[0] <= e[1] < n for e in edges):
+        raise ValueError(f"target edges must be pairs in range({n})")
+    return HomTarget(n, edges)
+
+
+def _json(value):
+    """A parsed value in JSON form: a rational as its ``str`` ("3", "1/2"), a
+    tuple as a list, a set as a sorted list, a dict with ``str`` keys."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {str(k): _json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(_json(v) for v in value)
+    return value
+
+
+@dataclass(frozen=True)
+class Param:
+    """One check parameter: ``parse`` reads its native value, its JSON form
+    and its CLI ``flag``'s text; ``write`` gives the JSON form ``parse`` reads."""
+
+    key: str
+    parse: Callable[[object], object]
+    write: Callable[[object], object] = _json
+    default: Optional[Callable[[], object]] = None
+    required: bool = False
+    flag: Optional[str] = None
+    help: Optional[str] = None
+
+    def read(self, value):
+        """``parse``, with every failure a ValueError that names the key."""
+        try:
+            return self.parse(value)
+        except (ValueError, TypeError, KeyError, IndexError) as exc:
+            raise ValueError(f"{self.key}{f' ({self.flag})' if self.flag else ''}: {exc}") from None
+
+
+PARAMS: dict[str, Param] = {
+    p.key: p
+    for p in (
+        Param("hypothesis", str, flag="--hypothesis"),
+        Param("family", str),
+        Param("certificate", lambda v: certificate_from_json(v) if isinstance(v, dict) else v,
+              certificate_to_json),
+        Param("t_grid", _list(_rational), default=default_t_grid, flag="--t-grid"),
+        Param("xy_grid", _list(_xy_point, ";"), default=default_xy_grid, flag="--grid",
+              help="x,y pairs separated by ';'"),
+        Param("functional", _list(_functional), lambda fs: [f.describe() for f in fs],
+              lambda: [FunctionalSpec("exp_decay", t) for t in default_t_grid()], flag="--hinge",
+              help="hinge functional threshold"),
+        Param("q", _int, default=lambda: 3, flag="--q", help="number of colors"),
+        Param("a", lambda v: frozenset(_ints(v)), required=True, flag="--a", help="vertex subset A"),
+        Param("b", lambda v: frozenset(_ints(v)), required=True, flag="--b", help="vertex subset B"),
+        Param("cover", lambda v: [frozenset(_ints(s)) for s in v], required=True),
+        Param("weighted_cover", _list(_cover_entry, grid=False), required=True),
+        Param("hom_target", _hom_target, lambda target: _json(vars(target)), required=True),
+        Param("hom_weights", lambda v: {_int(k): _rational(w) for k, w in dict(v).items()}),
+        Param("packing_by", lambda v: v if isinstance(v, Multigraph) else parse_graph(v), serialize_graph),
+    )
+}
+
+
+def parse_params(ineq: Union[InequalityId, str], params: Optional[dict], supplied: Sequence[str] = ()) -> dict:
+    """``params`` read through :data:`PARAMS`, plus the defaults of the keys
+    that a check of ``ineq`` reads; an unread key and a missing required key
+    are a ValueError.  The caller fills in ``supplied`` keys: none is given."""
+    ineq = InequalityId(ineq)
+    entry = INEQUALITIES[ineq]
+    params = params or {}
+    parsed = {key: PARAMS[key].read(value) for key, value in params.items() if key in PARAMS}
+    reads = entry.keys(parsed.get("family", entry.family))
+    for key in params:
+        if key not in reads:
+            raise ValueError(f"{ineq.value} reads no parameter {key!r}; it reads {sorted(reads)}")
+        if key in supplied:
+            raise ValueError(f"{ineq.value} draws {key!r} itself; it cannot be given")
+    for key in sorted(reads - parsed.keys() - set(supplied)):
+        if PARAMS[key].required:
+            raise MissingParameter(f"{ineq.value} needs params[{key!r}]")
+        if PARAMS[key].default:
+            parsed[key] = PARAMS[key].default()
+    return parsed
+
+
+def params_to_json(params: dict) -> dict:
+    """Parsed params in the JSON form that :func:`parse_params` reads back."""
+    return {key: PARAMS[key].write(value) for key, value in params.items()}
 
 
 # -- Shearer ---------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Exit codes for ``check``: 0 holds / holds-with-equality, 1 violated,
 2 hypothesis failed, 3 inconclusive or error.  Any command exits 3 with
-``error: ...`` on bad input, an exceeded resource bound, a recursion limit
-or an eigensolver failure.  Every run of ``analyze``, ``relate``, ``check``
+``error: ...`` on bad input (a usage error or a parameter that the id does
+not read included), an exceeded resource bound, a recursion limit or an
+eigensolver failure.  Every run of ``analyze``, ``relate``, ``check``
 and ``hunt``, failed runs included, appends one self-contained JSONL record
 (schema 1) to ``--log-dir`` so hunts and checks can be replayed: same
 command + seed reproduces the same payload, timestamps and elapsed times
@@ -19,7 +20,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
@@ -27,6 +27,7 @@ from .checks import (
     HOLDS,
     HOLDS_WITH_EQUALITY,
     HYPOTHESIS_FAILED,
+    PARAMS,
     VIOLATED,
     InequalityId,
     check,
@@ -41,7 +42,7 @@ from .counting import (
 from .multigraph import Multigraph, has_cut_edge, parse_graph
 from .relations import certificate_to_json, relate
 from .search import PairGenerator, hunt
-from .spectral import EigensolverError, FunctionalSpec, eigenvalues, heat_trace
+from .spectral import EigensolverError, eigenvalues, heat_trace
 from .symmetry import is_transitive
 
 EXIT_OK = 0
@@ -82,35 +83,12 @@ def _input_digests(args) -> dict:
     return digests
 
 
-def _fraction(token: str) -> Fraction:
-    """A rational flag value; a zero denominator is bad input like any other."""
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {token.strip()!r}") from None
-
-
-def _parse_t_grid(text: str) -> list[Fraction]:
-    return [_fraction(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_xy_grid(text: str) -> list[tuple[Fraction, Fraction]]:
-    pts = []
-    for clause in text.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
-        x, y = clause.split(",")
-        pts.append((_fraction(x), _fraction(y)))
-    return pts
-
-
-def _parse_check_id(token: str) -> tuple[InequalityId, Optional[str]]:
-    """'vertex_counting:independent_sets' -> (id, family)."""
-    if ":" in token:
-        head, family = token.split(":", 1)
-        return InequalityId(head), family
-    return InequalityId(token), None
+def _check_request(args) -> tuple[InequalityId, dict]:
+    """The id of ``check`` or ``hunt`` and its params, as text for
+    :data:`checks.PARAMS` to read: the family from 'id:family', the rest from flags."""
+    head, _, family = args.id.partition(":")
+    params = {key: getattr(args, key) for key in PARAMS if getattr(args, key, None) is not None}
+    return InequalityId(head), {**params, "family": family} if family else params
 
 
 class RunLog:
@@ -150,7 +128,7 @@ def _log_run(args, summary: str, reports: list[dict]) -> None:
 # -- analyze ------------------------------------------------------------------
 
 
-def _analyze_fields(g: Multigraph, t_grid: list[Fraction]) -> dict:
+def _analyze_fields(g: Multigraph, t_grid: list) -> dict:
     fields: dict = {
         "vertices": g.n,
         "edge_units": g.edge_unit_count(),
@@ -177,8 +155,7 @@ def _analyze_fields(g: Multigraph, t_grid: list[Fraction]) -> dict:
 
 def cmd_analyze(args) -> int:
     g = _load_graph(args.graph, args.format)
-    grid = _parse_t_grid(args.t_grid) if args.t_grid else [Fraction(2) ** k for k in (-2, 0, 2)]
-    fields = _analyze_fields(g, grid)
+    fields = _analyze_fields(g, PARAMS["t_grid"].read(args.t_grid))
     if args.json:
         print(json.dumps(fields, sort_keys=True))
     else:
@@ -231,29 +208,6 @@ def cmd_relate(args) -> int:
 # -- check --------------------------------------------------------------------
 
 
-def _build_params(args, family: Optional[str]) -> dict:
-    params: dict = {}
-    if family:
-        params["family"] = family
-    if args.family:
-        params["family"] = args.family
-    if args.hypothesis:
-        params["hypothesis"] = args.hypothesis
-    if args.t_grid:
-        params["t_grid"] = _parse_t_grid(args.t_grid)
-    if args.grid:
-        params["xy_grid"] = _parse_xy_grid(args.grid)
-    if args.hinge is not None:
-        params["functional"] = FunctionalSpec("hinge", _fraction(args.hinge))
-    if args.q is not None:
-        params["q"] = args.q
-    if args.a:
-        params["a"] = [int(v) for v in args.a.split(",")]
-    if args.b:
-        params["b"] = [int(v) for v in args.b.split(",")]
-    return params
-
-
 _EXIT_BY_VERDICT = {
     HOLDS: EXIT_OK,
     HOLDS_WITH_EQUALITY: EXIT_OK,
@@ -263,10 +217,9 @@ _EXIT_BY_VERDICT = {
 
 
 def cmd_check(args) -> int:
-    ineq, family = _parse_check_id(args.id)
+    ineq, params = _check_request(args)
     g = _load_graph(args.g, args.format)
     h = _load_graph(args.h, args.format) if args.h else None
-    params = _build_params(args, family)
     report = check(ineq, g, h, params)
     payload = report.to_json()
     if args.json:
@@ -286,8 +239,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_hunt(args) -> int:
-    ineq, family = _parse_check_id(args.id)
-    params = _build_params(args, family)
+    ineq, params = _check_request(args)
     gen = PairGenerator(
         strategy=args.strategy,
         seed=args.seed,
@@ -325,8 +277,17 @@ def cmd_report(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 3, an error, not argparse's 2, which ``check``
+    uses for "hypothesis failed"; the subcommand parsers inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="gdom", description=__doc__)
+    p = _Parser(prog="gdom", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp):
@@ -336,18 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def check_params(sp):
         """The inequality parameters that ``check`` and ``hunt`` both take."""
-        sp.add_argument("--family", default=None)
-        sp.add_argument("--hypothesis", default=None)
-        sp.add_argument("--t-grid", default=None)
-        sp.add_argument("--grid", default=None, help="x,y pairs separated by ';'")
-        sp.add_argument("--hinge", default=None, help="hinge functional threshold")
-        sp.add_argument("--q", type=int, default=None, help="number of colors")
-        sp.add_argument("--a", default=None, help="vertex subset A (comma separated)")
-        sp.add_argument("--b", default=None, help="vertex subset B (comma separated)")
+        for param in PARAMS.values():
+            if param.flag:
+                sp.add_argument(param.flag, dest=param.key, default=None, help=param.help)
 
     a = sub.add_parser("analyze", help="graph invariants and spectra")
     a.add_argument("graph")
-    a.add_argument("--t-grid", default=None)
+    a.add_argument("--t-grid", default="1/4,1,4")
     common(a)
     a.set_defaults(func=cmd_analyze)
 

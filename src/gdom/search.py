@@ -28,7 +28,7 @@ from .counting import CountingBoundExceeded
 from .multigraph import Memo, Multigraph, serialize_graph
 from .relations import Certificate
 from .rng import Stream, derive_seed
-from .spectral import EigensolverError, FunctionalSpec
+from .spectral import EigensolverError
 
 STRATEGIES = ("overlay_copies", "transitive_catalog", "random_connected_pair")
 
@@ -314,36 +314,15 @@ class HuntResult:
         )
 
     def to_json(self) -> dict:
-        return {
-            "inequality": self.inequality,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "relation": self.relation,
-            "trials": self.trials,
-            "checked": self.checked,
-            "violations": [v.to_json() for v in self.violations],
-            "generation_failures": self.generation_failures,
-            "resource_skips": self.resource_skips,
-            "errors": self.errors,
-            "failed_trials": self.failed_trials,
-            "elapsed": self.elapsed,
-            "params": self.params,
-        }
+        return {**vars(self), "violations": [v.to_json() for v in self.violations]}
 
 
-_LOGGED_PARAMS = (str, int, float, list, tuple, Fraction, FunctionalSpec)
-
-
-def _param_json(value):
-    """A hunt parameter as the run log keeps it: a Fraction as "p/q", a
-    functional by its description, a grid element by element."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, FunctionalSpec):
-        return value.describe()
-    if isinstance(value, (list, tuple)):
-        return [_param_json(v) for v in value]
-    return value
+# the params keys a hunt draws for each trial, so none of them can be given
+_DRAWN = {
+    InequalityId.KOTELJANSKII_STEP: ("a", "b"),
+    InequalityId.COVER_PRODUCT: ("cover",),
+    InequalityId.WEIGHTED_COVER_HEAT: ("weighted_cover",),
+}
 
 
 def _hunt_params_trial(
@@ -377,6 +356,7 @@ def hunt(
 ) -> HuntResult:
     """Run ``check`` over generated inputs; collect violated reports only.
 
+    ``params`` are read once, before the first trial, and kept as JSON.
     Ids that take no H check one random graph with synthesized parameters
     per trial.  Hypothesis-failed trials are never reported as violations;
     generation failures (attempt cap) and resource-bound trials are counted
@@ -385,7 +365,8 @@ def hunt(
     """
     ineq = InequalityId(ineq)
     takes_h = INEQUALITIES[ineq].takes_h
-    params = dict(params or {})
+    given = params or {}
+    params = checks.parse_params(ineq, given, _DRAWN.get(ineq, ("certificate",)))
     t0 = time.perf_counter()
     result = HuntResult(
         inequality=ineq.value,
@@ -393,7 +374,7 @@ def hunt(
         seed=gen.seed,
         relation=gen.relation,
         trials=trials,
-        params={k: _param_json(v) for k, v in params.items() if isinstance(v, _LOGGED_PARAMS)},
+        params=checks.params_to_json({key: params[key] for key in given}),
     )
     for trial in range(trials):
         if takes_h:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from gdom.checks import (
     INCONCLUSIVE,
     INEQUALITIES,
     KNOWN_FALSE,
+    PARAMS,
     PROVEN,
     VIOLATED,
     CheckReport,
@@ -26,6 +28,7 @@ from gdom.checks import (
     compare_normalized_powers,
     default_t_grid,
     entropy_nats,
+    params_to_json,
     verify_relation_hypothesis,
 )
 from gdom.counting import HomTarget
@@ -486,6 +489,105 @@ def test_unknown_id_and_missing_params():
         if ineq.value not in param_ids:
             with pytest.raises(MissingParameter):
                 check(ineq, K4, None)
+
+
+# a valid value of each PARAMS key on (K4, K3), in native form
+_SAMPLES = {
+    "hypothesis": "domination",
+    "family": "independent_sets",
+    "certificate": check_fractional_tiling(K4, K3),
+    "t_grid": [Fraction(1, 2), 2],
+    "xy_grid": [(1, 1), (Fraction(3, 2), 2)],
+    "functional": [hinge(4), hinge(Fraction(5, 2))],
+    "q": 4,
+    "a": [0, 1],
+    "b": [1, 2],
+    "cover": [[0, 1, 2], [3]],
+    "weighted_cover": [{"vertices": [0, 1, 2, 3], "edges": [[0, 1, 1, Fraction(1, 2)]]}],
+    "hom_target": HomTarget.independent_set_target(),
+    "hom_weights": {0: Fraction(1), 1: Fraction(3, 2)},
+    "packing_by": EDGE,
+}
+
+
+def _sample_checks():
+    """(id, family, params): each id, once per family, with each key it reads
+    but the hypothesis and the certificate, which keep their defaults."""
+    for ineq, entry in INEQUALITIES.items():
+        for family in entry.families or (None,):
+            keys = entry.keys(family) - {"hypothesis", "certificate", "family"}
+            params = {key: _SAMPLES[key] for key in keys}
+            if family:
+                params["family"] = family
+            yield ineq, family, params
+
+
+def test_every_param_has_a_sample():
+    assert set(_SAMPLES) == set(PARAMS)
+    for key, value in _SAMPLES.items():
+        parsed = PARAMS[key].read(value)
+        assert PARAMS[key].read(params_to_json({key: parsed})[key]) == parsed, key
+
+
+@pytest.mark.parametrize("ineq", list(InequalityId))
+def test_a_param_the_id_does_not_read_is_an_error(ineq):
+    entry = INEQUALITIES[ineq]
+    h = K3 if entry.takes_h else None
+    for key in sorted(set(PARAMS) - entry.keys(entry.family)):
+        with pytest.raises(ValueError, match=f"reads no parameter '{key}'"):
+            check(ineq, K4, h, {key: _SAMPLES[key]})
+
+
+@pytest.mark.parametrize("ineq, family, params", list(_sample_checks()))
+def test_report_params_replay_the_check_through_json(ineq, family, params):
+    entry = INEQUALITIES[ineq]
+    h = K3 if entry.takes_h else None
+    report = check(ineq, K4, h, params)
+    # the report records each input key in its JSON form, beside what the checker derived
+    recorded = params_to_json({key: PARAMS[key].read(value) for key, value in params.items() if key != "family"})
+    assert {key: report.params[key] for key in recorded} == recorded
+    given = {key: value for key, value in report.params.items() if key in PARAMS}
+    given["hypothesis"] = report.hypothesis
+    if family:
+        given["family"] = report.family
+    if report.certificate is not None:
+        given["certificate"] = report.certificate
+    replay = check(ineq, K4, h, json.loads(json.dumps(given)))
+    assert replay.verdict == report.verdict and replay.lhs == report.lhs
+    assert [p.to_json() for p in replay.points] == [p.to_json() for p in report.points]
+
+
+def test_a_missing_required_param_is_an_error():
+    for ineq, key in (("koteljanskii_step", "b"), ("cover_product", "cover"), ("weighted_cover_heat", "weighted_cover")):
+        params = {k: _SAMPLES[k] for k in INEQUALITIES[InequalityId(ineq)].reads if k != key}
+        with pytest.raises(MissingParameter, match=f"needs params\\['{key}'\\]"):
+            check(ineq, K4, None, params)
+    with pytest.raises(MissingParameter, match="hom_target"):
+        check("vertex_counting", K4, K3, {"family": "weighted_homomorphisms"})
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("xy_grid", "1,2,3", "'1,2,3' is not one x,y pair"),
+        ("xy_grid", [[1]], "is not one x,y pair"),
+        ("xy_grid", "1/2,1", "with x, y >= 1"),
+        ("t_grid", "1,1/0", "zero denominator in '1/0'"),
+        ("t_grid", ",", "needs a nonempty grid"),
+        ("functional", "cubic(2)", "unknown functional family"),
+        ("q", "x", "invalid literal"),
+        ("q", True, "is not an integer"),
+        ("a", "0,one", "invalid literal"),
+        ("packing_by", "x; 0 1", "bad vertex count"),
+        ("weighted_cover", [{"vertices": [0]}], "'edges'"),
+        ("hom_target", {"edges": [[0, 1]]}, "'n'"),
+        ("hom_target", {"n": 2, "edges": [[0, 0], [0, 5]]}, "pairs in range\\(2\\)"),
+        ("certificate", {"type": "nonsense"}, "unknown certificate type"),
+    ],
+)
+def test_a_malformed_param_is_a_value_error_that_names_its_key(key, value, message):
+    with pytest.raises(ValueError, match=f"^{key}\\b.*{message}"):
+        PARAMS[key].read(value)
 
 
 _HYPOTHESES = ("tiling", "fractional_tiling", "fractional_edge_tiling", "domination", "subgraph", "params")

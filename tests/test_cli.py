@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 
 from gdom.cli import RunLog, main
+from gdom.search import PairGenerator, hunt
 from gdom.multigraph import complete_graph, serialize_graph, star_graph, path_graph, single_edge
 from gdom.spectral import EigensolverError
 
@@ -146,6 +147,45 @@ def test_zero_denominator_is_an_error(graphs, tmp_path, capsys):
         assert record["summary"].startswith("check error: ") and record["reports"] == []
 
 
+def test_unread_and_malformed_params_are_errors(graphs, tmp_path, capsys):
+    # a flag the id does not read, or a value its key cannot read, is never silent
+    k4, k3 = graphs["k4"], graphs["k3"]
+    for i, (argv, message) in enumerate(
+        (
+            (["check", "op_monotone", k4, k3, "--hinge", "4"], "op_monotone reads no parameter 'functional'"),
+            (["check", "spanning_tree", k4, k3, "--a", "0,1"], "spanning_tree reads no parameter 'a'"),
+            (["check", "tutte_pointwise", k4, k3, "--grid", "1,2,3"], "xy_grid (--grid): '1,2,3' is not one x,y pair"),
+            (["check", "tutte_pointwise", k4, k3, "--grid", "1"], "xy_grid (--grid): '1' is not one x,y pair"),
+            (["check", "vertex_counting:proper_colorings", k4, k3, "--q", "x"], "q (--q): invalid literal"),
+            (["check", "spanning_tree:forests", k4, k3], "spanning_tree reads no parameter 'family'"),
+            (["hunt", "koteljanskii_step", "--a", "0,1", "--trials", "5"], "koteljanskii_step draws 'a' itself"),
+            (["hunt", "char_poly", "--hinge", "4", "--trials", "5"], "char_poly reads no parameter 'functional'"),
+        )
+    ):
+        log = str(tmp_path / f"log{i}")
+        assert main([*argv, "--log-dir", log]) == 3, argv
+        assert message in capsys.readouterr().err, argv
+        (record,) = RunLog(log).records()
+        assert record["summary"].startswith(f"{argv[0]} error: ") and message in record["summary"]
+        assert record["reports"] == []
+
+
+def test_usage_error_exits_3(graphs, tmp_path, capsys):
+    # argparse's own exit code, 2, would read as "hypothesis failed"; no record is
+    # written, since the log directory is one of the arguments that failed to parse
+    log = str(tmp_path / "log")
+    for argv in (
+        ["check", "spanning_tree", graphs["k4"], graphs["k3"], "--bogus"],
+        ["check", "vertex_counting", graphs["k4"], graphs["k3"], "--family", "forests"],
+        ["hunt", "spanning_tree", "--trials", "many"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--log-dir", log])
+        assert exc.value.code == 3, argv
+        assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(log)
+
+
 def test_check_op_monotone_is_exact(graphs, capsys):
     rc = main(["check", "op_monotone", graphs["k4"], graphs["k3"], "--json", "--log-dir", graphs["log"]])
     payload = json.loads(capsys.readouterr().out)
@@ -243,8 +283,8 @@ def test_hunt_records_keep_their_params_as_json(tmp_path, capsys):
     for i, (argv, params) in enumerate(
         (
             (["heat_trace_frac", "--t-grid", "1/2"], {"t_grid": ["1/2"]}),
-            (["tutte_pointwise", "--grid", "1,1;2,2"], {"xy_grid": [["1/1", "1/1"], ["2/1", "2/1"]]}),
-            (["spectral_decreasing_convex", "--hinge", "4", "--json"], {"functional": "hinge(4)"}),
+            (["tutte_pointwise", "--grid", "1,1;2,2"], {"xy_grid": [["1", "1"], ["2", "2"]]}),
+            (["spectral_decreasing_convex", "--hinge", "4", "--json"], {"functional": ["hinge(4)"]}),
         )
     ):
         log = str(tmp_path / f"log{i}")
@@ -253,6 +293,10 @@ def test_hunt_records_keep_their_params_as_json(tmp_path, capsys):
         (record,) = RunLog(log).records()
         (result,) = record["reports"]
         assert result["params"] == params and result["checked"] + result["generation_failures"] == 3
+        # the record alone replays the hunt (the CLI's size bounds are the generator's defaults)
+        gen = PairGenerator(result["strategy"], seed=result["seed"], relation=result["relation"])
+        replay = hunt(result["inequality"], gen, result["trials"], result["params"])
+        assert replay.summary() == record["summary"], argv
 
 
 def test_run_log_reproducibility(graphs, capsys):
@@ -359,7 +403,7 @@ def test_reused_parser_leaks_no_state(graphs, capsys, monkeypatch, tmp_path):
     builds.clear()
     assert run(fresh=False) == expected
     assert len(builds) <= 1
-    assert [rc for rc, *_ in expected] == [0, 0, 0, 0, 2, 0]
+    assert [rc for rc, *_ in expected] == [0, 0, 0, 0, 3, 0]
 
 
 def test_every_run_appends_one_record(graphs, capsys):

@@ -181,6 +181,27 @@ def test_hunt_param_ids():
     assert res.violations == []
 
 
+def test_hunt_reads_its_params_once_before_any_trial(monkeypatch):
+    # a value for a key the hunt draws per trial would be recorded yet never used
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(search, "generate_pair", no_trial)
+    monkeypatch.setattr(search, "check", no_trial)
+    gen = PairGenerator("random_connected_pair", seed=5, relation="domination", max_g=7)
+    for ineq, params, message in (
+        ("koteljanskii_step", {"a": [0, 1], "b": [1, 2]}, "draws 'a' itself"),
+        ("cover_product", {"cover": [[0]]}, "draws 'cover' itself"),
+        ("weighted_cover_heat", {"weighted_cover": []}, "draws 'weighted_cover' itself"),
+        ("spanning_tree", {"certificate": {"type": "tiling", "copies": []}}, "draws 'certificate' itself"),
+        ("spanning_tree", {"q": 3}, "reads no parameter 'q'"),
+        ("heat_trace_frac", {"t_grid": "1/0"}, "zero denominator"),
+        ("vertex_counting", {"family": "weighted_homomorphisms"}, "needs params\\['hom_target'\\]"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            hunt(ineq, gen, 5, params)
+
+
 def test_random_regular_cover():
     rng = Stream(8)
     for _ in range(20):
