@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -63,24 +64,26 @@ def _detect_format(path: str, override: Optional[str]) -> str:
     return "edge_list"
 
 
-def _load_graph(path: str, fmt: Optional[str]) -> Multigraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_graph(text.strip(), _detect_format(path, fmt))
-
-
-def _input_digests(args) -> dict:
-    """sha256 of each graph file the command names, for the files it can read."""
-    digests = {}
+def _read_inputs(args) -> dict:
+    """The bytes of each graph file the command names, which are parsed and
+    digested, or the ``OSError`` that reading it raised; one read per file."""
+    inputs: dict = {}
     for name in ("graph", "g", "h"):
-        path = getattr(args, name, None)
-        if path:
+        if getattr(args, name, None):
             try:
-                with open(path, "rb") as fh:
-                    digests[name] = hashlib.sha256(fh.read()).hexdigest()
-            except OSError:
-                pass
-    return digests
+                with open(getattr(args, name), "rb") as fh:
+                    inputs[name] = fh.read()
+            except OSError as exc:
+                inputs[name] = exc
+    return inputs
+
+
+def _load_graph(args, name: str) -> Multigraph:
+    """The graph in the file ``args.<name>``, decoded as ``open`` would decode it."""
+    if isinstance(args._inputs[name], OSError):
+        raise args._inputs[name]
+    text = io.TextIOWrapper(io.BytesIO(args._inputs[name]), encoding="utf-8").read()
+    return parse_graph(text.strip(), _detect_format(getattr(args, name), args.format))
 
 
 def _check_request(args) -> tuple[InequalityId, dict]:
@@ -118,7 +121,7 @@ def _log_run(args, summary: str, reports: list[dict]) -> None:
             "command": list(args._argv),
             "seed": getattr(args, "seed", None),
             "version": __version__,
-            "input_digests": _input_digests(args),
+            "input_digests": {k: hashlib.sha256(v).hexdigest() for k, v in args._inputs.items() if isinstance(v, bytes)},
             "summary": summary,
             "reports": reports,
         }
@@ -154,7 +157,7 @@ def _analyze_fields(g: Multigraph, t_grid: list) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    g = _load_graph(args.graph, args.format)
+    g = _load_graph(args, "graph")
     fields = _analyze_fields(g, PARAMS["t_grid"].read(args.t_grid))
     if args.json:
         print(json.dumps(fields, sort_keys=True))
@@ -169,8 +172,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_relate(args) -> int:
-    g = _load_graph(args.g, args.format)
-    h = _load_graph(args.h, args.format)
+    g = _load_graph(args, "g")
+    h = _load_graph(args, "h")
     out: dict = {}
     verdicts = {}
     for name, cert in relate(g, h).items():
@@ -218,8 +221,8 @@ _EXIT_BY_VERDICT = {
 
 def cmd_check(args) -> int:
     ineq, params = _check_request(args)
-    g = _load_graph(args.g, args.format)
-    h = _load_graph(args.h, args.format) if args.h else None
+    g = _load_graph(args, "g")
+    h = _load_graph(args, "h") if args.h else None
     report = check(ineq, g, h, params)
     payload = report.to_json()
     if args.json:
@@ -357,6 +360,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     args._argv = ["gdom"] + argv
+    args._inputs = _read_inputs(args)
     try:
         return args.func(args)
     except (OSError, ValueError, CountingBoundExceeded, RecursionError, EigensolverError) as exc:

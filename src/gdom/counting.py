@@ -388,12 +388,12 @@ def count_weighted_homomorphisms(
     target: HomTarget,
     weights: Optional[dict[int, Fraction]] = None,
 ) -> Count:
-    """Total weight of adjacency-preserving maps V(G) -> V(target)."""
+    """Total weight of adjacency-preserving maps V(G) -> V(target); ``weights`` covers V(target)."""
     if g.n > DEFAULT_HOM_BOUND:
         raise CountingBoundExceeded(f"|G| = {g.n} exceeds bound {DEFAULT_HOM_BOUND}")
-    w = {v: Fraction(weights[v]) for v in range(target.n)} if weights else {
-        v: Fraction(1) for v in range(target.n)
-    }
+    if weights is not None and weights.keys() != set(range(target.n)):
+        raise ValueError(f"hom_weights name vertices {list(weights)}; the target's are 0..{target.n - 1}")
+    w = {v: Fraction(1 if weights is None else weights[v]) for v in range(target.n)}
     if any(x <= 0 for x in w.values()):
         raise ValueError("homomorphism weights must be positive")
     # connected DFS order over G

@@ -15,8 +15,8 @@ holds (a generator builds its pairs from some) before the full search.
 
 ``relate`` decides all four on one pair and enumerates the copies of H once
 for the three copy deciders.  Each public decider enumerates for itself.
-The LP is a fraction-free simplex that rescales a row only when a pivot
-touches it.
+The LP is a revised fraction-free simplex over sparse copy columns that
+keeps only the basis inverse and rescales a row only when a pivot touches it.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import Iterable, Optional, Union
 
 from .counting import clear_denominators
@@ -75,16 +76,22 @@ _BLAND_SWITCH = 200  # Dantzig pivoting until then, Bland afterwards (terminatio
 
 
 def feasible_nonnegative(
-    rows: list[list[Fraction]], rhs: list[Fraction]
+    columns: list[dict[int, Union[int, Fraction]]], rhs: list[Union[int, Fraction]]
 ) -> Optional[list[Fraction]]:
-    """Some x >= 0 with rows * x = rhs, or None; ints serve as Fractions.
+    """Some x >= 0 with sum_j x[j] * columns[j] = rhs, or None.
 
-    Exact phase-1 simplex with integer (fraction-free) pivoting: the tableau
-    stays integral, and signs and ratio tests are decided by
-    cross-multiplication.  Dantzig's rule with a Bland fallback guarantees
-    termination without rational arithmetic.
+    Column j maps each row it meets to its coefficient, an int or a
+    ``Fraction``.  Each row is scaled by the lcm of its denominators and
+    negated if its rhs is negative, so the simplex runs over integers.
 
-    Rows are rescaled lazily.  ``row_den[i]`` is the last pivot that touched
+    Revised phase-1 simplex with integer (fraction-free) pivoting.  Of the
+    tableau [A | I | b] it keeps R, the artificial block and the rhs; the
+    rest is R*A, and a pivot computes what it reads: the entering column
+    from its nonzeros, and the reduced costs y*A, y the objective's
+    artificial entries less the last pivot.  Signs and ratio tests are
+    decided by cross-multiplication; Dantzig's rule with a Bland fallback
+    guarantees termination without rational arithmetic.  Rows are rescaled
+    lazily.  ``row_den[i]`` is the last pivot that touched
     row i, and the row's true values are its entries over ``row_den[i]``.
     A pivot rewrites only the rows with a nonzero entry in its column, as
     ``(piv*a - f*b) // row_den[i]``: over the skipped pivots the factors
@@ -92,66 +99,80 @@ def feasible_nonnegative(
     The pivot row is first brought to the last pivot, and the objective row
     is always touched (its entering entry is negative).  Sign and ratio
     tests read each row at its own positive scale, so the pivots are those
-    of the eager tableau.
+    of the eager dense tableau.
     """
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    T: list[list[int]] = []
+    m, n = len(rhs), len(columns)
+    # the columns flat, w entries each: rows in K, coefficients in V; a
+    # shorter column is padded with 0s on a dummy row m
+    w = max(map(len, columns), default=0) or 1
+    K, V = [], []
+    for col in columns:
+        K += col
+        K += [m] * (w - len(col))
+        V += col.values()
+        V += [0] * (w - len(col))
+    ints = {*map(type, V)} <= {int}
+    den = [b.denominator for b in rhs] + [1]
+    if not ints:
+        for k, a in zip(K, V):
+            den[k] = math.lcm(den[k], a.denominator)
+    scale = [-d if b < 0 else d for d, b in zip(den, rhs)] + [1]
+    if not ints or scale.count(1) <= m:
+        V = [a.numerator * (scale[k] // a.denominator) for k, a in zip(K, V)]
+    unit = V.count(1) == len(V)  # every coefficient 1, no column padded
+    R = [[0] * m + [b.numerator * (s // b.denominator)] for b, s in zip(rhs, scale)]
     for i in range(m):
-        row = [*rows[i], rhs[i]]
-        if not all(type(a) is int for a in row):
-            row = clear_denominators(row)[0]
-        if row[-1] < 0:
-            row = [-a for a in row]
-        b = row.pop()
-        T.append(row + [1 if j == i else 0 for j in range(m)] + [b])
+        R[i][i] = 1
     basis = [n + i for i in range(m)]
-    # phase-1 objective: minimize the sum of artificials, priced out; each
-    # artificial column sums to 1, so its reduced cost is 0
-    obj = [-sum(col) for col in zip(*T)]
-    obj[n : n + m] = [0] * m
+    # phase-1 objective, minimize the sum of artificials, priced out: each
+    # artificial column sums to 1, so its reduced cost starts at 0
+    obj = [0] * m + [-sum(r[m] for r in R)]
     row_den = [1] * m
     den_piv = 1  # last pivot: the scale of the objective row
 
     pivots = 0
     while obj[-1]:  # the scaled phase-1 objective; once 0, no pivot moves x
+        y = [a - den_piv for a in obj]
+        # y*A, one sum per column: zip over w copies of one iterator groups it by w
+        terms = map(y.__getitem__, K) if unit else map(mul, map(y.__getitem__, K), V)
+        costs = list(map(sum, zip(*[terms] * w)))
+        costs += obj[:m]
         if pivots < _BLAND_SWITCH:
-            best_cost = min(obj[: n + m])
-            enter = obj.index(best_cost) if best_cost < 0 else None
+            best_cost = min(costs)
+            enter = costs.index(best_cost) if best_cost < 0 else None
         else:
-            enter = next((j for j in range(n + m) if obj[j] < 0), None)
+            enter = next((j for j, c in enumerate(costs) if c < 0), None)
         if enter is None:
             break
+        if enter < n:
+            ks, vs = K[enter * w : enter * w + w], V[enter * w : enter * w + w]
+            terms = [r[k] for r in R for k in ks]  # R*a, grouped by row as above
+            entering = list(map(sum, zip(*[iter(terms) if unit else map(mul, terms, vs * m)] * w)))
+        else:
+            entering = [r[enter - n] for r in R]
         leave = None
-        for i in range(m):
-            tie = T[i][enter]
+        for i, tie in enumerate(entering):
             if tie > 0:
                 if leave is None:
                     leave = i
                 else:
-                    # compare rhs_i/tie with rhs_leave/T[leave][enter]
-                    lhs = T[i][-1] * T[leave][enter]
-                    rhs_ = T[leave][-1] * tie
+                    # compare rhs_i/tie with rhs_leave/entering[leave]
+                    lhs, rhs_ = R[i][m] * entering[leave], R[leave][m] * tie
                     if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[leave]):
                         leave = i
         if leave is None:
             return None  # cannot happen in phase 1 (objective bounded below)
-        prow = T[leave]
+        prow, piv = R[leave], entering[leave]
         if row_den[leave] != den_piv:
             d = row_den[leave]
-            prow = T[leave] = [a * den_piv // d for a in prow]
-        piv = prow[enter]
-        for i in range(m):
-            if i != leave:
-                row = T[i]
-                f = row[enter]
-                if f:
-                    d = row_den[i]
-                    T[i] = [(piv * a - f * b) // d for a, b in zip(row, prow)]
-                    row_den[i] = piv
-        f = obj[enter]
+            prow = R[leave] = [a * den_piv // d for a in prow]
+            piv = piv * den_piv // d
+        for i, f in enumerate(entering):
+            if f and i != leave:
+                d = row_den[i]
+                R[i] = [(piv * a - f * b) // d for a, b in zip(R[i], prow)]
+                row_den[i] = piv
+        f = costs[enter]
         obj = [(piv * a - f * b) // den_piv for a, b in zip(obj, prow)]
         den_piv = row_den[leave] = piv
         basis[leave] = enter
@@ -162,7 +183,7 @@ def feasible_nonnegative(
     x = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = Fraction(T[i][-1], row_den[i])
+            x[b] = Fraction(R[i][m], row_den[i])
     return x
 
 
@@ -204,35 +225,20 @@ def _tiling(g: Multigraph, copies: list[Copy]) -> Optional[TilingCertificate]:
     return None
 
 
-def _fractional_lp(
-    copies: list[Copy], mode: str, column_key, build_rows
-) -> Optional[FractionalTilingCertificate]:
+def _fractional_lp(reps: dict, columns: list, rhs: list[int], mode: str) -> Optional[FractionalTilingCertificate]:
     """Copies weighted so that every LP row meets its rhs, scaled to integers.
 
-    ``copies`` are every copy of H.  Copies with equal ``column_key`` cover
-    the rows alike, so the LP runs over the first copy of each key;
-    ``build_rows`` maps those columns to integer rows, each ending in its
-    rhs.  With no rows at all (the edge mode on K_1) coverage is vacuous.
-    The certificate keeps the copies of positive value, in copy order.
-    """
-    if not copies:
+    ``reps`` maps each column's key to its first copy, in column order.  No
+    rows (the edge mode on K_1) is vacuous coverage.  The certificate keeps
+    the copies of positive value, in copy order."""
+    if not reps:
         return None
-    reps: dict = {}
-    for i, c in enumerate(copies):
-        reps.setdefault(column_key(c), i)
-    cols = list(reps.values())
-    rows = build_rows([copies[i] for i in cols])
-    if rows:
-        x = feasible_nonnegative([r[:-1] for r in rows], [r[-1] for r in rows])
-    else:
-        x = [Fraction(1)] + [Fraction(0)] * (len(cols) - 1)
+    x = feasible_nonnegative(columns, rhs) if rhs else [Fraction(1)] + [Fraction(0)] * (len(reps) - 1)
     if x is None:
         return None
-    support = [(i, xi) for i, xi in zip(cols, x) if xi]
+    support = [(c, xi) for c, xi in zip(reps.values(), x) if xi]
     mults, m = clear_denominators([xi for _, xi in support])
-    return FractionalTilingCertificate(
-        copies=[copies[i] for i, _ in support], multiplicities=mults, coverage=m, mode=mode
-    )
+    return FractionalTilingCertificate(copies=[c for c, _ in support], multiplicities=mults, coverage=m, mode=mode)
 
 
 def check_fractional_tiling(g: Multigraph, h: Multigraph) -> Optional[FractionalTilingCertificate]:
@@ -242,16 +248,12 @@ def check_fractional_tiling(g: Multigraph, h: Multigraph) -> Optional[Fractional
 
 def _fractional_tiling(g: Multigraph, copies: list[Copy]) -> Optional[FractionalTilingCertificate]:
     """Copies with the same (sorted) vertices are interchangeable for
-    coverage, so the LP runs over one representative per vertex set."""
-
-    def rows(reps: list[Copy]) -> list[list[int]]:
-        out = [[0] * len(reps) + [1] for _ in range(g.n)]
-        for j, c in enumerate(reps):
-            for v in c.vertices:
-                out[v][j] = 1
-        return out
-
-    return _fractional_lp(copies, "vertex", lambda c: c.vertices, rows)
+    coverage, so the LP runs over one column per vertex set: a 1 in the row
+    of each of its vertices, against rhs 1."""
+    reps: dict = {}
+    for c in copies:
+        reps.setdefault(c.vertices, c)
+    return _fractional_lp(reps, [dict.fromkeys(vs, 1) for vs in reps], [1] * g.n, "vertex")
 
 
 def check_fractional_edge_tiling(g: Multigraph, h: Multigraph) -> Optional[FractionalTilingCertificate]:
@@ -261,20 +263,20 @@ def check_fractional_edge_tiling(g: Multigraph, h: Multigraph) -> Optional[Fract
 
 def _fractional_edge_tiling(g: Multigraph, copies: list[Copy]) -> Optional[FractionalTilingCertificate]:
     """Parallel units of one pair are interchangeable, so coverage is
-    accounted per pair: a copy's units on the pair against the pair
-    multiplicity, the row divided by its gcd (the row ``clear_denominators``
-    makes of the normalized one, so the simplex pivots alike)."""
-
-    def rows(reps: list[Copy]) -> list[list[int]]:
-        used = [{(u, v): m for u, v, m in c.edges} for c in reps]
-        out = []
-        for pair in sorted(g.adjacency):
-            row = [cm.get(pair, 0) for cm in used] + [g.adjacency[pair]]
-            d = math.gcd(*row)
-            out.append([a // d for a in row])
-        return out
-
-    return _fractional_lp(copies, "edge", lambda c: c.edges, rows)
+    accounted per pair, one row per pair of G in sorted order: a copy's
+    units on the pair against the pair multiplicity, over the row's gcd (as
+    ``clear_denominators`` scales the normalized row, so the simplex pivots
+    alike).  Copies with the same pairs share a column."""
+    reps: dict = {}
+    for c in copies:
+        reps.setdefault(c.edges, c)
+    gcd = dict(g.adjacency)  # pair -> the gcd of its row, rhs included
+    for edges in reps:
+        for u, v, units in edges:
+            gcd[u, v] = math.gcd(gcd[u, v], units)
+    row = {pair: i for i, pair in enumerate(sorted(g.adjacency))}
+    columns = [{row[u, v]: units // gcd[u, v] for u, v, units in edges} for edges in reps]
+    return _fractional_lp(reps, columns, [g.adjacency[pair] // gcd[pair] for pair in row], "edge")
 
 
 def check_domination(

@@ -289,9 +289,13 @@ class Violation:
 @dataclass
 class HuntResult:
     inequality: str
+    # the generator's fields, so that the record alone replays the hunt
     strategy: str
     seed: int
     relation: str
+    max_g: int
+    max_h: int
+    max_attempts: int
     trials: int
     checked: int = 0
     violations: list[Violation] = field(default_factory=list)
@@ -370,9 +374,7 @@ def hunt(
     t0 = time.perf_counter()
     result = HuntResult(
         inequality=ineq.value,
-        strategy=gen.strategy,
-        seed=gen.seed,
-        relation=gen.relation,
+        **vars(gen),
         trials=trials,
         params=checks.params_to_json({key: params[key] for key in given}),
     )

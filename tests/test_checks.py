@@ -358,6 +358,19 @@ def test_weighted_homomorphism_family():
     assert isinstance(r.lhs, (int, Fraction))
 
 
+@pytest.mark.parametrize("weights", [{0: 1}, {0: 1, 1: 2, 7: 1}])
+def test_hom_weights_that_do_not_match_the_target_are_an_error(weights):
+    """A weight missing for a target vertex, or given for a vertex the
+    target does not have, is a ValueError that names the weights."""
+    params = {
+        "family": "weighted_homomorphisms",
+        "hom_target": HomTarget.independent_set_target(),
+        "hom_weights": weights,
+    }
+    with pytest.raises(ValueError, match="hom_weights"):
+        check("vertex_counting", K4, K3, params=params)
+
+
 def test_tutte_pointwise_and_coefficients():
     r = check("tutte_pointwise", K4, K3)
     assert r.verdict == HOLDS and len(r.points) == 16

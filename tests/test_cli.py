@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 import json
 import os
 from unittest import mock
 
 import pytest
 
+from gdom import cli
 from gdom.cli import RunLog, main
 from gdom.search import PairGenerator, hunt
 from gdom.multigraph import complete_graph, serialize_graph, star_graph, path_graph, single_edge
@@ -297,6 +300,52 @@ def test_hunt_records_keep_their_params_as_json(tmp_path, capsys):
         gen = PairGenerator(result["strategy"], seed=result["seed"], relation=result["relation"])
         replay = hunt(result["inequality"], gen, result["trials"], result["params"])
         assert replay.summary() == record["summary"], argv
+
+
+def test_hunt_record_alone_replays_a_hunt_of_non_default_size(tmp_path, capsys):
+    log = str(tmp_path / "log")
+    argv = ["vertex_counting", "--strategy", "random_connected_pair", "--seed", "3", "--trials", "30"]
+    assert main(["hunt", *argv, "--max-n", "6", "--max-h", "3", "--log-dir", log]) == 0
+    capsys.readouterr()
+    (record,) = RunLog(log).records()
+    (result,) = record["reports"]
+    assert (result["max_g"], result["max_h"], result["max_attempts"]) == (6, 3, 200)
+    gen = PairGenerator(**{f.name: result[f.name] for f in dataclasses.fields(PairGenerator)})
+    replay = hunt(result["inequality"], gen, result["trials"], result["params"])
+    assert replay.summary() == record["summary"]
+    # the sizes matter: the same hunt at the generator's default sizes finds violations
+    default = hunt(result["inequality"], dataclasses.replace(gen, max_g=10, max_h=5), result["trials"])
+    assert default.summary() != record["summary"]
+
+
+def test_run_log_digests_are_those_of_the_bytes_parsed(graphs, tmp_path, capsys, monkeypatch):
+    """Each graph file is opened once, and the record holds the sha256 of
+    its bytes, also for a check whose H file does not parse."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"4; 0 1;\r\n 2 3\r\n")  # disconnected
+    opened = []
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    for i, (argv, g, h, code) in enumerate(
+        (
+            (["relate", "--certificates", "--json"], graphs["k4"], graphs["k3"], 0),
+            (["check", "spanning_tree"], graphs["k4"], str(bad), 3),
+        )
+    ):
+        log = str(tmp_path / f"log{i}")
+        opened.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "open", counted_open, raising=False)
+            assert main([*argv, g, h, "--log-dir", log]) == code
+        capsys.readouterr()
+        assert sorted(opened) == sorted([g, h, os.path.join(log, "runs.jsonl")])
+        (record,) = RunLog(log).records()
+        with open(g, "rb") as fg, open(h, "rb") as fh:
+            digests = {"g": hashlib.sha256(fg.read()).hexdigest(), "h": hashlib.sha256(fh.read()).hexdigest()}
+        assert record["input_digests"] == digests
 
 
 def test_run_log_reproducibility(graphs, capsys):

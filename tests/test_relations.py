@@ -1,6 +1,7 @@
 import ast
 import builtins
 import inspect
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -51,20 +52,25 @@ def grid4x4():
 # -- simplex -------------------------------------------------------------------
 
 
+def _columns(rows):
+    """The sparse columns of dense rows: each maps its rows to its nonzeros."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
+
+
 def test_simplex_feasible_and_infeasible():
     one = Fraction(1)
-    x = feasible_nonnegative([[one, one]], [one])
+    x = feasible_nonnegative(_columns([[one, one]]), [one])
     assert x is not None and sum(x) == 1 and all(v >= 0 for v in x)
     # x1 - x2 = 1 and x1 + x2 = 0 has no nonnegative solution
-    assert feasible_nonnegative([[one, -one], [one, one]], [one, Fraction(0)]) is None
+    assert feasible_nonnegative(_columns([[one, -one], [one, one]]), [one, Fraction(0)]) is None
     # equality forced: x = 3 in one variable
-    x = feasible_nonnegative([[Fraction(2)]], [Fraction(3)])
+    x = feasible_nonnegative(_columns([[Fraction(2)]]), [Fraction(3)])
     assert x == [Fraction(3, 2)]
 
 
 def test_simplex_negative_rhs_rows():
     one = Fraction(1)
-    x = feasible_nonnegative([[-one, -one]], [Fraction(-2)])
+    x = feasible_nonnegative(_columns([[-one, -one]]), [Fraction(-2)])
     assert x is not None and sum(x) == 2
 
 
@@ -78,7 +84,7 @@ def test_phase1_stops_when_objective_reaches_zero(monkeypatch):
         return costs[-1]
 
     monkeypatch.setattr(relations, "min", dantzig_min, raising=False)
-    assert feasible_nonnegative([[1, 0], [1, 1]], [1, 1]) == [1, 0]
+    assert feasible_nonnegative(_columns([[1, 0], [1, 1]]), [1, 1]) == [1, 0]
     assert [c < 0 for c in costs] == [True]
 
 
@@ -91,7 +97,7 @@ def test_simplex_against_scipy_oracle(seed):
     m, n = rng.randint(1, 5), rng.randint(1, 8)
     rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
     rhs = [Fraction(rng.randint(-4, 4)) for _ in range(m)]
-    x = feasible_nonnegative(rows, rhs)
+    x = feasible_nonnegative(_columns(rows), rhs)
     if x is not None:
         # soundness is exact: A x = b, x >= 0
         assert all(v >= 0 for v in x)
@@ -189,7 +195,7 @@ def test_lazy_row_scaling_matches_eager_simplex(monkeypatch, bland_switch, kind)
     feasible = 0
     for _ in range(300):
         rows, rhs = _random_lp(rng, kind)
-        x = feasible_nonnegative(rows, rhs)
+        x = feasible_nonnegative(_columns(rows), rhs)
         assert x == _eager_feasible_nonnegative(rows, rhs), (rows, rhs)
         feasible += x is not None
     assert 30 < feasible < 270
@@ -314,7 +320,7 @@ def _fraction_rows_certificate(g, h, mode):
         used = [{(u, v): m for u, v, m in copies[i].edges} for i in cols]
         rows = [[Fraction(cm.get(p, 0), g.adjacency[p]) for cm in used] for p in sorted(g.adjacency)]
     if rows:
-        x = feasible_nonnegative(rows, [Fraction(1)] * len(rows))
+        x = feasible_nonnegative(_columns(rows), [Fraction(1)] * len(rows))
     else:
         x = [Fraction(1)] + [Fraction(0)] * (len(cols) - 1)
     if x is None:
@@ -353,6 +359,100 @@ def test_integer_lp_rows_give_the_fraction_rows_certificates():
             assert got == ref, (g, h, mode)
             multi_edge_certs += cert is not None and mode == "edge" and not g.is_simple()
     assert multi_edge_certs > 20
+
+
+def _dense_lp(g, copies, mode):
+    """The first copy of each column and the integer rows, each ending in
+    its rhs, that the dense row builders made: vertex rows 0/1 against 1,
+    edge rows a copy's units on each pair of G against the pair
+    multiplicity, each row over its gcd."""
+    key = (lambda c: c.vertices) if mode == "vertex" else (lambda c: c.edges)
+    reps: dict = {}
+    for c in copies:
+        reps.setdefault(key(c), c)
+    reps = list(reps.values())
+    if mode == "vertex":
+        return reps, [[int(v in c.vertices) for c in reps] + [1] for v in range(g.n)]
+    used = [{(u, v): m for u, v, m in c.edges} for c in reps]
+    rows = []
+    for pair in sorted(g.adjacency):
+        row = [cm.get(pair, 0) for cm in used] + [g.adjacency[pair]]
+        rows.append([a // math.gcd(*row) for a in row])
+    return reps, rows
+
+
+def _eager_certificate(g, copies, mode):
+    """The certificate of the eager dense simplex over ``_dense_lp``'s rows."""
+    if not copies:
+        return None
+    reps, rows = _dense_lp(g, copies, mode)
+    if rows:
+        x = _eager_feasible_nonnegative([r[:-1] for r in rows], [r[-1] for r in rows])
+    else:
+        x = [Fraction(1)] + [Fraction(0)] * (len(reps) - 1)
+    if x is None:
+        return None
+    support = [(c, xi) for c, xi in zip(reps, x) if xi]
+    mults, m = clear_denominators([xi for _, xi in support])
+    return FractionalTilingCertificate(copies=[c for c, _ in support], multiplicities=mults, coverage=m, mode=mode)
+
+
+def _gcd_multigraph_pairs(rng, count):
+    """Pairs whose G has every multiplicity in {2, 4} and whose H has every
+    multiplicity 2, so every edge row has a gcd of at least 2."""
+    def doubled(x):
+        return Multigraph(x.n, [(u, v, 2 * m) for u, v, m, _ in x.edges])
+
+    pairs = []
+    for _ in range(count):
+        g = doubled(_random_multigraph(rng, rng.randint(4, 6), 1, 2, rng.randint(0, 4)))
+        pairs.append((g, doubled(_random_multigraph(rng, rng.randint(2, 4), 1, 1, rng.randint(0, 2)))))
+    return pairs
+
+
+def test_sparse_columns_give_the_dense_eager_certificates():
+    """The revised simplex over sparse copy columns pivots as the eager dense
+    tableau over the rows the dense builders made, so both copy deciders
+    give the same certificates: atlas <= 6 x <= 5, and multigraphs whose
+    edge rows have a gcd > 1."""
+    atlas = [(g, h, False) for g in atlas_up_to(6) for h in atlas_up_to(5) if h.n <= g.n]
+    held = {"vertex": 0, "edge": 0, "gcd edge": 0}
+    for g, h, gcd in atlas + [(g, h, True) for g, h in _gcd_multigraph_pairs(random.Random(1954), 120)]:
+        copies = enumerate_copies(g, h).copies
+        for mode, decider in (("vertex", relations._fractional_tiling), ("edge", relations._fractional_edge_tiling)):
+            cert = decider(g, copies)
+            assert cert == _eager_certificate(g, copies, mode), (g, h, mode)
+            held[mode] += cert is not None
+        held["gcd edge"] += gcd and cert is not None
+    assert min(held.values()) > 20, held
+
+
+def test_lp_cells_count_the_nonzeros_of_both_copy_lps(monkeypatch):
+    """Every copy column has one entry per vertex or per pair of H, so
+    ``len(columns) * len(columns[0])``, what the benchmark counts as LP
+    cells, is the LP's nonzero count, that of the dense rows included."""
+    calls = []
+    solve = relations.feasible_nonnegative
+
+    def spy(columns, rhs):
+        calls.append((columns, rhs))
+        return solve(columns, rhs)
+
+    monkeypatch.setattr(relations, "feasible_nonnegative", spy)
+    pairs = [(g, h) for g in atlas_up_to(5) for h in atlas_up_to(4) if h.n <= g.n]
+    pairs += _gcd_multigraph_pairs(random.Random(54), 40)
+    for g, h in pairs:
+        copies = enumerate_copies(g, h).copies
+        for mode, decider in (("vertex", relations._fractional_tiling), ("edge", relations._fractional_edge_tiling)):
+            calls.clear()
+            decider(g, copies)
+            if not calls:  # no copies, or no rows
+                continue
+            (columns, rhs), = calls
+            _, rows = _dense_lp(g, copies, mode)
+            nonzeros = sum(a != 0 for row in rows for a in row[:-1])
+            assert len(columns) * len(columns[0]) == sum(map(len, columns)) == nonzeros, (g, h, mode)
+            assert rhs == [row[-1] for row in rows]
 
 
 def test_relate_enumerates_copies_once(monkeypatch):
