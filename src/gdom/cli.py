@@ -289,6 +289,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _radius(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"radius must be a nonnegative integer, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="gdom", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--certificates", action="store_true")
     r.add_argument(
         "--local-stats",
-        type=int,
+        type=_radius,
         default=None,
         metavar="R",
         help="also report rooted-ball distribution distances up to radius R",

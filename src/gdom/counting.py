@@ -2,9 +2,14 @@
 
 Everything here is exact big-integer or big-rational arithmetic; no floats.
 Determinants use fraction-free Bareiss elimination on integer matrices
-(rational inputs are cleared to a common denominator first).  The Tutte
-recursion works on an internal representation that consumes loops created
-by contraction as y-factors immediately, so stored graphs stay loopless.
+(rational inputs are cleared to a common denominator first).
+
+The Tutte and chromatic polynomials share one recursion: split the graph
+into its blocks (``multigraph.blocks``) and multiply, T(G) = Π T(B) and
+P(G) = q·Π P(B)/q (Haggard, Pearce and Royle, ACM TOMS 2010); inside a
+block, delete and contract its first unit, memoized on the block's
+canonical code.  A tree costs no recursion depth; a long cycle is one
+block and still recurses once per edge.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .multigraph import Memo, Multigraph, bridges
+from .multigraph import Memo, Multigraph, blocks
 from .symmetry import cached_code
 
 Count = Union[int, Fraction]
@@ -147,10 +152,8 @@ class BivariatePoly:
         return result
 
     def evaluate(self, x: Count, y: Count) -> Count:
-        total: Fraction = Fraction(0)
-        for (i, j), c in self.coeffs:
-            total += Fraction(x) ** i * Fraction(y) ** j * c
-        return _as_count(total)
+        """The value at (x, y), in the arguments' own types: int points give an int."""
+        return sum(c * x**i * y**j for (i, j), c in self.coeffs)
 
     def substitute_plus_one(self) -> "BivariatePoly":
         """The polynomial p(x+1, y+1), by binomial expansion."""
@@ -177,51 +180,53 @@ _ONE = BivariatePoly.constant(1)
 
 _tutte_memo = Memo()
 
+Pairs = tuple[tuple[int, int, int], ...]  # sorted (u, v, mult), u < v
 
-def _tutte_rec(n: int, pairs: tuple[tuple[int, int, int], ...]) -> BivariatePoly:
-    """Tutte polynomial of a connected loopless multigraph (pairs: u < v, mult)."""
+
+def _blocks_of(g: Multigraph) -> list[tuple[int, Pairs]]:
+    """Each block of g as (k, its pairs relabelled onto 0..k-1, sorted)."""
+    adj = g.adjacency
+    out = []
+    for block in blocks(g):
+        lbl = {v: i for i, v in enumerate(sorted({w for pair in block for w in pair}))}
+        out.append((len(lbl), tuple(sorted((lbl[u], lbl[v], adj[(u, v)]) for u, v in block))))
+    return out
+
+
+def _contract(n: int, rest: Pairs, u: int, v: int) -> Pairs:
+    """The pairs of G/uv on n-1 vertices, parallel pairs merged; ``rest`` omits (u, v)."""
+    remap = [w if w < v else (u if w == v else w - 1) for w in range(n)]
+    merged: dict[tuple[int, int], int] = {}
+    for a, b, m in rest:
+        key = (remap[a], remap[b]) if remap[a] < remap[b] else (remap[b], remap[a])
+        merged[key] = merged.get(key, 0) + m
+    return tuple(sorted((a, b, m) for (a, b), m in merged.items()))
+
+
+def _tutte_rec(n: int, pairs: Pairs) -> BivariatePoly:
+    """Tutte polynomial of a connected loopless multigraph: T(G) = Π T(B) over
+    its blocks B, and deletion–contraction of the first unit within a block."""
     if not pairs:
         return _ONE
-    g = Multigraph(n, [(u, v, m, 1) for u, v, m in pairs], _validated=True)
+    if pairs == ((0, 1, 1),):
+        return _X
+    g = Multigraph(n, pairs, _validated=True)
+    parts = _blocks_of(g)
+    if len(parts) > 1:
+        result = _ONE
+        for k, block in parts:
+            result = result * _tutte_rec(k, block)
+        return result
     key = cached_code(g)
     hit = _tutte_memo.get(key)
     if hit is not None:
         return hit
-
-    plist = list(pairs)
-    cut = bridges(g)
-    # prefer a non-bridge unit so deletion keeps the graph connected
-    pick = next(
-        (i for i, (u, v, m) in enumerate(plist) if m > 1 or (u, v) not in cut),
-        None,
-    )
-    if pick is None:
-        # every remaining pair is a single bridge: a tree with len(plist) edges
-        result = _X.power(len(plist))
-    else:
-        u, v, m = plist[pick]
-        rest = plist[:pick] + plist[pick + 1 :]
-        # deletion of one unit
-        if m > 1:
-            deleted = tuple(sorted(rest + [(u, v, m - 1)]))
-        else:
-            deleted = tuple(sorted(rest))
-        t_del = _tutte_rec(n, deleted)
-        # contraction of one unit: m-1 sibling units become loops -> y factors
-        remap = [w if w < v else (u if w == v else w - 1) for w in range(n)]
-        merged: dict[tuple[int, int], int] = {}
-        for a, b, mm in rest:
-            x, y = remap[a], remap[b]
-            if x == y:
-                continue  # only mates of the contracted pair collapse; the y factor counts them
-            if x > y:
-                x, y = y, x
-            merged[(x, y)] = merged.get((x, y), 0) + mm
-        contracted = tuple(sorted((a, b, mm) for (a, b), mm in merged.items()))
-        t_con = _tutte_rec(n - 1, contracted).shift_y(m - 1)
-        result = t_del + t_con
-
-    return _tutte_memo.put(key, result)
+    # deleting a unit of a 2-connected block, or of a multiple pair, keeps it
+    # connected; contracting it turns its m-1 mates into loops, y factors
+    (u, v, m), rest = pairs[0], pairs[1:]
+    deleted = ((u, v, m - 1),) + rest if m > 1 else rest
+    contracted = _tutte_rec(n - 1, _contract(n, rest, u, v)).shift_y(m - 1)
+    return _tutte_memo.put(key, _tutte_rec(n, deleted) + contracted)
 
 
 def tutte_polynomial(g: Multigraph) -> BivariatePoly:
@@ -236,11 +241,11 @@ def tutte_polynomial(g: Multigraph) -> BivariatePoly:
 
 
 def count_forests(g: Multigraph) -> int:
-    return int(tutte_polynomial(g).evaluate(2, 1))
+    return tutte_polynomial(g).evaluate(2, 1)
 
 
 def count_acyclic_orientations(g: Multigraph) -> int:
-    return int(tutte_polynomial(g).evaluate(2, 0))
+    return tutte_polynomial(g).evaluate(2, 0)
 
 
 # -- independent sets --------------------------------------------------------
@@ -289,64 +294,34 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _components(n: int, edges: frozenset[tuple[int, int]]) -> list[tuple[int, frozenset]]:
-    nbrs: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, v in edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    seen: set[int] = set()
-    comps = []
-    for s in range(n):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in nbrs[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        lbl = {v: i for i, v in enumerate(sorted(comp))}
-        comp_edges = frozenset(
-            (min(lbl[u], lbl[v]), max(lbl[u], lbl[v])) for u, v in edges if u in comp
-        )
-        comps.append((len(comp), comp_edges))
-    return comps
-
-
-def _chromatic_connected(n: int, edges: frozenset[tuple[int, int]]) -> tuple[int, ...]:
-    if not edges:
-        return tuple([0] * n + [1])  # q^n
-    key = cached_code(Multigraph(n, [(u, v, 1, 1) for u, v in edges], _validated=True))
+def _chromatic_connected(n: int, pairs: Pairs) -> tuple[int, ...]:
+    """Chromatic polynomial of a connected simple graph (every mult 1), ascending
+    powers of q: P(G) = q·Π P(B)/q over its blocks B, and deletion–contraction
+    of the first pair within a block."""
+    if not pairs:
+        return (0, 1)
+    if pairs == ((0, 1, 1),):
+        return (0, -1, 1)
+    g = Multigraph(n, pairs, _validated=True)
+    parts = _blocks_of(g)
+    if len(parts) > 1:
+        quotient: tuple[int, ...] = (1,)
+        for k, block in parts:
+            quotient = _poly_mul(quotient, _chromatic_connected(k, block)[1:])
+        return (0,) + quotient
+    key = cached_code(g)
     hit = _chromatic_memo.get(key)
     if hit is not None:
         return hit
-    u, v = min(edges)
-    deleted = edges - {(u, v)}
-    p_del = _chromatic_poly(n, deleted)
-    remap = [w if w < v else (u if w == v else w - 1) for w in range(n)]
-    contracted = frozenset(
-        (min(remap[a], remap[b]), max(remap[a], remap[b]))
-        for a, b in deleted
-        if remap[a] != remap[b]
-    )
-    p_con = _chromatic_poly(n - 1, contracted)
-    return _chromatic_memo.put(key, _poly_sub(p_del, p_con))
-
-
-def _chromatic_poly(n: int, edges: frozenset[tuple[int, int]]) -> tuple[int, ...]:
-    out = (1,)
-    for cn, cedges in _components(n, edges):
-        out = _poly_mul(out, _chromatic_connected(cn, cedges))
-    return out
+    (u, v, _), rest = pairs[0], pairs[1:]
+    contracted = tuple((a, b, 1) for a, b, _ in _contract(n, rest, u, v))
+    result = _poly_sub(_chromatic_connected(n, rest), _chromatic_connected(n - 1, contracted))
+    return _chromatic_memo.put(key, result)
 
 
 def chromatic_polynomial(g: Multigraph) -> tuple[int, ...]:
     """Coefficients of the chromatic polynomial, ascending powers of q."""
-    edges = frozenset(g.adjacency)
-    return _chromatic_connected(g.n, edges)
+    return _chromatic_connected(g.n, tuple((u, v, 1) for u, v in sorted(g.adjacency)))
 
 
 def count_proper_colorings(g: Multigraph, q: int) -> int:

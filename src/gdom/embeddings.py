@@ -168,15 +168,3 @@ def rooted_copy_relation(g: Multigraph, h: Multigraph) -> set[tuple[int, int]]:
         if len(rel) == full:
             break
     return rel
-
-
-def covers_every_vertex(g: Multigraph, h: Multigraph) -> bool:
-    """True iff each vertex of g lies in some copy of h."""
-    if h.n > g.n:
-        return False
-    covered: set[int] = set()
-    for emb in embeddings_iter(g, h):
-        covered.update(emb)
-        if len(covered) == g.n:
-            return True
-    return False

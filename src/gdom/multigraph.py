@@ -2,9 +2,14 @@
 
 Graphs here are finite, connected, loopless multigraphs: parallel edges
 are first class (a ``mult`` field), weights are exact rationals, and all
-surgery (vertex contraction, edge-set contraction, subdivision) stays in
-exact arithmetic.  Loops produced by contraction are discarded; the
-number discarded is reported through the module logger for debugging.
+surgery (vertex contraction, edge-set contraction) stays in exact
+arithmetic.  Loops produced by contraction are discarded; the number
+discarded is reported through the module logger for debugging.
+
+``blocks`` is the one cut-vertex and bridge finder: it splits a graph into
+its blocks, where a bridge is a block of one pair.  Both deletion–contraction
+recursions in ``counting`` (Tutte and chromatic) split there, and
+``has_cut_edge`` reads the single-unit bridges off it.
 
 A weight whose value is an integer is stored as that ``int`` (a unit
 weight as ``1``), any other as a normalized ``Fraction``.  Since
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -131,10 +137,6 @@ class Multigraph:
 
     def edge_unit_count(self) -> int:
         return sum(m for _, _, m, _ in self.edges)
-
-    def total_weight(self) -> Fraction:
-        """Sum of weight over edge units."""
-        return sum((m * wt for _, _, m, wt in self.edges), Fraction(0))
 
     def is_simple(self) -> bool:
         return all(m == 1 for m in self.adjacency.values())
@@ -293,62 +295,47 @@ def contract_subgraph_edges(
     return _quotient(g, cls)
 
 
-def subdivide_edge(g: Multigraph, edge_index: int) -> Multigraph:
-    """Replace one unit of edge record ``edge_index`` by a 2-path through a new vertex."""
-    if not (0 <= edge_index < len(g.edges)):
-        raise GraphError(f"no edge record {edge_index}")
-    u, v, m, w = g.edges[edge_index]
-    edges = [rec for i, rec in enumerate(g.edges) if i != edge_index]
-    if m > 1:
-        edges.append((u, v, m - 1, w))
-    z = g.n
-    edges.append((u, z, 1, w))
-    edges.append((v, z, 1, w))
-    return Multigraph(g.n + 1, edges, _validated=True)
+def blocks(g: Multigraph) -> list[list[tuple[int, int]]]:
+    """The blocks (biconnected components) of g, each as its pairs (u < v).
 
-
-def bridges(g: Multigraph) -> set[tuple[int, int]]:
-    """Pairs (u < v) whose removal, with all their parallel units, disconnects g.
-
-    Iterative DFS low-point test; the graph is connected, so one DFS from
-    vertex 0 reaches every vertex.
+    A bridge is a block of one pair, whatever its multiplicity.  Iterative
+    Hopcroft–Tarjan: one DFS from vertex 0 (the graph is connected) stacks
+    tree and back pairs, and a child whose low point does not reach above
+    its parent pops the pairs stacked since its tree pair as one block.
     """
     nbrs = g.neighbors
-    disc = [-1] * g.n
+    disc = [0] + [-1] * (g.n - 1)
     low = [0] * g.n
-    timer = 0
-    stack: list[tuple[int, int, int]] = [(0, -1, 0)]
-    order: list[tuple[int, int]] = []
+    timer = 1
+    found: list[list[tuple[int, int]]] = []
+    pairs: list[tuple[int, int]] = []
+    stack = [(0, -1, iter(nbrs[0]), 0)]  # vertex, DFS parent, neighbours left, its tree pair's index
     while stack:
-        x, parent, idx = stack.pop()
-        if idx == 0:
-            disc[x] = low[x] = timer
-            timer += 1
-            order.append((x, parent))
-        children = nbrs[x]
-        while idx < len(children):
-            y = children[idx]
-            idx += 1
+        x, parent, it, start = stack[-1]
+        for y in it:
             if disc[y] == -1:
-                stack.append((x, parent, idx))
-                stack.append((y, x, 0))
+                disc[y] = low[y] = timer
+                timer += 1
+                stack.append((y, x, iter(nbrs[y]), len(pairs)))
+                pairs.append((min(x, y), max(x, y)))
                 break
-            elif y != parent:
+            if y != parent and disc[y] < disc[x]:
                 low[x] = min(low[x], disc[y])
-    # propagate lows to parents in reverse discovery order
-    found: set[tuple[int, int]] = set()
-    for x, parent in reversed(order):
-        if parent != -1:
-            low[parent] = min(low[parent], low[x])
-            if low[x] > disc[parent]:
-                found.add((min(x, parent), max(x, parent)))
+                pairs.append((min(x, y), max(x, y)))
+        else:
+            stack.pop()
+            if parent != -1:
+                low[parent] = min(low[parent], low[x])
+                if low[x] >= disc[parent]:
+                    found.append(pairs[start:])
+                    del pairs[start:]
     return found
 
 
 def has_cut_edge(g: Multigraph) -> bool:
     """True iff deleting some single edge unit disconnects the graph."""
     adj = g.adjacency
-    return any(adj[pair] == 1 for pair in bridges(g))
+    return any(len(b) == 1 and adj[b[0]] == 1 for b in blocks(g))
 
 
 # -- serialization --------------------------------------------------------
@@ -480,9 +467,22 @@ def _parse_json(text: str) -> Multigraph:
         raise FormatError(f"bad JSON: {exc.msg}", exc.pos) from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise FormatError("JSON graph needs keys 'n' and 'edges'")
+    # a bool is an int subclass, so the integer checks compare exact types
+    if type(obj["n"]) is not int:
+        raise FormatError(f"vertex count {obj['n']!r} is not an integer")
+    if not isinstance(obj["edges"], list) or not isinstance(obj.get("labels", []), list):
+        raise FormatError("JSON 'edges' and 'labels' must be lists")
     for rec in obj["edges"]:
-        if not 2 <= len(rec) <= 4:
+        if not isinstance(rec, list) or not 2 <= len(rec) <= 4:
             raise FormatError(f"bad edge record {rec!r}")
+        if any(type(x) is not int for x in rec[:3]):
+            raise FormatError(f"edge record {rec!r}: endpoints and multiplicity must be integers")
+        if len(rec) == 4:
+            w = rec[3]
+            if type(w) is str:
+                rec[3] = _parse_fraction(w, None)
+            elif not (type(w) is int or type(w) is float and math.isfinite(w)):
+                raise FormatError(f"edge record {rec!r}: bad weight")
     try:
         return Multigraph(obj["n"], obj["edges"], labels=obj.get("labels"))
     except DisconnectedError:

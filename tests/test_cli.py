@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 from unittest import mock
 
 import pytest
@@ -71,6 +72,14 @@ def test_relate_local_stats(graphs, capsys):
     assert "half-L1" in tv["convention"]
     assert tv["by_radius"]["0"] == "0/1"  # radius-0 balls all look alike
     assert tv["by_radius"]["1"] == "1/1"  # K4 and K3 have disjoint 1-ball classes
+
+
+def test_relate_negative_local_stats_radius_is_a_usage_error(graphs, capsys):
+    for radius in ("-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["relate", graphs["edge"], graphs["edge"], "--local-stats", radius, "--json", "--log-dir", graphs["log"]])
+        assert exc.value.code == 3
+        assert "radius must be a nonnegative integer" in capsys.readouterr().err
 
 
 def test_relate_h_larger(graphs, capsys):
@@ -187,6 +196,47 @@ def test_usage_error_exits_3(graphs, tmp_path, capsys):
         assert exc.value.code == 3, argv
         assert "error:" in capsys.readouterr().err
     assert not os.path.exists(log)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "edges": [["0", 1]]}',
+        '{"n": "2", "edges": [[0, 1]]}',
+        '{"n": true, "edges": [[0, 1]]}',
+        '{"n": 2, "edges": [[0, 1, 1.5]]}',
+        '{"n": 2, "edges": [[0, 1, true]]}',
+        '{"n": 2, "edges": [[0, 1, 1, "1/0"]]}',
+        '{"n": 2, "edges": [[0, 1, 1, Infinity]]}',
+        '{"n": 2, "edges": [[0, 1, 1, [1]]]}',
+        '{"n": 2, "edges": 5}',
+    ],
+)
+def test_json_graph_fields_of_the_wrong_type_are_an_error(graphs, tmp_path, capsys, text):
+    # each used to end in a traceback (exit 1, "violated") or to be read as another graph
+    g = tmp_path / "g.json"
+    g.write_text(text)
+    log = str(tmp_path / "log")
+    assert main(["check", "spanning_tree", str(g), graphs["edge"], "--log-dir", log]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    (record,) = RunLog(log).records()
+    assert record["summary"].startswith("check error: ") and record["reports"] == []
+
+
+def test_check_colorings_of_a_long_path_under_a_low_recursion_limit(tmp_path, capsys):
+    # a path is all one-edge blocks, so its chromatic polynomial takes no recursion per edge
+    p = tmp_path / "p150.txt"
+    p.write_text(serialize_graph(path_graph(150)))
+    e = tmp_path / "k2.txt"
+    e.write_text(serialize_graph(single_edge()))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        rc = main(["check", "vertex_counting:proper_colorings", str(p), str(e), "--json", "--log-dir", str(tmp_path / "l")])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["lhs"] == str(3 * 2**149)
 
 
 def test_check_op_monotone_is_exact(graphs, capsys):

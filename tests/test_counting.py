@@ -285,6 +285,12 @@ def test_chromatic_polynomial_parallel_edges_collapse():
     assert chromatic_polynomial(simple) == chromatic_polynomial(multi)
 
 
+def test_colorings_of_long_trees():
+    # a tree is all one-edge blocks: P = q (q-1)^(n-1), with no recursion per edge
+    assert count_proper_colorings(path_graph(600), 3) == 3 * 2**599
+    assert count_proper_colorings(star_graph(599), 3) == 3 * 2**599
+
+
 # -- homomorphisms ---------------------------------------------------------------------
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from gdom.embeddings import (
     Copy,
-    covers_every_vertex,
     embeddings_iter,
     enumerate_copies,
     rooted_copy_relation,
@@ -21,7 +20,7 @@ from gdom.multigraph import (
 )
 from gdom.symmetry import automorphisms
 
-from conftest import atlas_up_to, brute_embeddings, random_connected
+from conftest import atlas_up_to, brute_embeddings, covers_every_vertex, random_connected
 
 
 def test_k4_triangles():

@@ -12,6 +12,7 @@ from gdom.multigraph import (
     FormatError,
     GraphError,
     Multigraph,
+    blocks,
     complete_graph,
     contract_complement,
     contract_subgraph_edges,
@@ -23,7 +24,6 @@ from gdom.multigraph import (
     serialize_graph,
     single_edge,
     star_graph,
-    subdivide_edge,
 )
 from gdom.counting import count_spanning_trees
 
@@ -164,6 +164,20 @@ def test_contract_subgraph_middle_edge_of_path4():
 def test_contract_subgraph_rejects_non_edges():
     with pytest.raises(GraphError):
         contract_subgraph_edges(path_graph(3), [0, 2], [(0, 2)])
+
+
+def subdivide_edge(g: Multigraph, edge_index: int) -> Multigraph:
+    """Replace one unit of edge record ``edge_index`` by a 2-path through a new vertex."""
+    if not (0 <= edge_index < len(g.edges)):
+        raise GraphError(f"no edge record {edge_index}")
+    u, v, m, w = g.edges[edge_index]
+    edges = [rec for i, rec in enumerate(g.edges) if i != edge_index]
+    if m > 1:
+        edges.append((u, v, m - 1, w))
+    z = g.n
+    edges.append((u, z, 1, w))
+    edges.append((v, z, 1, w))
+    return Multigraph(g.n + 1, edges, _validated=True)
 
 
 def test_subdivide_single_edge():
@@ -309,6 +323,20 @@ def test_cut_edge_against_brute_force():
         ]
         g2 = Multigraph(g.n, edges)
         assert has_cut_edge(g2) == brute_has_cut_edge(g2)
+
+
+def test_blocks_against_networkx():
+    rng = random.Random(19)
+    graphs = list(atlas_up_to(6))
+    for _ in range(200):
+        g = random_connected(rng, rng.randint(1, 14), extra=rng.randint(0, 10))
+        # multiplicities do not change the blocks
+        graphs.append(Multigraph(g.n, [(u, v, rng.randint(1, 3)) for u, v in g.adjacency]))
+    for g in graphs:
+        nxg = nx.Graph(list(g.adjacency))
+        nxg.add_nodes_from(range(g.n))
+        expected = sorted(sorted(tuple(sorted(e)) for e in b) for b in nx.biconnected_component_edges(nxg))
+        assert sorted(sorted(b) for b in blocks(g)) == expected, g.edges
 
 
 # -- validation -------------------------------------------------------------------

@@ -642,7 +642,7 @@ def test_fractional_tiling_implies_domination(seed):
 def test_transitive_shortcuts_on_atlas():
     """For transitive H: domination iff every vertex covered; for transitive G:
     domination iff a copy exists, and then H fractionally tiles G."""
-    from gdom.embeddings import covers_every_vertex
+    from conftest import covers_every_vertex
 
     graphs = atlas_up_to(5)
     rng = random.Random(77)

@@ -49,7 +49,7 @@ def test_random_subgraph_is_a_copy():
 
 
 def test_overlay_covers_every_vertex():
-    from gdom.embeddings import covers_every_vertex
+    from conftest import covers_every_vertex
 
     rng = Stream(87)
     for _ in range(20):

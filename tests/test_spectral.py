@@ -15,7 +15,6 @@ from gdom.spectral import (
     eigenvalues,
     exp_decay,
     heat_trace,
-    heat_trace_derivative_at_zero,
     heat_trace_sum_from_matrix,
     hinge,
     jacobi_eigenvalues,
@@ -24,7 +23,7 @@ from gdom.spectral import (
     spectral_functional,
 )
 
-from conftest import atlas_up_to, random_connected
+from conftest import atlas_up_to, heat_trace_derivative_at_zero, random_connected
 
 
 def test_k2_spectrum():
