@@ -152,7 +152,7 @@ def _analyze_fields(g: Multigraph, t_grid: list) -> dict:
     field("independent_sets", lambda: str(count_independent_sets(g)))
     field("matchings", lambda: str(count_matchings(g)))
     fields["spectrum"] = eigenvalues(g).values
-    fields["heat_trace"] = [[str(t), heat_trace(g, float(t))] for t in t_grid]
+    fields["heat_trace"] = [[str(t), heat_trace(g, t)] for t in t_grid]
     return fields
 
 

@@ -134,9 +134,6 @@ class BivariatePoly:
                 d[key] = d.get(key, 0) + a * b
         return BivariatePoly.from_dict(d)
 
-    def scale(self, c: int) -> "BivariatePoly":
-        return BivariatePoly.from_dict({k: c * v for k, v in self.coeffs})
-
     def shift_y(self, k: int) -> "BivariatePoly":
         """Multiply by y^k."""
         return BivariatePoly(tuple(((i, j + k), v) for (i, j), v in self.coeffs))
@@ -168,10 +165,6 @@ class BivariatePoly:
 
     def to_json_triples(self) -> list[list]:
         return [[i, j, str(v)] for (i, j), v in self.coeffs]
-
-    @staticmethod
-    def from_json_triples(triples: list[list]) -> "BivariatePoly":
-        return BivariatePoly.from_dict({(int(i), int(j)): int(v) for i, j, v in triples})
 
 
 _X = BivariatePoly.from_dict({(1, 0): 1})
@@ -343,10 +336,6 @@ class HomTarget:
 
     def adjacent(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
-
-    @staticmethod
-    def looped_vertex() -> "HomTarget":
-        return HomTarget(1, frozenset({(0, 0)}))
 
     @staticmethod
     def independent_set_target() -> "HomTarget":

@@ -1,9 +1,12 @@
 """Laplacian spectra, heat-kernel traces, and spectral functionals.
 
 Eigenvalues come from Householder tridiagonalisation followed by implicit
-QL with Wilkinson shifts; floating point enters only here.  Shifted
-determinants stay exact (Bareiss over rationals) so the operator-monotone
-checks can be decided by big-integer comparison.
+QL with Wilkinson shifts; floating point enters only here.  Every trace of a
+function of a Laplacian, heat traces and the decreasing convex functionals
+alike, is one :func:`spectral_sum` over the memoized :func:`eigenvalues` of
+a graph; a weighted cover's entries are read as graphs through the same
+memo.  Shifted determinants stay exact (Bareiss over rationals) so the
+operator-monotone checks can be decided by big-integer comparison.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .counting import rational_determinant
 from .multigraph import Memo, Multigraph
@@ -35,14 +38,10 @@ class EigensolverError(RuntimeError):
 @dataclass
 class Spectrum:
     values: list[float]  # ascending
-    dimension: int
     # Bound on |lambda_computed - lambda_true| for every eigenvalue, by Weyl's
     # inequality: the Frobenius norm of the off-diagonal entries QL neglected,
     # plus the backward error of the Householder and QL rotations.
     residual: float
-
-    def trace(self) -> float:
-        return sum(self.values)
 
 
 def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
@@ -141,13 +140,13 @@ def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> Spectrum:
     n = len(matrix)
     a = [list(map(float, row)) for row in matrix]
     if n == 1:
-        return Spectrum(values=[a[0][0]], dimension=1, residual=0.0)
+        return Spectrum(values=[a[0][0]], residual=0.0)
     frobenius = math.hypot(*(x for row in a for x in row))
     d, e = _tridiagonalize(a)
     neglected = _ql_implicit(d, e)
     d.sort()
     residual = math.sqrt(2.0 * neglected) + BACKWARD_ERROR_FACTOR * n * n * 2.0**-53 * frobenius
-    return Spectrum(values=d, dimension=n, residual=residual)
+    return Spectrum(values=d, residual=residual)
 
 
 _spectra = Memo()
@@ -164,6 +163,14 @@ def eigenvalues(g: Multigraph) -> Spectrum:
 
 
 # -- functionals ----------------------------------------------------------
+
+
+def _float(x, what: str) -> float:
+    """``float(x)``; an x beyond the float range is a ValueError that names it."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} {x} is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -183,6 +190,7 @@ class FunctionalSpec:
             raise ValueError(f"unknown functional family {self.family!r}")
         if self.family != "hinge" and self.param <= 0:
             raise ValueError(f"{self.family} needs a positive parameter")
+        _float(self.param, f"{self.family} parameter")
 
     def __call__(self, s: float) -> float:
         p = float(self.param)
@@ -217,10 +225,15 @@ def shifted_inverse(t) -> FunctionalSpec:
     return FunctionalSpec("shifted_inverse", Fraction(t))
 
 
+def spectral_sum(g: Multigraph, f: Callable[[float], float]) -> float:
+    """sum f(lambda_i) over the Laplacian eigenvalues of g, each clipped at 0,
+    not normalized: the one sum over a spectrum."""
+    return sum(f(max(v, 0.0)) for v in eigenvalues(g).values)
+
+
 def spectral_functional(g: Multigraph, spec: FunctionalSpec) -> float:
     """Normalized trace (1/|G|) sum f(lambda_i)."""
-    eig = eigenvalues(g)
-    return sum(spec(max(v, 0.0)) for v in eig.values) / g.n
+    return spectral_sum(g, spec) / g.n
 
 
 def spectral_functional_error(g: Multigraph, spec: FunctionalSpec) -> float:
@@ -232,12 +245,12 @@ def spectral_functional_error(g: Multigraph, spec: FunctionalSpec) -> float:
     return lip * eig.residual + float_noise
 
 
-def heat_trace(g: Multigraph, t: float) -> float:
-    """Mean return probability (1/|G|) sum_x p_t(x; G) = (1/|G|) sum exp(-t lambda_i)."""
+def heat_trace(g: Multigraph, t) -> float:
+    """Mean return probability (1/|G|) sum_x p_t(x; G) = (1/|G|) sum exp(-t lambda_i), t >= 0."""
+    t = _float(t, "time")
     if t < 0:
         raise ValueError("time must be nonnegative")
-    eig = eigenvalues(g)
-    return sum(math.exp(-t * max(v, 0.0)) for v in eig.values) / g.n
+    return spectral_sum(g, lambda s: math.exp(-t * s)) / g.n
 
 
 # -- exact shifted determinants ---------------------------------------------
@@ -252,14 +265,3 @@ def shifted_determinant_exact(g: Multigraph, t: Fraction) -> Fraction:
     for i in range(g.n):
         L[i][i] += t
     return rational_determinant(L)
-
-
-# -- raw traces on explicit Laplacians (for weighted covers) -----------------
-
-
-def heat_trace_sum_from_matrix(matrix: list[list[Fraction]], ts: Sequence[float]) -> list[float]:
-    """sum_x p_t(x) at each t of ``ts`` for an arbitrary PSD Laplacian-like
-    matrix (not normalized), from one spectrum."""
-    spec = jacobi_eigenvalues([[float(x) for x in row] for row in matrix])
-    values = [max(v, 0.0) for v in spec.values]
-    return [sum(math.exp(-t * v) for v in values) for t in ts]

@@ -82,17 +82,17 @@ def _canon_tuple(adj, colors, n, root) -> tuple:
     branch = cell
     if len(cell) >= _ORBIT_PRUNE_CELL:
         # vertices in one orbit of the color-preserving automorphism group
-        # lead to equal subtree minima; branch on representatives only
+        # lead to equal subtree minima; branch on representatives only, each
+        # found with its orbit, the level-0 orbit of a chain based at it
         inv = [
             (colors[v], tuple(sorted((colors[u], m) for u, m in adj[v].items())))
             for v in range(n)
         ]
-        gens, _ = _stabilizer_chain(adj, inv, n)
         covered: set[int] = set()
         branch = []
         for v in cell:
             if v not in covered:
-                covered |= _orbit_closure(n, [v], gens)
+                covered |= _stabilizer_chain(adj, inv, n, [v])[1][0]
                 branch.append(v)
     best = None
     for v in branch:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -301,7 +302,7 @@ def test_op_monotone_calls_no_eigensolver(monkeypatch):
     monkeypatch.setattr(spectral, "jacobi_eigenvalues", refuse)
     monkeypatch.setattr(spectral, "eigenvalues", refuse)
     assert check("op_monotone", K4, K3).verdict == HOLDS
-    assert check("op_monotone", cycle_graph(6), P3).ok
+    assert check("op_monotone", cycle_graph(6), P3).verdict in (HOLDS, HOLDS_WITH_EQUALITY)
 
 
 def test_empty_grid_is_an_error():
@@ -466,6 +467,18 @@ def test_weighted_cover_entry_must_be_a_weighted_graph(edge):
         check("weighted_cover_heat", K4, params={"weighted_cover": cover})
 
 
+def test_weighted_cover_entry_with_a_loop_is_an_error():
+    cover = [{"vertices": [0, 1, 2, 3], "edges": [[0, 0, 1, "1"], [0, 1, 1, "1"]]}]
+    with pytest.raises(ValueError, match="loop"):
+        check("weighted_cover_heat", K4, params={"weighted_cover": cover})
+
+
+def test_weighted_cover_heat_at_t_zero_is_an_error():
+    cover = [{"vertices": [0, 1, 2, 3], "edges": [[u, v, m, "1/2"] for u, v, m, _ in K4.edges]}]
+    with pytest.raises(ValueError, match="exp_decay needs a positive parameter"):
+        check("weighted_cover_heat", K4, params={"weighted_cover": cover, "t_grid": "0"})
+
+
 def test_weighted_cover_heat_solves_each_spectrum_once(monkeypatch):
     from gdom import spectral
     from gdom.multigraph import Memo
@@ -484,6 +497,24 @@ def test_weighted_cover_heat_solves_each_spectrum_once(monkeypatch):
     r = check("weighted_cover_heat", g, params={"weighted_cover": cover})
     assert r.hypothesis_ok and len(r.points) == len(default_t_grid()) == 13
     assert calls == [5, 5]  # one for G, one for the cover entry
+    # a repeated entry is the same graph, recalled from the memo
+    calls.clear()
+    monkeypatch.setattr(spectral, "_spectra", Memo())
+    r = check("weighted_cover_heat", g, params={"weighted_cover": cover * 2})
+    assert r.hypothesis_ok and r.params["m"] == 2
+    assert calls == [5, 5]
+
+
+def test_weighted_cover_heat_disconnected_entry():
+    # one entry, two disjoint unit edges covering C4 once: its trace is
+    # 2 (1 + e^-2t) over 4 vertices, C4's is (1 + 2 e^-2t + e^-4t) / 4
+    c4 = cycle_graph(4)
+    cover = [{"vertices": [0, 1, 2, 3], "edges": [[0, 1, 1, "1"], [2, 3, 1, "1"]]}]
+    r = check("weighted_cover_heat", c4, params={"weighted_cover": cover, "t_grid": "1/2,1,2"})
+    assert r.hypothesis_ok and r.verdict == HOLDS
+    for p, t in zip(r.points, (0.5, 1.0, 2.0)):
+        assert abs(p.rhs - (1 + math.exp(-2 * t)) / 2) < 1e-12
+        assert abs(p.lhs - (1 + 2 * math.exp(-2 * t) + math.exp(-4 * t)) / 4) < 1e-12
 
 
 def test_certificate_passthrough():

@@ -159,6 +159,36 @@ def test_zero_denominator_is_an_error(graphs, tmp_path, capsys):
         assert record["summary"].startswith("check error: ") and record["reports"] == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "heat_trace_frac", "k4", "k3", "--t-grid", "1e400"],
+        ["analyze", "k4", "--t-grid", "1e400"],
+        ["check", "spectral_decreasing_convex", "k4", "k3", "--hinge", "1e400"],
+        ["check", "spectral_decreasing_convex", "k4", "k3", "--hinge", "exp_decay(1e400)"],
+        ["hunt", "spectral_decreasing_convex", "--hinge", "1e400", "--trials", "2"],
+    ],
+)
+def test_a_parameter_beyond_the_float_range_is_an_error(graphs, tmp_path, capsys, argv):
+    # float() of 10^400 overflows: exit 3 with an error record, not a traceback ending in exit 1
+    argv = [graphs.get(arg, arg) for arg in argv]
+    log = str(tmp_path / "log")
+    assert main([*argv, "--log-dir", log]) == 3
+    assert "beyond the float range" in capsys.readouterr().err
+    (record,) = RunLog(log).records()
+    assert record["summary"].startswith(f"{argv[0]} error: ") and record["reports"] == []
+
+
+def test_heat_trace_at_t_zero_is_an_error_for_isomorphic_graphs_too(graphs, tmp_path, capsys):
+    # exp_decay(0) is no decreasing function; isomorphic graphs take no shortcut past that
+    for i, (g, h) in enumerate((("k3", "k3"), ("k4", "k3"))):
+        log = str(tmp_path / f"log{i}")
+        assert main(["check", "heat_trace_frac", graphs[g], graphs[h], "--t-grid", "0", "--log-dir", log]) == 3
+        assert "exp_decay needs a positive parameter" in capsys.readouterr().err
+        (record,) = RunLog(log).records()
+        assert record["summary"].startswith("check error: ")
+
+
 def test_unread_and_malformed_params_are_errors(graphs, tmp_path, capsys):
     # a flag the id does not read, or a value its key cannot read, is never silent
     k4, k3 = graphs["k4"], graphs["k3"]

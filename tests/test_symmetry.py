@@ -94,6 +94,15 @@ def test_code_relabeling_invariance():
     assert canonical_code(cycle_graph(4)) == canonical_code(
         Multigraph(4, [(2, 3), (3, 0), (0, 1), (1, 2)])
     )
+    # twin-heavy graphs: every search node has a large cell of twins
+    k2_12 = Multigraph(14, [(a, b) for a in range(2) for b in range(2, 14)])
+    rng = random.Random(3)
+    for g in (star_graph(20), k2_12):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Multigraph(g.n, [(perm[u], perm[v], m, w) for u, v, m, w in g.edges])
+        assert canonical_code(g) == canonical_code(h)
+        assert canonical_code(g) != canonical_code(path_graph(g.n))
 
 
 def test_rooted_codes():
