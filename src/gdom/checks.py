@@ -279,6 +279,7 @@ def check(
     if entry.takes_h and h is None:
         raise MissingParameter(f"{ineq.value} needs a second graph")
 
+    unit_weights = g.is_unweighted() and (h is None or h.is_unweighted())
     side = entry.transitive
     hypothesis_ok = not side or is_transitive(g if side == "G" else h)
     if not hypothesis_ok:
@@ -290,13 +291,13 @@ def check(
             report.certificate = certificate_to_json(cert)
     if not hypothesis_ok:
         report.verdict = HYPOTHESIS_FAILED
-        report.status = claim_status(ineq, hypothesis, family)
+        report.status = claim_status(ineq, hypothesis, family, unit_weights=unit_weights)
         return report
     if side:
         report.notes.append(f"{side} transitive")
 
     h_trans = ineq is InequalityId.SPECTRAL_DECREASING_CONVEX and h is not None and is_transitive(h)
-    report.status = claim_status(ineq, hypothesis, family, h_trans)
+    report.status = claim_status(ineq, hypothesis, family, h_trans, unit_weights)
     entry.checker(g, h, params, report)
     return report
 
@@ -576,6 +577,10 @@ def _check_tutte_coefficients(g, h, params: dict, report: CheckReport) -> None:
 _TILINGS = frozenset({"tiling", "fractional_tiling"})
 _NEVER = frozenset()
 
+# the relations read multiplicities only, so a claim whose quantity reads
+# no weight holds of a weighted pair exactly when of its unweighted one
+_WEIGHT_BLIND = "any: the quantity reads multiplicities, never weights"
+
 
 def _false_under_subgraph(hypothesis: str, family: Optional[str], h_transitive: bool) -> bool:
     # G = 9; 0 1; 0 7; 1 2; 1 3; 1 5; 1 7; 2 4; 3 6; 5 8 contains H = K3 and
@@ -594,6 +599,11 @@ class Inequality:
     the :data:`PARAMS` keys its checker reads, the families it counts and
     the keys each reads, and the family counted when the params name none.
 
+    The proofs are for unit weights.  ``weights`` names the weights beyond
+    those that an entry's proof covers, if any; without it a claim on a
+    weighted graph is not proven, and it is known false under the
+    hypotheses of ``weighted_false``.
+
     A claim is known false only where a test pins a counterexample."""
 
     hypothesis: str
@@ -604,6 +614,8 @@ class Inequality:
     reads: tuple[str, ...] = ()
     families: Optional[dict[str, tuple[str, ...]]] = None
     family: Optional[str] = None
+    weights: Optional[str] = None
+    weighted_false: frozenset[str] = _NEVER
 
     @property
     def takes_h(self) -> bool:
@@ -618,8 +630,10 @@ class Inequality:
 
 
 INEQUALITIES: dict[InequalityId, Inequality] = {
+    # P4 against one edge of weight 3 is tiled, and tau gives 1 against 3;
+    # tests/test_checks.py pins it and two more weighted pairs for both ids
     InequalityId.SPANNING_TREE: Inequality(
-        "domination", _check_tree_ratio, _TILINGS, known_false=_false_under_subgraph
+        "domination", _check_tree_ratio, _TILINGS, known_false=_false_under_subgraph, weighted_false=_TILINGS
     ),
     InequalityId.TREE_PRODUCT: Inequality("subgraph", _check_tree_product),
     InequalityId.MINOR_POWER: Inequality("subgraph", _check_minor_power, transitive="G"),
@@ -628,7 +642,7 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
         "domination", _check_tree_ratio, known_false=_false_under_subgraph, transitive="H"
     ),
     InequalityId.FRAC_TILING_TREE: Inequality(
-        "fractional_tiling", _check_tree_ratio, known_false=_false_under_subgraph
+        "fractional_tiling", _check_tree_ratio, known_false=_false_under_subgraph, weighted_false=_TILINGS
     ),
     InequalityId.KOTELJANSKII_STEP: Inequality("params", _check_koteljanskii_step, reads=("a", "b")),
     InequalityId.COVER_PRODUCT: Inequality("params", _check_cover_product, reads=("cover",)),
@@ -636,7 +650,10 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
         "fractional_tiling", _check_heat_trace, _TILINGS, known_false=_false_under_subgraph, reads=("t_grid",)
     ),
     InequalityId.WEIGHTED_COVER_HEAT: Inequality(
-        "params", _check_weighted_cover_heat, reads=("weighted_cover", "t_grid")
+        "params",
+        _check_weighted_cover_heat,
+        reads=("weighted_cover", "t_grid"),
+        weights="any positive weights: hypothesis (ii) bounds the cover's weight on each pair by G's",
     ),
     InequalityId.SPECTRAL_DECREASING_CONVEX: Inequality(
         "fractional_tiling",
@@ -660,6 +677,7 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
         known_false=lambda hypothesis, family, h_transitive: family == "independent_sets",
         families=VERTEX_FAMILIES,
         family="independent_sets",
+        weights=_WEIGHT_BLIND,
     ),
     InequalityId.EDGE_COUNTING: Inequality(
         "fractional_edge_tiling",
@@ -667,6 +685,7 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
         frozenset({"fractional_edge_tiling"}),
         families=EDGE_FAMILIES,
         family="forests",
+        weights=_WEIGHT_BLIND,
     ),
     InequalityId.MATCHINGS_LOWER: Inequality(
         "fractional_tiling",
@@ -674,20 +693,31 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
         _NEVER,
         known_false=lambda hypothesis, family, h_transitive: hypothesis not in _TILINGS,
         reads=("packing_by",),
+        weights=_WEIGHT_BLIND,
     ),
     InequalityId.TUTTE_POINTWISE: Inequality(
-        "domination", _check_tutte_pointwise, _NEVER, known_false=_false_under_subgraph, reads=("xy_grid",)
+        "domination",
+        _check_tutte_pointwise,
+        _NEVER,
+        known_false=_false_under_subgraph,
+        reads=("xy_grid",),
+        weights=_WEIGHT_BLIND,
     ),
     InequalityId.TUTTE_COEFFICIENTS: Inequality(
-        "domination", _check_tutte_coefficients, _NEVER, known_false=_false_under_subgraph
+        "domination", _check_tutte_coefficients, _NEVER, known_false=_false_under_subgraph, weights=_WEIGHT_BLIND
     ),
 }
 
 
 def claim_status(
-    ineq: InequalityId, hypothesis: str, family: Optional[str] = None, h_transitive: bool = False
+    ineq: InequalityId,
+    hypothesis: str,
+    family: Optional[str] = None,
+    h_transitive: bool = False,
+    unit_weights: bool = True,
 ) -> str:
-    """Proven / conjectured / known-false status of the claim being checked."""
+    """Proven / conjectured / known-false status of the claim being checked,
+    on graphs whose edge weights are all 1 or, if not ``unit_weights``, not."""
     entry = INEQUALITIES[InequalityId(ineq)]
     if entry.proven_under is None:
         proven = (
@@ -697,6 +727,10 @@ def claim_status(
         )
     else:
         proven = hypothesis in entry.proven_under
+    if not unit_weights and entry.weights is None:
+        if hypothesis in entry.weighted_false:
+            return KNOWN_FALSE
+        proven = False
     if proven:
         return PROVEN
     return KNOWN_FALSE if entry.known_false(hypothesis, family, h_transitive) else CONJECTURED

@@ -151,8 +151,11 @@ def _analyze_fields(g: Multigraph, t_grid: list) -> dict:
     field("tutte", lambda: tutte_polynomial(g).to_json_triples())
     field("independent_sets", lambda: str(count_independent_sets(g)))
     field("matchings", lambda: str(count_matchings(g)))
-    fields["spectrum"] = eigenvalues(g).values
-    fields["heat_trace"] = [[str(t), heat_trace(g, t)] for t in t_grid]
+    field("spectrum", lambda: eigenvalues(g).values)
+    # heat traces sum over the spectrum and share its error; a bad time is
+    # the command's error, not the graph's, so it is not caught here
+    spectrum = fields["spectrum"]
+    fields["heat_trace"] = [[str(t), heat_trace(g, t)] for t in t_grid] if isinstance(spectrum, list) else spectrum
     return fields
 
 

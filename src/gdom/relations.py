@@ -445,8 +445,10 @@ def _is_embedding(g: Multigraph, h: Multigraph, emb: tuple[int, ...]) -> bool:
     sends every H-pair to a G-pair of at least its multiplicity."""
     if len(emb) != h.n or len(set(emb)) != h.n or not all(0 <= x < g.n for x in emb):
         return False
+    g_adj = g.adjacency
     for (a, b), m in h.adjacency.items():
-        if g.multiplicity(emb[a], emb[b]) < m:
+        x, y = emb[a], emb[b]
+        if g_adj.get((x, y) if x < y else (y, x), 0) < m:
             return False
     return True
 
@@ -499,11 +501,11 @@ def verify_certificate(g: Multigraph, h: Multigraph, cert: Certificate) -> bool:
         return False
 
     if isinstance(cert, CouplingCertificate):
-        if any(mass < 0 for mass in cert.masses.values()):
-            return False
         # row sums 1/|G| and column sums 1/|H| over one common denominator;
         # zero masses are ignored wherever they lie
         nums, den = clear_denominators(list(cert.masses.values()))
+        if any(num < 0 for num in nums):
+            return False
         rows, cols = [0] * g.n, [0] * h.n
         unwitnessed: set[tuple[int, int]] = set()
         for (x, y), num in zip(cert.masses, nums):

@@ -69,7 +69,8 @@ class GeneratedPair:
 
 
 def random_connected_graph(rng: Stream, n: int, extra_hi: Optional[int] = None) -> Multigraph:
-    """Random spanning tree plus a random number of extra edges."""
+    """Random spanning tree plus a random number of extra edges; connected by
+    construction, so the graph is built without the connectivity walk."""
     if n == 1:
         return Multigraph(1, [])
     pairs = {(rng.randrange(i), i) for i in range(1, n)}
@@ -77,14 +78,16 @@ def random_connected_graph(rng: Stream, n: int, extra_hi: Optional[int] = None) 
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             pairs.add((min(u, v), max(u, v)))
-    return Multigraph(n, [(u, v, 1, 1) for u, v in pairs])
+    return Multigraph(n, [(u, v, 1, 1) for u, v in pairs], _validated=True)
 
 
 def random_connected_subgraph(
     rng: Stream, g: Multigraph, k: int
 ) -> tuple[Multigraph, tuple[int, ...]]:
     """A connected k-vertex subgraph of g, relabeled to 0..k-1, with the
-    embedding that undoes the relabeling: H-vertex i goes to ``chosen[i]``."""
+    embedding that undoes the relabeling: H-vertex i goes to ``chosen[i]``.
+    It grows from a frontier and keeps a spanning tree, so it is connected
+    by construction and built without the connectivity walk."""
     start = rng.randrange(g.n)
     chosen = [start]
     in_set = {start}
@@ -126,7 +129,7 @@ def random_connected_subgraph(
         elif rng.chance(1, 2):
             mult = rng.randint(1, m)
             keep.append((u, v, mult))
-    return Multigraph(n, [(u, v, m, 1) for u, v, m in keep]), tuple(chosen)
+    return Multigraph(n, [(u, v, m, 1) for u, v, m in keep], _validated=True), tuple(chosen)
 
 
 _catalogs = Memo()
@@ -169,7 +172,9 @@ def overlay_copies(
 ) -> tuple[Multigraph, list[tuple[int, ...]]]:
     """Union of at most k copies of h, each glued to the existing graph at a
     random nonempty vertex overlap; every vertex ends up inside a copy.
-    Returns the graph and the embedding of h that placed each copy."""
+    Returns the graph and the embedding of h that placed each copy.  Each
+    copy of the connected h shares a vertex with the graph so far, so the
+    union is connected and built without the connectivity walk."""
     n = h.n
     pair_mult: dict[tuple[int, int], int] = {}
     placed: list[tuple[int, ...]] = []
@@ -201,7 +206,7 @@ def overlay_copies(
                 nxt += 1
         g_n = nxt
         add_copy(mapping)
-    return Multigraph(g_n, [(u, v, m, 1) for (u, v), m in pair_mult.items()]), placed
+    return Multigraph(g_n, [(u, v, m, 1) for (u, v), m in pair_mult.items()], _validated=True), placed
 
 
 # -- pair generation -----------------------------------------------------------

@@ -129,8 +129,8 @@ def _ql_implicit(d: list[float], e: list[float]) -> float:
 
 
 def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> Spectrum:
-    """Eigenvalues of a symmetric matrix, ascending, with a residual that
-    bounds the error of each.
+    """Eigenvalues of a symmetric matrix of floats, ascending, with a
+    residual that bounds the error of each; ``matrix`` is not modified.
 
     Householder tridiagonalisation, then implicit QL with Wilkinson shifts
     (Golub & Van Loan, Matrix Computations, 8.3; Bowdler et al. 1968).  The
@@ -138,11 +138,10 @@ def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> Spectrum:
     more than MAX_QL_STEPS steps.
     """
     n = len(matrix)
-    a = [list(map(float, row)) for row in matrix]
     if n == 1:
-        return Spectrum(values=[a[0][0]], residual=0.0)
-    frobenius = math.hypot(*(x for row in a for x in row))
-    d, e = _tridiagonalize(a)
+        return Spectrum(values=[matrix[0][0]], residual=0.0)
+    frobenius = math.hypot(*(x for row in matrix for x in row))
+    d, e = _tridiagonalize(matrix)
     neglected = _ql_implicit(d, e)
     d.sort()
     residual = math.sqrt(2.0 * neglected) + BACKWARD_ERROR_FACTOR * n * n * 2.0**-53 * frobenius
@@ -153,12 +152,19 @@ _spectra = Memo()
 
 
 def eigenvalues(g: Multigraph) -> Spectrum:
-    """Sorted Laplacian eigenvalues with a residual bound; cached per graph."""
+    """Sorted Laplacian eigenvalues with a residual bound; cached per graph.
+
+    The Laplacian is turned into floats here and nowhere else; an entry
+    beyond the float range is a ValueError that names the largest weight."""
     key = (g.n, g.edges)
     hit = _spectra.get(key)
     if hit is not None:
         return hit
-    L = [[float(x) for x in row] for row in g.laplacian()]
+    try:
+        L = [[float(x) for x in row] for row in g.laplacian()]
+    except OverflowError:
+        weight = max(w for _, _, _, w in g.edges)
+        raise ValueError(f"Laplacian beyond the float range: edge weight {weight}") from None
     return _spectra.put(key, jacobi_eigenvalues(L))
 
 
@@ -190,10 +196,16 @@ class FunctionalSpec:
             raise ValueError(f"unknown functional family {self.family!r}")
         if self.family != "hinge" and self.param <= 0:
             raise ValueError(f"{self.family} needs a positive parameter")
-        _float(self.param, f"{self.family} parameter")
+        p = _float(self.param, f"{self.family} parameter")
+        if self.family == "shifted_inverse" and p * p == 0.0:
+            # 1/(s + p) at s = 0 and its Lipschitz bound 1/p^2 divide by these
+            raise ValueError(f"shifted_inverse parameter {self.param} is too small: its float square is 0")
+        # the parameter as a float, read by every evaluation; not a field, so
+        # equality, hashing and describe() see only family and param
+        object.__setattr__(self, "_p", p)
 
     def __call__(self, s: float) -> float:
-        p = float(self.param)
+        p = self._p
         if self.family == "exp_decay":
             return math.exp(-p * s)
         if self.family == "hinge":
@@ -202,7 +214,7 @@ class FunctionalSpec:
 
     def lipschitz_on(self, lo: float, hi: float) -> float:
         """A Lipschitz constant on [lo, hi], for error budgets."""
-        p = float(self.param)
+        p = self._p
         if self.family == "exp_decay":
             return p * math.exp(-p * lo)
         if self.family == "hinge":

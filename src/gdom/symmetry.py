@@ -232,14 +232,18 @@ def automorphisms(g: Multigraph) -> AutomorphismInfo:
     return AutomorphismInfo(generators=gens, orbits=orbits, order=order)
 
 
+_transitive = Memo()
+
+
 def is_transitive(g: Multigraph) -> bool:
-    """True iff the automorphism group has a single vertex orbit."""
-    if g.n == 1:
-        return True
+    """True iff the automorphism group has a single vertex orbit; memoized on
+    the graph value, as :func:`cached_code` is."""
+    key = (g.n, g.edges)
+    hit = _transitive.get(key)
+    if hit is not None:
+        return hit
     inv = _vertex_invariants(_pair_adjacency(g))
-    if len(set(inv)) > 1:
-        return False
-    return len(automorphisms(g).orbits) == 1
+    return _transitive.put(key, g.n == 1 or (len(set(inv)) == 1 and len(automorphisms(g).orbits) == 1))
 
 
 # -- local statistics (rooted balls) ----------------------------------------

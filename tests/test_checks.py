@@ -731,6 +731,65 @@ def test_no_violation_is_proven_under_any_relation_hypothesis():
     assert violated > 0  # the sweep reaches claims that fail
 
 
+def _reweighted(g: Multigraph, rng: random.Random, weights: tuple) -> Multigraph:
+    return Multigraph(g.n, [(u, v, m, rng.choice(weights)) for u, v, m, _ in g.edges])
+
+
+def test_no_violation_is_proven_on_reweighted_pairs():
+    # the relations read multiplicities only, so reweighting a generated pair
+    # keeps its certificate; 120 seed-2024 overlay pairs per tiling relation
+    # (G up to 8 vertices, H up to 4), reweighted twice each: H's edges from
+    # {1, 2, 3}, and G's from {1/2, 1, 2}.  Every id proven for unit weights
+    # under the relation is checked, and none may be both violated and proven
+    rng = random.Random(1)
+    violated = 0
+    for relation in ("tiling", "fractional_tiling"):
+        ids = [ineq for ineq, entry in INEQUALITIES.items() if entry.takes_h and claim_status(ineq, relation) == PROVEN]
+        gen = PairGenerator("overlay_copies", 2024, relation=relation, max_g=8, max_h=4)
+        for trial in range(120):
+            p = generate_pair(gen, trial)
+            for g, h in ((p.g, _reweighted(p.h, rng, (1, 2, 3))), (_reweighted(p.g, rng, (Fraction(1, 2), 1, 2)), p.h)):
+                for ineq in ids:
+                    r = check(ineq, g, h, params={"hypothesis": relation, "certificate": p.certificate})
+                    if r.verdict == VIOLATED:
+                        violated += 1
+                        assert r.status != PROVEN, (ineq.value, relation, r.g, r.h)
+    assert violated > 0  # the weights break claims that unit weights prove
+
+
+# P4 and C4 are tiled by an edge of weight 3, and so is a 4-vertex path
+# whose copies carry weight 3 but whose middle edge weighs 1/1000
+_WEIGHTED_COUNTEREXAMPLES = [
+    ("4; 0 1; 0 2; 1 3", "fractional_tiling", 1),
+    ("4; 0 1; 1 2; 2 3; 0 3", "tiling", 4),
+    ("4; 0 1 1 3; 2 3 1 3; 1 2 1 1/1000", "tiling", Fraction(9, 1000)),
+]
+
+
+@pytest.mark.parametrize("ineq", ["spanning_tree", "frac_tiling_tree"])
+@pytest.mark.parametrize("g, hypothesis, lhs", _WEIGHTED_COUNTEREXAMPLES)
+def test_tree_ratio_is_known_false_on_weighted_tilings(ineq, g, hypothesis, lhs):
+    r = check(ineq, parse_graph(g), parse_graph("2; 0 1 1 3"), params={"hypothesis": hypothesis})
+    assert (r.hypothesis_ok, r.verdict, r.status, r.lhs, r.rhs) == (True, VIOLATED, KNOWN_FALSE, lhs, 3)
+
+
+def test_a_weighted_claim_is_proven_only_where_its_entry_names_the_weights():
+    for ineq, entry in INEQUALITIES.items():
+        for hypothesis in _HYPOTHESES[:-1] if entry.takes_h else ("params",):
+            unit = claim_status(ineq, hypothesis)
+            weighted = claim_status(ineq, hypothesis, unit_weights=False)
+            if entry.weights is not None or unit != PROVEN:
+                assert weighted == unit, (ineq.value, hypothesis)
+            elif hypothesis in entry.weighted_false:
+                assert weighted == KNOWN_FALSE, (ineq.value, hypothesis)
+            else:
+                assert weighted in (CONJECTURED, KNOWN_FALSE), (ineq.value, hypothesis)
+    # the counts read no weight; the heat comparison's hypothesis bounds them
+    assert claim_status(InequalityId.VERTEX_COUNTING, "tiling", unit_weights=False) == PROVEN
+    assert claim_status(InequalityId.WEIGHTED_COVER_HEAT, "params", unit_weights=False) == PROVEN
+    assert claim_status(InequalityId.KOTELJANSKII_STEP, "params", unit_weights=False) == CONJECTURED
+
+
 def test_report_json_roundtrippable():
     import json
 

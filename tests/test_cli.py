@@ -179,6 +179,46 @@ def test_a_parameter_beyond_the_float_range_is_an_error(graphs, tmp_path, capsys
     assert record["summary"].startswith(f"{argv[0]} error: ") and record["reports"] == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "heavy"],
+        ["check", "heat_trace_frac", "k4", "heavy"],
+        ["check", "spectral_decreasing_convex", "k4", "heavy", "--hypothesis", "subgraph"],
+    ],
+)
+def test_a_weight_beyond_the_float_range_is_an_error(graphs, tmp_path, capsys, argv):
+    # the float Laplacian overflows: analyze marks its float fields as errors
+    # and keeps the exact ones, a check exits 3 with an error record
+    heavy = tmp_path / "heavy.txt"
+    heavy.write_text("2; 0 1 1 1e400")
+    argv = [{**graphs, "heavy": str(heavy)}.get(arg, arg) for arg in argv]
+    log = str(tmp_path / "log")
+    rc = main([*argv, "--json", "--log-dir", log])
+    out, err = capsys.readouterr()
+    (record,) = RunLog(log).records()
+    message = f"beyond the float range: edge weight {10**400}"
+    if argv[0] == "analyze":
+        payload = json.loads(out)
+        assert rc == 0 and payload["spanning_trees"] == str(10**400)
+        assert payload["spectrum"] == payload["heat_trace"] == f"error: Laplacian {message}"
+        assert record["reports"] == [payload]
+    else:
+        assert rc == 3 and message in err
+        assert record["summary"].startswith("check error: ") and record["reports"] == []
+
+
+@pytest.mark.parametrize("param", ["1e-200", "1e-400"])
+def test_a_shifted_inverse_parameter_too_small_for_a_float_is_an_error(graphs, tmp_path, capsys, param):
+    # 1/(s + p) at s = 0, or its Lipschitz bound 1/p^2, would divide by zero
+    log = str(tmp_path / "log")
+    argv = ["check", "spectral_decreasing_convex", graphs["k4"], graphs["k3"], "--hinge", f"shifted_inverse({param})"]
+    assert main([*argv, "--log-dir", log]) == 3
+    assert "too small: its float square is 0" in capsys.readouterr().err
+    (record,) = RunLog(log).records()
+    assert record["summary"].startswith("check error: ") and record["reports"] == []
+
+
 def test_heat_trace_at_t_zero_is_an_error_for_isomorphic_graphs_too(graphs, tmp_path, capsys):
     # exp_decay(0) is no decreasing function; isomorphic graphs take no shortcut past that
     for i, (g, h) in enumerate((("k3", "k3"), ("k4", "k3"))):

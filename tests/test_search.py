@@ -3,7 +3,7 @@ import pytest
 from gdom import search
 from gdom.checks import VIOLATED
 from gdom.relations import verify_certificate
-from gdom.rng import Stream
+from gdom.rng import Stream, derive_seed
 from gdom.search import (
     GenerationError,
     PairGenerator,
@@ -35,6 +35,17 @@ def test_random_connected_graph_connected():
     for _ in range(30):
         g = random_connected_graph(rng, rng.randint(1, 9))
         assert g.is_connected()
+
+
+@pytest.mark.parametrize("strategy", search.STRATEGIES)
+def test_proposals_are_connected(strategy):
+    """The generators build connected graphs by construction and skip the
+    connectivity walk; the walk, called here, agrees on every proposal."""
+    gen = PairGenerator(strategy, seed=0, max_g=10, max_h=5)
+    for seed in range(200):
+        for attempt in range(4):
+            g, h, _ = search._propose(Stream(derive_seed(seed, attempt)), gen)
+            assert g.is_connected() and h.is_connected(), (strategy, seed, attempt)
 
 
 def test_random_subgraph_is_a_copy():

@@ -137,6 +137,23 @@ def test_functional_flags():
         FunctionalSpec("shifted_log", Fraction(1))
 
 
+def test_a_functional_is_its_family_and_parameter():
+    # the float that evaluations read is kept, but equality, hashing and
+    # describe() see only the two fields
+    a, b = shifted_inverse(Fraction(1, 3)), FunctionalSpec("shifted_inverse", Fraction(2, 6))
+    assert a == b and hash(a) == hash(b) and a.describe() == "shifted_inverse(1/3)"
+    assert a(0.0) == 1.0 / (1 / 3) and a.lipschitz_on(0.0, 1.0) == 1.0 / (1 / 3) ** 2
+    assert a != exp_decay(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("exponent", [200, 400])
+def test_a_shifted_inverse_parameter_whose_float_square_is_zero_is_rejected(exponent):
+    with pytest.raises(ValueError, match="too small"):
+        shifted_inverse(Fraction(1, 10**exponent))
+    spec = shifted_inverse(Fraction(1, 10**150))  # its square is a float: 1e-300
+    assert spec.lipschitz_on(0.0, 1.0) > 0
+
+
 def test_shifted_determinants():
     assert shifted_determinant_exact(complete_graph(4), Fraction(1)) == 125
     assert shifted_determinant_exact(complete_graph(3), Fraction(1)) == 16

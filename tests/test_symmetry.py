@@ -87,6 +87,21 @@ def test_transitivity_examples():
     assert is_transitive(hyper)
 
 
+def test_transitivity_is_memoized_on_the_graph_value(monkeypatch):
+    calls = []
+    orbits = symmetry.automorphisms
+    monkeypatch.setattr(symmetry, "automorphisms", lambda g: calls.append(g) or orbits(g))
+    # a weight no other test uses keeps the graph out of the process-wide memo;
+    # transitivity ignores weights, the key does not
+    c7 = Multigraph(7, [(i, (i + 1) % 7, 1, Fraction(97, 89)) for i in range(7)])
+    assert is_transitive(c7) and is_transitive(Multigraph(7, c7.edges)) and not is_transitive(star_graph(7))
+    assert calls == [c7]  # a star's vertex invariants differ, so no group is computed
+    # the bound still holds on a miss, and a miss that raised stores nothing
+    for _ in range(2):
+        with pytest.raises(SizeBoundExceeded):
+            is_transitive(cycle_graph(symmetry.DEFAULT_SIZE_BOUND + 1))
+
+
 # -- canonical codes ---------------------------------------------------------------
 
 
