@@ -6,7 +6,9 @@ that differ by an automorphism of H give the same copy (vertex set plus
 edge multiset), so each copy is produced from exactly one embedding: the
 search adds the constraints of a stabilizer chain of Aut(H), which keep
 the first embedding of each class in DFS order.  Rooted questions keep the
-raw embeddings, because root identity matters for domination.
+raw embeddings, because root identity matters for domination.  What the
+search derives from H alone (order, anchors, adjacency checks and the
+stabilizer-chain floors) is planned once per H value and shared.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .multigraph import Multigraph
+from .multigraph import Memo, Multigraph
 from .symmetry import _pair_adjacency, _stabilizer_chain, _vertex_invariants
 
 
@@ -58,6 +60,45 @@ def _degrees(g: Multigraph) -> list[int]:
     return deg
 
 
+_plans = Memo()
+
+
+def _plan(h: Multigraph, each_copy_once: bool) -> tuple:
+    """What the search derives from H alone, memoized on the graph value.
+
+    Per level of the search order: the H-vertex placed, its degree, its
+    anchor (None at level 0) and its adjacency checks.  The floors of
+    ``each_copy_once`` (per level, the H-vertices whose images must lie
+    below the new one) stay None until a search asks for them: their
+    stabilizer chain takes seconds on a 60-vertex path.  A plan is never
+    changed; gaining floors replaces the entry, so live searches share it.
+    """
+    key = (h.n, h.edges)
+    plan = _plans.get(key)
+    if plan is not None and (plan[-1] is not None or not each_copy_once):
+        return plan
+    h_deg = _degrees(h)
+    order = _search_order(h, h_deg)
+    h_adj = _pair_adjacency(h)
+    # per level: the earlier-placed H-neighbours with their multiplicities,
+    # the anchor first
+    placed_nbrs = [[(u, h_adj[y][u]) for u in order[:k] if u in h_adj[y]] for k, y in enumerate(order)]
+    anchors = tuple(nbrs[0][0] if nbrs else None for nbrs in placed_nbrs)
+    # the anchor's adjacency is implied by the candidate list unless it is a
+    # multiple edge
+    checks = tuple(tuple(nbrs[1:] if nbrs and nbrs[0][1] == 1 else nbrs) for nbrs in placed_nbrs)
+    below = None
+    if each_copy_once:
+        lists: list[list[int]] = [[] for _ in order]
+        pos = {y: k for k, y in enumerate(order)}
+        _, orbits = _stabilizer_chain(h_adj, _vertex_invariants(h_adj), h.n, order)
+        for i, orbit in enumerate(orbits):
+            for o in orbit - {order[i]}:
+                lists[pos[o]].append(order[i])
+        below = tuple(map(tuple, lists))
+    return _plans.put(key, (tuple(order), tuple(h_deg[y] for y in order), anchors, checks, below))
+
+
 def _search(g: Multigraph, h: Multigraph, each_copy_once: bool) -> Iterator[tuple[int, ...]]:
     """Embeddings of h into g, placing H-vertices in search order.
 
@@ -71,28 +112,12 @@ def _search(g: Multigraph, h: Multigraph, each_copy_once: bool) -> Iterator[tupl
     """
     if h.n > g.n:
         return
-    h_deg = _degrees(h)
-    order = _search_order(h, h_deg)
-    h_adj = _pair_adjacency(h)
-    # per level: the earlier-placed H-neighbours with their multiplicities,
-    # the anchor first
-    placed_nbrs = [
-        [(u, h_adj[y][u]) for u in order[:k] if u in h_adj[y]] for k, y in enumerate(order)
-    ]
-    # per level: the H-vertices whose images must lie below the new image
-    below: list[list[int]] = [[] for _ in order]
-    if each_copy_once:
-        pos = {y: k for k, y in enumerate(order)}
-        _, orbits = _stabilizer_chain(h_adj, _vertex_invariants(h_adj), h.n, order)
-        for i, orbit in enumerate(orbits):
-            for o in orbit - {order[i]}:
-                below[pos[o]].append(order[i])
+    order, need, anchors, checks, below = _plan(h, each_copy_once)
+    if not each_copy_once:
+        below = ((),) * h.n
     g_deg = _degrees(g)
     g_adj = g.adjacency
     g_nbrs = g.neighbors
-    # the anchor's adjacency is implied by the candidate list unless it is a
-    # multiple edge
-    checks = [nbrs[1:] if nbrs and nbrs[0][1] == 1 else nbrs for nbrs in placed_nbrs]
     last = h.n - 1
 
     image = [-1] * h.n
@@ -101,14 +126,13 @@ def _search(g: Multigraph, h: Multigraph, each_copy_once: bool) -> Iterator[tupl
     floors = [-1] * h.n
     k = 0
     while k >= 0:
-        y = order[k]
-        need_deg, floor, level_checks = h_deg[y], floors[k], checks[k]
+        need_deg, floor, level_checks = need[k], floors[k], checks[k]
         for x in candidates[k]:
             if x <= floor or used[x] or g_deg[x] < need_deg:
                 continue
-            for u, need in level_checks:
+            for u, need_mult in level_checks:
                 xu = image[u]
-                if g_adj.get((x, xu) if x < xu else (xu, x), 0) < need:
+                if g_adj.get((x, xu) if x < xu else (xu, x), 0) < need_mult:
                     break
             else:
                 break
@@ -117,13 +141,13 @@ def _search(g: Multigraph, h: Multigraph, each_copy_once: bool) -> Iterator[tupl
             if k >= 0:
                 used[image[order[k]]] = False
             continue
-        image[y] = x
+        image[order[k]] = x
         if k == last:
             yield tuple(image)
             continue
         used[x] = True
         k += 1
-        candidates[k] = iter(g_nbrs[image[placed_nbrs[k][0][0]]])
+        candidates[k] = iter(g_nbrs[image[anchors[k]]])
         if below[k]:
             floors[k] = max(image[u] for u in below[k])
 

@@ -12,6 +12,9 @@ sends y to x.  One embedding check, O(|E(H)|), serves copies and witnesses
 alike.  A coupling's witnesses are the first embedding of each positive-mass
 pair in walk order, and the walk takes any embeddings the caller already
 holds (a generator builds its pairs from some) before the full search.
+Before that search, degree classes may refute domination at once: an
+embedding maps no vertex to one of smaller degree, so a class of high-degree
+H-vertices with too few high-degree G-vertices breaks Hall's condition.
 
 ``relate`` decides all four on one pair and enumerates the copies of H once
 for the three copy deciders.  Each public decider enumerates for itself.
@@ -24,12 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 from typing import Iterable, Optional, Union
 
 from .counting import clear_denominators
-from .embeddings import Copy, _copy_of, embeddings_iter, enumerate_copies, rooted_copy_relation
+from .embeddings import Copy, _copy_of, _degrees, embeddings_iter, enumerate_copies, rooted_copy_relation
 from .multigraph import Multigraph
 
 HALL_SIZE_BOUND = 20
@@ -287,8 +289,10 @@ def check_domination(
     ``known`` lists embeddings of H in G that the caller already holds, as
     image tuples in H's vertex order; one that is not an embedding raises
     ``ValueError``.  The walk takes them first and then every embedding of
-    ``embeddings_iter``.  An embedding that adds no rooted pair is skipped,
-    so ``known`` changes how soon the walk stops, never the answer.
+    ``embeddings_iter``, unless a degree class already breaks Hall's
+    condition (``_degree_classes_refute``): then the answer is no, reached
+    without a search.  An embedding that adds no rooted pair is skipped, so
+    ``known`` changes how soon the walk stops, never the answer.
 
     The walk feeds an integral transport whose marginals are scaled by
     |G|*|H|: each G-vertex supplies |H| units and each H-vertex demands
@@ -361,7 +365,12 @@ def check_domination(
                 if not flow[pair]:
                     del flow[pair]
 
-    for emb in chain(known, embeddings_iter(g, h)):
+    def walk():
+        yield from known
+        if not _degree_classes_refute(g, h):
+            yield from embeddings_iter(g, h)
+
+    for emb in walk():
         if rel.issuperset(zip(emb, roots)):
             continue
         added = [(x, y) for y, x in enumerate(emb) if (x, y) not in rel]
@@ -385,6 +394,19 @@ def check_domination(
     # the first embedding of each positive-mass pair, in walk order
     witnesses = [emb for emb, added in found if not flow.keys().isdisjoint(added)]
     return CouplingCertificate(masses=masses, witnesses=witnesses)
+
+
+def _degree_classes_refute(g: Multigraph, h: Multigraph) -> bool:
+    """True if a degree class breaks Hall's condition on the rooted relation.
+
+    An embedding sends each H-vertex to a G-vertex of at least its degree
+    (multiplicities counted), so for each H-degree d the H-vertices of
+    degree >= d, T, reach only the G-vertices of degree >= d, N.  Then
+    |N|*|H| < |T|*|G| means no coupling exists."""
+    g_deg, h_deg = _degrees(g), _degrees(h)
+    return any(
+        sum(x >= d for x in g_deg) * h.n < sum(y >= d for y in h_deg) * g.n for d in set(h_deg)
+    )
 
 
 def domination_hall_condition(

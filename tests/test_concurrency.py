@@ -2,10 +2,13 @@
 
 import logging
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 from gdom.counting import count_forests, tutte_polynomial
-from gdom.multigraph import complete_graph, contract_vertices, path_graph
+from gdom.embeddings import embeddings_iter, enumerate_copies
+from gdom.multigraph import Multigraph, complete_graph, contract_vertices, path_graph
 from gdom.spectral import heat_trace
 from gdom.symmetry import cached_code
 
@@ -39,6 +42,33 @@ def test_concurrent_mixed_counters():
     with ThreadPoolExecutor(max_workers=6) as pool:
         concurrent = list(pool.map(work, graphs))
     assert concurrent == baseline
+
+
+def test_concurrent_searches_share_search_plans():
+    """Threads that search equal H at once build and share one plan per H
+    value, and each search yields what a solo run on a separately planned
+    equal H yields.  The weights, which the search ignores, make every H
+    value new to the plan memo."""
+    rng = random.Random(72)
+    graphs = [random_connected(rng, rng.randint(5, 8), extra=rng.randint(2, 8)) for _ in range(12)]
+    shapes = [(4, [(0, 1), (1, 2), (2, 3)]), (3, [(0, 1), (1, 2), (0, 2)]), (4, [(0, 1), (0, 2), (0, 3), (1, 2)])]
+
+    def work(job):
+        g, (n, pairs), weight = job
+        h = Multigraph(n, [(u, v, 1, weight) for u, v in pairs])
+        return list(embeddings_iter(g, h)), [(c, c.image) for c in enumerate_copies(g, h).copies]
+
+    jobs = [(g, shape, Fraction(1, 7907)) for g in graphs for shape in shapes] * 3
+    rng.shuffle(jobs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-plan
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            results = list(pool.map(work, jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for (g, shape, _), res in zip(jobs, results):
+        assert res == work((g, shape, Fraction(1, 7919))), (g, shape)
 
 
 def test_contraction_logs_discarded_loops(caplog):

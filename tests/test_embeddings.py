@@ -1,7 +1,10 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from gdom import embeddings
 from gdom.embeddings import (
     Copy,
     embeddings_iter,
@@ -195,3 +198,47 @@ def test_rooted_relation_agrees_with_naive_injections():
         h = rng.choice([x for x in small if x.n <= g.n])
         naive = {(x, y) for emb in brute_embeddings(g, h) for y, x in enumerate(emb)}
         assert rooted_copy_relation(g, h) == naive
+
+
+# -- one search plan per H value --------------------------------------------------
+
+
+def _fresh_h(weight):
+    """A path with a double edge; the weight, which the search ignores, makes
+    the graph value (and so its plan key) new to this process."""
+    return Multigraph(4, [(0, 1, 2, weight), (1, 2, 1, weight), (2, 3, 1, weight)])
+
+
+def test_equal_graphs_share_one_search_plan():
+    g = Multigraph(6, [(u, v, 2) for u in range(6) for v in range(u + 1, 6)])
+    h1 = _fresh_h(Fraction(5, 7919))
+    h2 = Multigraph(4, [(3, 2, 1, Fraction(10, 15838)), (2, 1, 1, Fraction(5, 7919)), (1, 0, 2, Fraction(5, 7919))])
+    assert h1 == h2 and h1 is not h2
+    before = len(embeddings._plans._values)
+    first = list(embeddings_iter(g, h1))
+    plan = embeddings._plan(h2, False)
+    assert list(embeddings_iter(g, h2)) == first and embeddings._plan(h1, False) is plan
+    assert plan[-1] is None  # no floors until a copy search asks for them
+    copies = enumerate_copies(g, h2).copies
+    assert embeddings._plan(h1, False)[-1] is not None and embeddings._plan(h1, True) is embeddings._plan(h2, False)
+    assert len(embeddings._plans._values) == before + 1
+    assert copies == enumerate_copies(g, _fresh_h(1)).copies
+
+
+def test_interleaved_searches_on_equal_graphs_match_solo_runs():
+    """Live generators on equal H share one plan, also while a copy search
+    replaces it with one that has floors."""
+    rng = random.Random(22)
+    for trial in range(40):
+        g = random_connected(rng, rng.randint(5, 8), extra=rng.randint(2, 8))
+        solo = list(embeddings_iter(g, _fresh_h(1)))
+        copies = enumerate_copies(g, _fresh_h(1)).copies
+        weight = Fraction(trial + 1, 104729)
+        a, b = embeddings_iter(g, _fresh_h(weight)), embeddings_iter(g, _fresh_h(weight))
+        got_a, got_b = [], []
+        for step, (ea, eb) in enumerate(itertools.zip_longest(a, b)):
+            got_a.append(ea)
+            got_b.append(eb)
+            if step == 1:
+                assert enumerate_copies(g, _fresh_h(weight)).copies == copies
+        assert got_a == got_b == solo  # a short generator would pad with None

@@ -1,6 +1,7 @@
 import ast
 import builtins
 import inspect
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -38,6 +39,8 @@ from gdom.relations import (
     relate,
     verify_certificate,
 )
+from gdom.rng import Stream, derive_seed
+from gdom.search import PairGenerator, _propose
 from gdom.symmetry import is_transitive
 
 from conftest import atlas_up_to, random_connected
@@ -554,7 +557,9 @@ def test_flow_agrees_with_hall_on_atlas():
 
 
 def test_domination_stops_at_the_first_complete_coupling(monkeypatch):
-    """A yes may stop the walk early; a no walks every embedding."""
+    """A yes may stop the walk early and pulls at most every embedding.  A
+    no pulls every embedding, or none when the degree classes refute it,
+    and the Hall oracle agrees with each no."""
     pulled = [0]
 
     def counted(g, h):
@@ -571,11 +576,62 @@ def test_domination_stops_at_the_first_complete_coupling(monkeypatch):
 
     cert, n, every = walk(path_graph(4), path_graph(3))
     assert cert is not None and n < every
+    refuted = searched = 0
     for g in atlas_up_to(5):
         for h in atlas_up_to(4):
             if h.n <= g.n:
                 cert, n, every = walk(g, h)
-                assert n == every if cert is None else n <= every, (g, h)
+                if cert is not None:
+                    assert n <= every, (g, h)
+                    continue
+                assert not domination_hall_condition(g, h)[0], (g, h)
+                if relations._degree_classes_refute(g, h):
+                    assert n == 0, (g, h)
+                    refuted += 1
+                else:
+                    assert n == every, (g, h)
+                    searched += every > 0
+    assert refuted > 0 and searched > 0
+
+
+def _overlay_proposals(count):
+    """The first ``count`` pairs that ``generate_pair`` proposes on the
+    seed-2024 ``overlay_copies`` hunt, rejected ones included."""
+    gen = PairGenerator("overlay_copies", seed=2024, relation="domination", max_g=10, max_h=5)
+    out = []
+    for trial in itertools.count():
+        for attempt in range(gen.max_attempts):
+            g, h, known = _propose(Stream(derive_seed(gen.seed, trial, attempt)), gen)
+            out.append((g, h))
+            if len(out) == count:
+                return out
+            if check_domination(g, h, known) is not None:
+                break
+
+
+def test_degree_refutation_is_sound():
+    """The degree classes never refute a pair that dominates: every pair
+    they refute fails the Hall oracle.  Degrees count multiplicity, so a
+    double edge is refuted in a simple path by its degree alone."""
+
+    def refuted(pairs):
+        fired = 0
+        for g, h in pairs:
+            if h.n <= g.n and relations._degree_classes_refute(g, h):
+                assert not domination_hall_condition(g, h)[0], (g, h)
+                fired += 1
+        return fired
+
+    assert refuted([(path_graph(3), Multigraph(2, [(0, 1, 2)]))]) == 1
+    assert not relations._degree_classes_refute(cycle_graph(4), Multigraph(2, [(0, 1, 2)]))
+    assert refuted((g, h) for g in atlas_up_to(6) for h in atlas_up_to(5)) > 100
+    rng = random.Random(22)
+    multi = [
+        (_random_multigraph(rng, rng.randint(2, 8), 1, 3, rng.randint(0, 6)), _random_multigraph(rng, rng.randint(1, 5), 1, 3, rng.randint(0, 3)))
+        for _ in range(400)
+    ]
+    assert refuted(multi) > 20
+    assert refuted(_overlay_proposals(500)) > 0
 
 
 def test_known_embeddings_change_no_domination_answer():
