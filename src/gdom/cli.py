@@ -4,11 +4,13 @@ Exit codes for ``check``: 0 holds / holds-with-equality, 1 violated,
 2 hypothesis failed, 3 inconclusive or error.  Any command exits 3 with
 ``error: ...`` on bad input (a usage error or a parameter that the id does
 not read included), an exceeded resource bound, a recursion limit or an
-eigensolver failure.  Every run of ``analyze``, ``relate``, ``check``
-and ``hunt``, failed runs included, appends one self-contained JSONL record
-(schema 1) to ``--log-dir`` so hunts and checks can be replayed: same
-command + seed reproduces the same payload, timestamps and elapsed times
-aside.  ``report`` only reads the log and writes nothing.
+eigensolver failure.  ``hunt`` exits 3 when a trial failed on a recursion
+limit or an eigensolver failure, which its summary lists, and 0 otherwise:
+violations alone leave it at 0.  Every run of ``analyze``, ``relate``,
+``check`` and ``hunt``, failed runs included, appends one self-contained
+JSONL record (schema 1) to ``--log-dir`` so hunts and checks can be
+replayed: same command + seed reproduces the same payload, timestamps and
+elapsed times aside.  ``report`` only reads the log and writes nothing.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ def cmd_hunt(args) -> int:
     if args.json:
         print(json.dumps(result.to_json(), sort_keys=True))
     _log_run(args, result.summary(), [result.to_json()])
-    return EXIT_OK
+    return EXIT_ERROR if result.failed_trials else EXIT_OK
 
 
 # -- report -------------------------------------------------------------------

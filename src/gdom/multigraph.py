@@ -26,6 +26,7 @@ import json
 import logging
 import math
 import threading
+from collections import OrderedDict
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -197,28 +198,42 @@ class Multigraph:
 # -- shared memo -----------------------------------------------------------
 
 
-class Memo:
-    """Unbounded memo table shared by every thread of the process.
+# entries one memo keeps; ``put`` beyond it drops the least recently used
+MEMO_BOUND = 4096
 
-    The lock guards only the table, never the computation between a missed
-    ``get`` and its ``put``: a computation may recurse into the same memo,
-    and two threads that miss on one key both compute it and store equal
-    values.
+
+class Memo:
+    """Memo table shared by every thread of the process; it keeps the
+    ``MEMO_BOUND`` most recently used entries.
+
+    A hit moves its key to the recent end, and a ``put`` that takes the
+    table past the bound drops the oldest entry.  Every stored value is a
+    pure function of its key, so an eviction costs only a recomputation and
+    never changes an answer.  The lock guards only the table, never the
+    computation between a missed ``get`` and its ``put``: a computation may
+    recurse into the same memo, and two threads that miss on one key both
+    compute it and store equal values.
     """
 
     def __init__(self):
-        self._values: dict = {}
+        self._values: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
     def get(self, key):
         """The stored value, or None."""
         with self._lock:
-            return self._values.get(key)
+            value = self._values.get(key)
+            if value is not None:
+                self._values.move_to_end(key)
+            return value
 
     def put(self, key, value):
         """Store and return ``value``."""
         with self._lock:
             self._values[key] = value
+            self._values.move_to_end(key)
+            if len(self._values) > MEMO_BOUND:
+                self._values.popitem(last=False)
         return value
 
 

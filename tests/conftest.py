@@ -8,6 +8,7 @@ from the package under test.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,8 +16,9 @@ import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
+from gdom import multigraph
 from gdom.embeddings import embeddings_iter
-from gdom.multigraph import Multigraph
+from gdom.multigraph import Memo, Multigraph
 
 # -- reference graph corpus ---------------------------------------------------
 
@@ -298,3 +300,25 @@ def random_connected(rng, n: int, extra: int = 0, weighted: bool = False) -> Mul
             w = Fraction(rng.randint(1, 8), rng.randint(1, 8)) if weighted else Fraction(1)
             edges.append((u, v, 1, w))
     return Multigraph(n, edges)
+
+
+# -- memos ----------------------------------------------------------------------
+
+
+def gdom_memos() -> dict[tuple[str, str], Memo]:
+    """Every ``Memo`` that a module of gdom holds, by (module name, attribute)."""
+    return {
+        (name, attr): value
+        for name, module in list(sys.modules.items())
+        if name == "gdom" or name.startswith("gdom.")
+        for attr, value in vars(module).items()
+        if isinstance(value, Memo)
+    }
+
+
+def bound_memos(monkeypatch, bound: int) -> None:
+    """Bound every memo of gdom at ``bound`` entries, on fresh tables; the
+    process's own tables and bound come back when the test ends."""
+    monkeypatch.setattr(multigraph, "MEMO_BOUND", bound)
+    for name, attr in gdom_memos():
+        monkeypatch.setattr(sys.modules[name], attr, Memo())

@@ -402,6 +402,34 @@ def test_hunt_writes_counterexample_bundles(graphs, capsys, tmp_path):
     assert bundle["g"] and bundle["h"]
 
 
+def test_hunt_with_a_failed_trial_exits_3(tmp_path, capsys, monkeypatch):
+    """A trial lost to an eigensolver failure makes the hunt exit 3; the
+    summary line and the run-log record report it as before."""
+    from gdom import search
+
+    argv = ["hunt", "spanning_tree", "--seed", "1", "--trials", "10", "--max-n", "6", "--max-h", "3"]
+    assert main([*argv, "--log-dir", str(tmp_path / "clean")]) == 0
+    capsys.readouterr()
+    calls = [0]
+    real_check = search.check
+
+    def flaky(ineq, g, h, params):
+        calls[0] += 1
+        if calls[0] == 4:
+            raise EigensolverError("injected")
+        return real_check(ineq, g, h, params)
+
+    monkeypatch.setattr(search, "check", flaky)
+    log = str(tmp_path / "failed")
+    assert main([*argv, "--log-dir", log]) == 3
+    (line,) = capsys.readouterr().out.splitlines()
+    (record,) = RunLog(log).records()
+    assert line.startswith(record["summary"] + ", ")
+    assert record["summary"].endswith("failed trials [3], 1 EigensolverError)")
+    (result,) = record["reports"]
+    assert result["failed_trials"] == [3] and result["errors"] == {"EigensolverError": 1} and result["checked"] == 9
+
+
 def test_hunt_records_keep_their_params_as_json(tmp_path, capsys):
     for i, (argv, params) in enumerate(
         (

@@ -12,6 +12,7 @@ from gdom.embeddings import (
     rooted_copy_relation,
 )
 from gdom.multigraph import (
+    Memo,
     Multigraph,
     complete_graph,
     cycle_graph,
@@ -209,7 +210,8 @@ def _fresh_h(weight):
     return Multigraph(4, [(0, 1, 2, weight), (1, 2, 1, weight), (2, 3, 1, weight)])
 
 
-def test_equal_graphs_share_one_search_plan():
+def test_equal_graphs_share_one_search_plan(monkeypatch):
+    monkeypatch.setattr(embeddings, "_plans", Memo())  # a full table would drop an entry per new plan
     g = Multigraph(6, [(u, v, 2) for u in range(6) for v in range(u + 1, 6)])
     h1 = _fresh_h(Fraction(5, 7919))
     h2 = Multigraph(4, [(3, 2, 1, Fraction(10, 15838)), (2, 1, 1, Fraction(5, 7919)), (1, 0, 2, Fraction(5, 7919))])

@@ -27,7 +27,7 @@ from gdom.multigraph import (
 )
 from gdom.counting import count_spanning_trees
 
-from conftest import atlas_up_to, nx_to_multigraph, random_connected
+from conftest import atlas_up_to, bound_memos, gdom_memos, nx_to_multigraph, random_connected
 
 
 # -- parsing -------------------------------------------------------------------
@@ -447,6 +447,69 @@ def test_int_and_fraction_spellings_share_memo_entries(monkeypatch):
         assert spectral.eigenvalues(h) is spectral.eigenvalues(g)
         assert symmetry.cached_code(h) is symmetry.cached_code(g)
     assert len(spectral._spectra._values) == len(symmetry._codes._values) <= 20
+
+
+def test_memo_keeps_the_most_recently_used_entries(monkeypatch):
+    from gdom import multigraph
+    from gdom.multigraph import Memo
+
+    monkeypatch.setattr(multigraph, "MEMO_BOUND", 3)
+    memo = Memo()
+    for key in "abc":
+        memo.put(key, key.upper())
+    assert memo.get("a") == "A"  # a hit moves "a" to the recent end
+    assert memo.put("d", "D") == "D"  # past the bound: "b", the oldest, goes
+    assert memo.get("b") is None and list(memo._values) == ["c", "a", "d"]
+    memo.put("c", "C")  # storing a key again moves it too
+    assert list(memo._values) == ["a", "d", "c"]
+
+
+def _memo_traffic() -> list:
+    """Hunts, relations and checks that ask the memos again and again: a hinge
+    hunt (spectra, plans, transitivity), a Tutte hunt (codes, Tutte blocks)
+    and relate plus check over small atlas pairs (plans, the LP)."""
+    from gdom.checks import check
+    from gdom.relations import certificate_to_json, relate
+    from gdom.search import PairGenerator, hunt
+    from gdom.spectral import hinge
+
+    out = []
+    for ineq, gen, trials, params in (
+        (
+            "spectral_decreasing_convex",
+            PairGenerator("overlay_copies", 2024, relation="domination", max_g=10, max_h=5),
+            200,
+            {"functional": hinge(4), "hypothesis": "domination"},
+        ),
+        ("tutte_coefficients", PairGenerator("overlay_copies", 10, relation="domination", max_g=8, max_h=5), 30, {}),
+    ):
+        payload = hunt(ineq, gen, trials, params).to_json()
+        payload.pop("elapsed")
+        out.append(payload)
+    for g in atlas_up_to(5):
+        for h in atlas_up_to(4):
+            certs = {name: cert and certificate_to_json(cert) for name, cert in relate(g, h).items()}
+            out.append((certs, check("frac_tiling_tree", g, h).to_json()))
+    return out
+
+
+def test_memo_eviction_never_changes_an_answer(monkeypatch):
+    """Every memoized value is a pure function of its key, so with every memo
+    bounded at 2 entries each answer is recomputed, and equals the answer
+    that the default bound gave."""
+    expected = _memo_traffic()
+    assert {
+        ("gdom.spectral", "_spectra"),
+        ("gdom.symmetry", "_codes"),
+        ("gdom.symmetry", "_transitive"),
+        ("gdom.embeddings", "_plans"),
+        ("gdom.counting", "_tutte_memo"),
+        ("gdom.counting", "_chromatic_memo"),
+        ("gdom.search", "_catalogs"),
+    } <= set(gdom_memos())
+    bound_memos(monkeypatch, 2)
+    assert _memo_traffic() == expected
+    assert all(len(memo._values) <= 2 for memo in gdom_memos().values())
 
 
 @pytest.mark.parametrize("weight", [0, -1, Fraction(0), Fraction(-1, 2), Fraction(-3), "0", "-2/3"])
