@@ -8,8 +8,10 @@ The Tutte and chromatic polynomials share one recursion: split the graph
 into its blocks (``multigraph.blocks``) and multiply, T(G) = Π T(B) and
 P(G) = q·Π P(B)/q (Haggard, Pearce and Royle, ACM TOMS 2010); inside a
 block, delete and contract its first unit, memoized on the block's
-canonical code.  A tree costs no recursion depth; a long cycle is one
-block and still recurses once per edge.
+canonical code.  One computation keeps every code and block value it
+meets until it returns, on top of the bounded shared memos.  A tree costs
+no recursion depth; a long cycle is one block and still recurses once per
+edge.
 """
 
 from __future__ import annotations
@@ -173,6 +175,37 @@ _ONE = BivariatePoly.constant(1)
 
 _tutte_memo = Memo()
 
+
+class _OneCall:
+    """A shared block memo as one deletion–contraction computation sees it:
+    every canonical code and value the computation meets stays in its own
+    table until it returns, so ``MEMO_BOUND`` never makes the recursion
+    recompute one of its own blocks, however many blocks it meets."""
+
+    def __init__(self, memo: Memo):
+        self._memo = memo
+        self._seen: dict = {}  # (n, edges) -> code, and code -> value
+
+    def code(self, g: Multigraph) -> bytes:
+        key = (g.n, g.edges)
+        code = self._seen.get(key)
+        if code is None:
+            code = self._seen[key] = cached_code(g)
+        return code
+
+    def get(self, key):
+        value = self._seen.get(key)
+        if value is None:
+            value = self._memo.get(key)
+            if value is not None:
+                self._seen[key] = value
+        return value
+
+    def put(self, key, value):
+        self._seen[key] = value
+        return self._memo.put(key, value)
+
+
 Pairs = tuple[tuple[int, int, int], ...]  # sorted (u, v, mult), u < v
 
 
@@ -196,7 +229,7 @@ def _contract(n: int, rest: Pairs, u: int, v: int) -> Pairs:
     return tuple(sorted((a, b, m) for (a, b), m in merged.items()))
 
 
-def _tutte_rec(n: int, pairs: Pairs) -> BivariatePoly:
+def _tutte_rec(n: int, pairs: Pairs, memo: _OneCall) -> BivariatePoly:
     """Tutte polynomial of a connected loopless multigraph: T(G) = Π T(B) over
     its blocks B, and deletion–contraction of the first unit within a block."""
     if not pairs:
@@ -208,18 +241,18 @@ def _tutte_rec(n: int, pairs: Pairs) -> BivariatePoly:
     if len(parts) > 1:
         result = _ONE
         for k, block in parts:
-            result = result * _tutte_rec(k, block)
+            result = result * _tutte_rec(k, block, memo)
         return result
-    key = cached_code(g)
-    hit = _tutte_memo.get(key)
+    key = memo.code(g)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     # deleting a unit of a 2-connected block, or of a multiple pair, keeps it
     # connected; contracting it turns its m-1 mates into loops, y factors
     (u, v, m), rest = pairs[0], pairs[1:]
     deleted = ((u, v, m - 1),) + rest if m > 1 else rest
-    contracted = _tutte_rec(n - 1, _contract(n, rest, u, v)).shift_y(m - 1)
-    return _tutte_memo.put(key, _tutte_rec(n, deleted) + contracted)
+    contracted = _tutte_rec(n - 1, _contract(n, rest, u, v), memo).shift_y(m - 1)
+    return memo.put(key, _tutte_rec(n, deleted, memo) + contracted)
 
 
 def tutte_polynomial(g: Multigraph) -> BivariatePoly:
@@ -230,7 +263,7 @@ def tutte_polynomial(g: Multigraph) -> BivariatePoly:
             f"{units} edge units exceed the Tutte bound {DEFAULT_TUTTE_EDGE_BOUND}"
         )
     pairs = tuple(sorted((u, v, m) for (u, v), m in g.adjacency.items()))
-    return _tutte_rec(g.n, pairs)
+    return _tutte_rec(g.n, pairs, _OneCall(_tutte_memo))
 
 
 def count_forests(g: Multigraph) -> int:
@@ -287,7 +320,7 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _chromatic_connected(n: int, pairs: Pairs) -> tuple[int, ...]:
+def _chromatic_connected(n: int, pairs: Pairs, memo: _OneCall) -> tuple[int, ...]:
     """Chromatic polynomial of a connected simple graph (every mult 1), ascending
     powers of q: P(G) = q·Π P(B)/q over its blocks B, and deletion–contraction
     of the first pair within a block."""
@@ -300,21 +333,22 @@ def _chromatic_connected(n: int, pairs: Pairs) -> tuple[int, ...]:
     if len(parts) > 1:
         quotient: tuple[int, ...] = (1,)
         for k, block in parts:
-            quotient = _poly_mul(quotient, _chromatic_connected(k, block)[1:])
+            quotient = _poly_mul(quotient, _chromatic_connected(k, block, memo)[1:])
         return (0,) + quotient
-    key = cached_code(g)
-    hit = _chromatic_memo.get(key)
+    key = memo.code(g)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     (u, v, _), rest = pairs[0], pairs[1:]
     contracted = tuple((a, b, 1) for a, b, _ in _contract(n, rest, u, v))
-    result = _poly_sub(_chromatic_connected(n, rest), _chromatic_connected(n - 1, contracted))
-    return _chromatic_memo.put(key, result)
+    deleted = _chromatic_connected(n, rest, memo)
+    return memo.put(key, _poly_sub(deleted, _chromatic_connected(n - 1, contracted, memo)))
 
 
 def chromatic_polynomial(g: Multigraph) -> tuple[int, ...]:
     """Coefficients of the chromatic polynomial, ascending powers of q."""
-    return _chromatic_connected(g.n, tuple((u, v, 1) for u, v in sorted(g.adjacency)))
+    pairs = tuple((u, v, 1) for u, v in sorted(g.adjacency))
+    return _chromatic_connected(g.n, pairs, _OneCall(_chromatic_memo))
 
 
 def count_proper_colorings(g: Multigraph, q: int) -> int:

@@ -37,6 +37,7 @@ from gdom.multigraph import (
 
 from conftest import (
     atlas_up_to,
+    bound_memos,
     brute_acyclic_orientation_count,
     brute_coloring_count,
     brute_forest_count,
@@ -44,6 +45,7 @@ from conftest import (
     brute_matching_count,
     brute_spanning_tree_count,
     brute_weighted_tree_sum,
+    nx_to_multigraph,
     random_connected,
 )
 
@@ -283,6 +285,30 @@ def test_chromatic_polynomial_parallel_edges_collapse():
     simple = path_graph(3)
     multi = parse_graph("3; 0 1 3; 1 2")
     assert chromatic_polynomial(simple) == chromatic_polynomial(multi)
+
+
+def test_one_polynomial_computes_each_block_once_past_the_memo_bound(monkeypatch):
+    """A Tutte or chromatic computation keeps the codes and block values it
+    meets until it returns, so a memo bound far below its block count makes
+    it recompute nothing: it stores as many codes and blocks as unbounded."""
+    import networkx as nx
+
+    from gdom.multigraph import Memo
+
+    petersen = nx_to_multigraph(nx.petersen_graph())
+    stores = []
+    real_put = Memo.put
+    monkeypatch.setattr(Memo, "put", lambda memo, key, value: stores.append(key) or real_put(memo, key, value))
+
+    def run(polynomial, bound):
+        bound_memos(monkeypatch, bound)
+        stores.clear()
+        return polynomial(petersen), len(stores)
+
+    for polynomial in (tutte_polynomial, chromatic_polynomial):
+        answer, unbounded = run(polynomial, 10**9)
+        assert unbounded > 50
+        assert run(polynomial, 2) == (answer, unbounded)
 
 
 def test_colorings_of_long_trees():
