@@ -176,9 +176,9 @@ def compare_normalized_powers(a: Count, na: int, b: Count, nb: int, direction: s
 
 
 def compare_float(lhs: float, rhs: float, direction: str, budget: float) -> str:
+    """Two floats within the budget of each other, equal ones included, are
+    inconclusive: a float tie proves no equality, which only exact paths claim."""
     diff = lhs - rhs
-    if diff == 0.0:
-        return HOLDS_WITH_EQUALITY
     if abs(diff) <= budget:
         return INCONCLUSIVE
     if direction == "ge":

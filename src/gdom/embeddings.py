@@ -157,11 +157,11 @@ def embeddings_iter(g: Multigraph, h: Multigraph) -> Iterator[tuple[int, ...]]:
     yield from _search(g, h, each_copy_once=False)
 
 
-def _copy_of(embedding: tuple[int, ...], h_pairs: list[tuple[int, int, int]]) -> Copy:
-    """The copy an embedding makes of H, given H's pairs (a, b, mult)."""
+def _copy_of(embedding: tuple[int, ...], h: Multigraph) -> Copy:
+    """The copy an embedding makes of H."""
     # injective, so distinct H-pairs land on distinct G-pairs
     edges = []
-    for a, b, m in h_pairs:
+    for (a, b), m in h.adjacency.items():
         u, v = embedding[a], embedding[b]
         edges.append((u, v, m) if u < v else (v, u, m))
     edges.sort()
@@ -176,8 +176,7 @@ def enumerate_copies(g: Multigraph, h: Multigraph) -> CopyList:
     """
     if h.n > g.n:
         raise ValueError(f"|H| = {h.n} exceeds |G| = {g.n}")
-    h_pairs = [(a, b, m) for (a, b), m in h.adjacency.items()]
-    return CopyList(copies=[_copy_of(emb, h_pairs) for emb in _search(g, h, each_copy_once=True)])
+    return CopyList(copies=[_copy_of(emb, h) for emb in _search(g, h, each_copy_once=True)])
 
 
 def rooted_copy_relation(g: Multigraph, h: Multigraph) -> set[tuple[int, int]]:

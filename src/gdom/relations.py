@@ -16,10 +16,13 @@ Before that search, degree classes may refute domination at once: an
 embedding maps no vertex to one of smaller degree, so a class of high-degree
 H-vertices with too few high-degree G-vertices breaks Hall's condition.
 
-``relate`` decides all four on one pair and enumerates the copies of H once
-for the three copy deciders.  Each public decider enumerates for itself.
-The LP is a revised fraction-free simplex over sparse copy columns that
-keeps only the basis inverse and rescales a row only when a pivot touches it.
+``relate`` decides all four on one pair with one search; a copy is built
+only when a certificate lists it.  The search gives one embedding per copy
+of H, the images of ``enumerate_copies``, and the three copy deciders read
+the tiling masks and both LPs' columns off those images.  Each public decider searches
+for itself.  The LP is a revised fraction-free simplex over sparse copy
+columns that keeps only the basis inverse and rescales a row only when a
+pivot touches it.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Union
+from typing import Collection, Iterable, Optional, Union
 
 from .counting import clear_denominators
-from .embeddings import Copy, _copy_of, _degrees, embeddings_iter, enumerate_copies, rooted_copy_relation
+from .embeddings import Copy, _copy_of, _degrees, _search, embeddings_iter, rooted_copy_relation
 from .multigraph import Multigraph
 
 HALL_SIZE_BOUND = 20
@@ -196,15 +199,15 @@ def check_tiling(g: Multigraph, h: Multigraph) -> Optional[TilingCertificate]:
     """Exact cover of V(G) by vertex-disjoint copies of H."""
     if h.n > g.n or g.n % h.n != 0:
         return None
-    return _tiling(g, enumerate_copies(g, h).copies)
+    return _tiling(g, h, list(_search(g, h, each_copy_once=True)))
 
 
-def _tiling(g: Multigraph, copies: list[Copy]) -> Optional[TilingCertificate]:
-    """The exact cover search of ``check_tiling`` over every copy of H."""
-    masks = [sum(1 << v for v in c.vertices) for c in copies]
+def _tiling(g: Multigraph, h: Multigraph, images: list) -> Optional[TilingCertificate]:
+    """The exact cover search of ``check_tiling`` over one image per copy of H."""
+    masks = [sum(1 << v for v in img) for img in images]
     by_vertex: list[list[int]] = [[] for _ in range(g.n)]
-    for i, c in enumerate(copies):
-        for v in c.vertices:
+    for i, img in enumerate(images):
+        for v in img:
             by_vertex[v].append(i)
     full = (1 << g.n) - 1
     chosen: list[int] = []
@@ -223,62 +226,69 @@ def _tiling(g: Multigraph, copies: list[Copy]) -> Optional[TilingCertificate]:
         return False
 
     if cover(0):
-        return TilingCertificate(copies=[copies[i] for i in chosen])
+        return TilingCertificate(copies=[_copy_of(images[i], h) for i in chosen])
     return None
 
 
-def _fractional_lp(reps: dict, columns: list, rhs: list[int], mode: str) -> Optional[FractionalTilingCertificate]:
+def _fractional_lp(
+    h: Multigraph, images: Collection[tuple[int, ...]], columns: list, rhs: list[int], mode: str
+) -> Optional[FractionalTilingCertificate]:
     """Copies weighted so that every LP row meets its rhs, scaled to integers.
 
-    ``reps`` maps each column's key to its first copy, in column order.  No
-    rows (the edge mode on K_1) is vacuous coverage.  The certificate keeps
-    the copies of positive value, in copy order."""
-    if not reps:
+    ``images`` holds the first image of each column's copies, in column
+    order.  No rows (the edge mode on K_1) is vacuous coverage.  The
+    certificate keeps the copies of positive value, in copy order."""
+    if not images:
         return None
-    x = feasible_nonnegative(columns, rhs) if rhs else [Fraction(1)] + [Fraction(0)] * (len(reps) - 1)
+    x = feasible_nonnegative(columns, rhs) if rhs else [Fraction(1)] + [Fraction(0)] * (len(images) - 1)
     if x is None:
         return None
-    support = [(c, xi) for c, xi in zip(reps.values(), x) if xi]
+    support = [(img, xi) for img, xi in zip(images, x) if xi]
     mults, m = clear_denominators([xi for _, xi in support])
-    return FractionalTilingCertificate(copies=[c for c, _ in support], multiplicities=mults, coverage=m, mode=mode)
+    copies = [_copy_of(img, h) for img, _ in support]
+    return FractionalTilingCertificate(copies=copies, multiplicities=mults, coverage=m, mode=mode)
 
 
 def check_fractional_tiling(g: Multigraph, h: Multigraph) -> Optional[FractionalTilingCertificate]:
     """An integer combination of copies covering every vertex equally often."""
-    return None if h.n > g.n else _fractional_tiling(g, enumerate_copies(g, h).copies)
+    return None if h.n > g.n else _fractional_tiling(g, h, list(_search(g, h, each_copy_once=True)))
 
 
-def _fractional_tiling(g: Multigraph, copies: list[Copy]) -> Optional[FractionalTilingCertificate]:
-    """Copies with the same (sorted) vertices are interchangeable for
-    coverage, so the LP runs over one column per vertex set: a 1 in the row
-    of each of its vertices, against rhs 1."""
+def _fractional_tiling(g: Multigraph, h: Multigraph, images: list) -> Optional[FractionalTilingCertificate]:
+    """Copies on the same vertices are interchangeable for coverage, so the
+    LP runs over one column per vertex set: a 1 in the row of each of its
+    vertices, against rhs 1."""
     reps: dict = {}
-    for c in copies:
-        reps.setdefault(c.vertices, c)
-    return _fractional_lp(reps, [dict.fromkeys(vs, 1) for vs in reps], [1] * g.n, "vertex")
+    for img in images:
+        reps.setdefault(frozenset(img), img)
+    return _fractional_lp(h, reps.values(), [dict.fromkeys(vs, 1) for vs in reps], [1] * g.n, "vertex")
 
 
 def check_fractional_edge_tiling(g: Multigraph, h: Multigraph) -> Optional[FractionalTilingCertificate]:
     """An integer combination of copies covering every edge unit equally often."""
-    return None if h.n > g.n else _fractional_edge_tiling(g, enumerate_copies(g, h).copies)
+    return None if h.n > g.n else _fractional_edge_tiling(g, h, list(_search(g, h, each_copy_once=True)))
 
 
-def _fractional_edge_tiling(g: Multigraph, copies: list[Copy]) -> Optional[FractionalTilingCertificate]:
+def _fractional_edge_tiling(g: Multigraph, h: Multigraph, images: list) -> Optional[FractionalTilingCertificate]:
     """Parallel units of one pair are interchangeable, so coverage is
     accounted per pair, one row per pair of G in sorted order: a copy's
     units on the pair against the pair multiplicity, over the row's gcd (as
     ``clear_denominators`` scales the normalized row, so the simplex pivots
-    alike).  Copies with the same pairs share a column."""
-    reps: dict = {}
-    for c in copies:
-        reps.setdefault(c.edges, c)
-    gcd = dict(g.adjacency)  # pair -> the gcd of its row, rhs included
-    for edges in reps:
-        for u, v, units in edges:
-            gcd[u, v] = math.gcd(gcd[u, v], units)
-    row = {pair: i for i, pair in enumerate(sorted(g.adjacency))}
-    columns = [{row[u, v]: units // gcd[u, v] for u, v, units in edges} for edges in reps]
-    return _fractional_lp(reps, columns, [g.adjacency[pair] // gcd[pair] for pair in row], "edge")
+    alike).  Each copy has a column of its own: H is connected, so two
+    copies on the same pairs are one copy (on K_1 every column is empty,
+    and the rows alone decide)."""
+    pairs = sorted(g.adjacency)
+    row = [[0] * g.n for _ in range(g.n)]  # a pair of G, either way round -> its row
+    for i, (u, v) in enumerate(pairs):
+        row[u][v] = row[v][u] = i
+    h_pairs = h.adjacency.items()
+    columns = [{row[img[a]][img[b]]: m for (a, b), m in h_pairs} for img in images]
+    gcd = [g.adjacency[pair] for pair in pairs]  # each row's gcd, rhs included
+    for i, units in set().union(*(col.items() for col in columns)):
+        gcd[i] = math.gcd(gcd[i], units)
+    if not h.is_simple():  # else every row a copy meets has gcd 1
+        columns = [{i: units // gcd[i] for i, units in col.items()} for col in columns]
+    return _fractional_lp(h, images, columns, [g.adjacency[pair] // d for pair, d in zip(pairs, gcd)], "edge")
 
 
 def check_domination(
@@ -445,16 +455,16 @@ RELATIONS = {
 def relate(g: Multigraph, h: Multigraph) -> dict[str, Optional[Certificate]]:
     """Every relation of ``RELATIONS``, in its order: name -> certificate or None.
 
-    Equal to calling each decider, but the copies of H are enumerated once
-    and handed to the three copy deciders.
+    Equal to calling each decider, but the copies of H are searched once
+    and their images handed to the three copy deciders.
     """
     if h.n > g.n:
         return dict.fromkeys(RELATIONS)
-    copies = enumerate_copies(g, h).copies
+    images = list(_search(g, h, each_copy_once=True))
     return {
-        "tiling": None if g.n % h.n else _tiling(g, copies),
-        "fractional_tiling": _fractional_tiling(g, copies),
-        "fractional_edge_tiling": _fractional_edge_tiling(g, copies),
+        "tiling": None if g.n % h.n else _tiling(g, h, images),
+        "fractional_tiling": _fractional_tiling(g, h, images),
+        "fractional_edge_tiling": _fractional_edge_tiling(g, h, images),
         "domination": check_domination(g, h),
     }
 
@@ -475,18 +485,17 @@ def _is_embedding(g: Multigraph, h: Multigraph, emb: tuple[int, ...]) -> bool:
     return True
 
 
-def _copy_is_valid(g: Multigraph, h: Multigraph, h_pairs: list, c: Copy) -> bool:
+def _copy_is_valid(g: Multigraph, h: Multigraph, c: Copy) -> bool:
     # so its vertices are distinct, its pairs sorted and each used once, and it is isomorphic to H
-    return _is_embedding(g, h, c.image) and c == _copy_of(c.image, h_pairs)
+    return _is_embedding(g, h, c.image) and c == _copy_of(c.image, h)
 
 
 def verify_certificate(g: Multigraph, h: Multigraph, cert: Certificate) -> bool:
     """Re-validate every certificate invariant from scratch."""
-    h_pairs = [(a, b, m) for (a, b), m in h.adjacency.items()]
     if isinstance(cert, TilingCertificate):
         seen: set[int] = set()
         for c in cert.copies:
-            if not _copy_is_valid(g, h, h_pairs, c):
+            if not _copy_is_valid(g, h, c):
                 return False
             if seen & set(c.vertices):
                 return False
@@ -504,7 +513,7 @@ def verify_certificate(g: Multigraph, h: Multigraph, cert: Certificate) -> bool:
             (c, m) for c, m in zip(cert.copies, cert.multiplicities) if m > 0
         ]
         for c, _ in active:
-            if not _copy_is_valid(g, h, h_pairs, c):
+            if not _copy_is_valid(g, h, c):
                 return False
         if cert.mode == "vertex":
             # valid copies hold distinct vertices of G

@@ -85,7 +85,8 @@ def test_cross_exponentiation_agrees_with_high_precision_floats():
 
 
 def test_compare_float_budget():
-    assert compare_float(1.0, 1.0, "le", 1e-9) == HOLDS_WITH_EQUALITY
+    assert compare_float(1.0, 1.0, "le", 1e-9) == INCONCLUSIVE  # a float tie proves no equality
+    assert compare_float(1.0, 1.0, "le", 0.0) == INCONCLUSIVE
     assert compare_float(1.0, 2.0, "le", 1e-9) == HOLDS
     assert compare_float(2.0, 1.0, "le", 1e-9) == VIOLATED
     assert compare_float(1.0, 1.0 + 1e-12, "le", 1e-9) == INCONCLUSIVE

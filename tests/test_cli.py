@@ -219,6 +219,14 @@ def test_a_shifted_inverse_parameter_too_small_for_a_float_is_an_error(graphs, t
     assert record["summary"].startswith("check error: ") and record["reports"] == []
 
 
+def test_a_float_tie_is_inconclusive_not_an_equality(graphs, tmp_path, capsys):
+    # both sides round to 1.0, but exactly they are about 1 - 3t and 1 - 2t
+    argv = ["check", "spectral_decreasing_convex", graphs["k4"], graphs["k3"], "--hinge", "exp_decay(1e-20)", "--json"]
+    assert main([*argv, "--log-dir", str(tmp_path / "log")]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "inconclusive" and payload["lhs"] == payload["rhs"] == 1.0
+
+
 def test_heat_trace_at_t_zero_is_an_error_for_isomorphic_graphs_too(graphs, tmp_path, capsys):
     # exp_decay(0) is no decreasing function; isomorphic graphs take no shortcut past that
     for i, (g, h) in enumerate((("k3", "k3"), ("k4", "k3"))):

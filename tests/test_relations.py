@@ -423,7 +423,7 @@ def test_sparse_columns_give_the_dense_eager_certificates():
     for g, h, gcd in atlas + [(g, h, True) for g, h in _gcd_multigraph_pairs(random.Random(1954), 120)]:
         copies = enumerate_copies(g, h).copies
         for mode, decider in (("vertex", relations._fractional_tiling), ("edge", relations._fractional_edge_tiling)):
-            cert = decider(g, copies)
+            cert = decider(g, h, [c.image for c in copies])
             assert cert == _eager_certificate(g, copies, mode), (g, h, mode)
             held[mode] += cert is not None
         held["gcd edge"] += gcd and cert is not None
@@ -444,11 +444,14 @@ def test_lp_cells_count_the_nonzeros_of_both_copy_lps(monkeypatch):
     monkeypatch.setattr(relations, "feasible_nonnegative", spy)
     pairs = [(g, h) for g in atlas_up_to(5) for h in atlas_up_to(4) if h.n <= g.n]
     pairs += _gcd_multigraph_pairs(random.Random(54), 40)
+    # simple H in multigraphs: a multiple pair that no copy meets has rhs 1
+    rng = random.Random(55)
+    pairs += [(_random_multigraph(rng, 5, 1, 3, 3), _random_multigraph(rng, rng.randint(2, 4), 1, 1, 1)) for _ in range(40)]
     for g, h in pairs:
         copies = enumerate_copies(g, h).copies
         for mode, decider in (("vertex", relations._fractional_tiling), ("edge", relations._fractional_edge_tiling)):
             calls.clear()
-            decider(g, copies)
+            decider(g, h, [c.image for c in copies])
             if not calls:  # no copies, or no rows
                 continue
             (columns, rhs), = calls
@@ -460,19 +463,46 @@ def test_lp_cells_count_the_nonzeros_of_both_copy_lps(monkeypatch):
 
 def test_relate_enumerates_copies_once(monkeypatch):
     calls = []
-    enumerate_once = relations.enumerate_copies
+    search = relations._search
 
-    def counted(g, h):
-        calls.append((g, h))
-        return enumerate_once(g, h)
+    def counted(g, h, each_copy_once):
+        calls.append((g, h, each_copy_once))
+        return search(g, h, each_copy_once)
 
-    monkeypatch.setattr(relations, "enumerate_copies", counted)
+    monkeypatch.setattr(relations, "_search", counted)
     result = relate(grid4x4(), cycle_graph(4))
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0][2]  # one search, one embedding per copy
     assert list(result) == list(RELATIONS)
     assert result["tiling"] is not None and result["fractional_tiling"] is not None
     assert relate(single_edge(), complete_graph(3)) == dict.fromkeys(RELATIONS)
     assert len(calls) == 1
+
+
+def test_a_copy_is_built_only_for_the_copies_a_certificate_lists(monkeypatch):
+    """The copy deciders work on the search's images and build a ``Copy``
+    once for each copy their certificates list, in certificate order: the
+    tiling's cover and the support of each LP, and no other."""
+    built = []
+    copy_of = relations._copy_of
+
+    def spy(image, h):
+        built.append(image)
+        return copy_of(image, h)
+
+    monkeypatch.setattr(relations, "_copy_of", spy)
+    pairs = [(g, h) for g in atlas_up_to(6) for h in atlas_up_to(5) if h.n <= g.n]
+    pairs += _gcd_multigraph_pairs(random.Random(1954), 120)
+    listed = 0
+    for g, h in pairs:
+        built.clear()
+        certs = [cert for name, cert in relate(g, h).items() if cert is not None and name != "domination"]
+        assert built == [c.image for cert in certs for c in cert.copies], (g, h)
+        listed += len(built)
+        for decider in (check_tiling, check_fractional_tiling, check_fractional_edge_tiling):
+            built.clear()
+            cert = decider(g, h)
+            assert built == ([] if cert is None else [c.image for c in cert.copies]), (g, h, decider)
+    assert listed > 1000, listed
 
 
 def test_relate_equals_the_deciders():
@@ -857,7 +887,7 @@ def _forgeries(g, h, c):
     yield "too short", replace(c, image=(x, y))
     yield "too long", replace(c, image=(*c.image, next(v for v in range(g.n) if v not in c.image)))
     # the copy (y, x, z) makes, whose H-edge x-z misses C6
-    yield "edge off G", _copy_of((y, x, z), [(a, b, m) for (a, b), m in h.adjacency.items()])
+    yield "edge off G", _copy_of((y, x, z), h)
     yield "edge dropped", replace(c, edges=c.edges[:1])
     yield "edge doubled", replace(c, edges=tuple((u, v, 2) for u, v, _ in c.edges))
     yield "edge swapped", replace(c, edges=((min(x, z), max(x, z), 1), *c.edges[1:]))

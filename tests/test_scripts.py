@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("torture_soundness.py", ["--budget", "5"], "0 violations"),
         ("survey_small_pairs.py", ["--max-n", "4"], "connected graphs up to 4 vertices"),
         ("hunt_hinge_counterexample.py", ["--trials", "50"], "50/50 checked trials"),
+        ("relate_digest.py", ["--seed", "1", "--pairs", "24"], "24 pairs, seed 1: sha256 "),
     ],
 )
 def test_script_runs(script, args, expect, tmp_path):
