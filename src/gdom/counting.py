@@ -4,19 +4,20 @@ Everything here is exact big-integer or big-rational arithmetic; no floats.
 Determinants use fraction-free Bareiss elimination on integer matrices
 (rational inputs are cleared to a common denominator first).
 
-The Tutte and chromatic polynomials share one recursion: split the graph
-into its blocks (``multigraph.blocks``) and multiply, T(G) = Π T(B) and
-P(G) = q·Π P(B)/q (Haggard, Pearce and Royle, ACM TOMS 2010); inside a
-block, delete and contract its first unit, memoized on the block's
-canonical code.  One computation keeps every code and block value it
-meets until it returns, on top of the bounded shared memos.  A tree costs
-no recursion depth; a long cycle is one block and still recurses once per
-edge.
+Every homomorphism count, proper colourings included (maps to K_q), is one
+bucket-elimination engine over a min-degree order of G, in int tables whose
+size is checked against one bound before any is built.  Only the Tutte
+polynomial recurses: split the graph into its blocks
+(``multigraph.blocks``) and multiply, T(G) = Π T(B) (Haggard, Pearce and
+Royle, ACM TOMS 2010); inside a block, delete and contract its first unit,
+memoized on the block's canonical code.  A tree costs no recursion depth; a
+long cycle is one block and still recurses once per edge.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -28,7 +29,7 @@ Count = Union[int, Fraction]
 
 DEFAULT_TUTTE_EDGE_BOUND = 24
 DEFAULT_SUBSET_BOUND = 40
-DEFAULT_HOM_BOUND = 16
+DEFAULT_HOM_TABLE_BOUND = 2**20  # entries of one elimination table
 
 
 class CountingBoundExceeded(RuntimeError):
@@ -170,40 +171,9 @@ class BivariatePoly:
 
 
 _X = BivariatePoly.from_dict({(1, 0): 1})
-_Y = BivariatePoly.from_dict({(0, 1): 1})
 _ONE = BivariatePoly.constant(1)
 
 _tutte_memo = Memo()
-
-
-class _OneCall:
-    """A shared block memo as one deletion–contraction computation sees it:
-    every canonical code and value the computation meets stays in its own
-    table until it returns, so ``MEMO_BOUND`` never makes the recursion
-    recompute one of its own blocks, however many blocks it meets."""
-
-    def __init__(self, memo: Memo):
-        self._memo = memo
-        self._seen: dict = {}  # (n, edges) -> code, and code -> value
-
-    def code(self, g: Multigraph) -> bytes:
-        key = (g.n, g.edges)
-        code = self._seen.get(key)
-        if code is None:
-            code = self._seen[key] = cached_code(g)
-        return code
-
-    def get(self, key):
-        value = self._seen.get(key)
-        if value is None:
-            value = self._memo.get(key)
-            if value is not None:
-                self._seen[key] = value
-        return value
-
-    def put(self, key, value):
-        self._seen[key] = value
-        return self._memo.put(key, value)
 
 
 Pairs = tuple[tuple[int, int, int], ...]  # sorted (u, v, mult), u < v
@@ -229,7 +199,7 @@ def _contract(n: int, rest: Pairs, u: int, v: int) -> Pairs:
     return tuple(sorted((a, b, m) for (a, b), m in merged.items()))
 
 
-def _tutte_rec(n: int, pairs: Pairs, memo: _OneCall) -> BivariatePoly:
+def _tutte_rec(n: int, pairs: Pairs) -> BivariatePoly:
     """Tutte polynomial of a connected loopless multigraph: T(G) = Π T(B) over
     its blocks B, and deletion–contraction of the first unit within a block."""
     if not pairs:
@@ -241,18 +211,18 @@ def _tutte_rec(n: int, pairs: Pairs, memo: _OneCall) -> BivariatePoly:
     if len(parts) > 1:
         result = _ONE
         for k, block in parts:
-            result = result * _tutte_rec(k, block, memo)
+            result = result * _tutte_rec(k, block)
         return result
-    key = memo.code(g)
-    hit = memo.get(key)
+    key = cached_code(g)
+    hit = _tutte_memo.get(key)
     if hit is not None:
         return hit
     # deleting a unit of a 2-connected block, or of a multiple pair, keeps it
     # connected; contracting it turns its m-1 mates into loops, y factors
     (u, v, m), rest = pairs[0], pairs[1:]
     deleted = ((u, v, m - 1),) + rest if m > 1 else rest
-    contracted = _tutte_rec(n - 1, _contract(n, rest, u, v), memo).shift_y(m - 1)
-    return memo.put(key, _tutte_rec(n, deleted, memo) + contracted)
+    contracted = _tutte_rec(n - 1, _contract(n, rest, u, v)).shift_y(m - 1)
+    return _tutte_memo.put(key, _tutte_rec(n, deleted) + contracted)
 
 
 def tutte_polynomial(g: Multigraph) -> BivariatePoly:
@@ -263,7 +233,7 @@ def tutte_polynomial(g: Multigraph) -> BivariatePoly:
             f"{units} edge units exceed the Tutte bound {DEFAULT_TUTTE_EDGE_BOUND}"
         )
     pairs = tuple(sorted((u, v, m) for (u, v), m in g.adjacency.items()))
-    return _tutte_rec(g.n, pairs, _OneCall(_tutte_memo))
+    return _tutte_rec(g.n, pairs)
 
 
 def count_forests(g: Multigraph) -> int:
@@ -299,66 +269,7 @@ def count_independent_sets(g: Multigraph) -> int:
     return rec((1 << g.n) - 1)
 
 
-# -- chromatic counting ------------------------------------------------------
-
-_chromatic_memo = Memo()
-
-
-def _poly_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    size = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(size)
-    )
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _chromatic_connected(n: int, pairs: Pairs, memo: _OneCall) -> tuple[int, ...]:
-    """Chromatic polynomial of a connected simple graph (every mult 1), ascending
-    powers of q: P(G) = q·Π P(B)/q over its blocks B, and deletion–contraction
-    of the first pair within a block."""
-    if not pairs:
-        return (0, 1)
-    if pairs == ((0, 1, 1),):
-        return (0, -1, 1)
-    g = Multigraph(n, pairs, _validated=True)
-    parts = _blocks_of(g)
-    if len(parts) > 1:
-        quotient: tuple[int, ...] = (1,)
-        for k, block in parts:
-            quotient = _poly_mul(quotient, _chromatic_connected(k, block, memo)[1:])
-        return (0,) + quotient
-    key = memo.code(g)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    (u, v, _), rest = pairs[0], pairs[1:]
-    contracted = tuple((a, b, 1) for a, b, _ in _contract(n, rest, u, v))
-    deleted = _chromatic_connected(n, rest, memo)
-    return memo.put(key, _poly_sub(deleted, _chromatic_connected(n - 1, contracted, memo)))
-
-
-def chromatic_polynomial(g: Multigraph) -> tuple[int, ...]:
-    """Coefficients of the chromatic polynomial, ascending powers of q."""
-    pairs = tuple((u, v, 1) for u, v in sorted(g.adjacency))
-    return _chromatic_connected(g.n, pairs, _OneCall(_chromatic_memo))
-
-
-def count_proper_colorings(g: Multigraph, q: int) -> int:
-    if q < 0:
-        raise ValueError("number of colors must be nonnegative")
-    coeffs = chromatic_polynomial(g)
-    return sum(c * q**i for i, c in enumerate(coeffs))
-
-
-# -- weighted homomorphisms --------------------------------------------------
+# -- homomorphisms by variable elimination ----------------------------------
 
 
 @dataclass(frozen=True)
@@ -381,48 +292,95 @@ class HomTarget:
         return HomTarget(q, frozenset((i, j) for i in range(q) for j in range(i + 1, q)))
 
 
+_hom_memo = Memo()
+
+
+def _min_degree_order(g: Multigraph) -> tuple[list[int], int]:
+    """An elimination order of V(G) that takes a vertex of least degree in G
+    plus the fill edges so far, and its width: the most neighbours a vertex
+    has when it goes."""
+    nbrs = {v: set(ns) for v, ns in enumerate(g.neighbors)}
+    order, width = [], 0
+    while nbrs:
+        v = min(nbrs, key=lambda x: (len(nbrs[x]), x))
+        order.append(v)
+        width = max(width, len(nbrs[v]))
+        for u in nbrs[v]:
+            nbrs[u] = (nbrs[u] | nbrs[v]) - {u, v}
+        del nbrs[v]
+    return order, width
+
+
+def _expand(table: list[int], scope: tuple[int, ...], full: list[int], k: int) -> list[int]:
+    """``table`` over ``scope`` as a table over ``full`` ⊇ scope, constant
+    along the vertices scope lacks; both list their vertices descending."""
+    for x in full:
+        if x not in scope:
+            inner = k ** sum(y < x for y in scope)
+            table = [e for o in range(0, len(table), inner) for e in table[o : o + inner] * k]
+    return table
+
+
+def _eliminate(g: Multigraph, order: list[int], k: int, adj: list[int], w: list[int]) -> int:
+    """Σ over maps f: V(G) -> range(k) of Π w[f(v)] · Π adj[f(u)·k + f(v)] over
+    the adjacent pairs uv, by bucket elimination along ``order``.  Vertices
+    are renamed by their place in the order, and each table lists its
+    vertices descending, so the vertex that goes is the last index."""
+    rank = {v: r for r, v in enumerate(order)}
+    buckets: list[list[tuple[tuple[int, ...], list[int]]]] = [[] for _ in order]
+    for u, v in g.adjacency:
+        a, b = sorted((rank[u], rank[v]))
+        buckets[a].append(((b, a), adj))
+    total = 1
+    for r, bucket in enumerate(buckets):
+        full = sorted({r}.union(*(scope for scope, _ in bucket)), reverse=True)
+        table = [1] * k ** len(full)
+        for scope, factor in bucket:
+            table = list(map(operator.mul, table, _expand(factor, scope, full, k)))
+        message = [sum(map(operator.mul, table[i : i + k], w)) for i in range(0, len(table), k)]
+        if len(full) > 1:
+            buckets[full[-2]].append((tuple(full[:-1]), message))
+        else:
+            total *= message[0]
+    return total
+
+
 def count_weighted_homomorphisms(
     g: Multigraph,
     target: HomTarget,
     weights: Optional[dict[int, Fraction]] = None,
 ) -> Count:
-    """Total weight of adjacency-preserving maps V(G) -> V(target); ``weights`` covers V(target)."""
-    if g.n > DEFAULT_HOM_BOUND:
-        raise CountingBoundExceeded(f"|G| = {g.n} exceeds bound {DEFAULT_HOM_BOUND}")
+    """Total weight of adjacency-preserving maps V(G) -> V(target); ``weights`` covers V(target).
+
+    Bucket elimination (Dechter 1999; Díaz, Serna and Thilikos 2002) in ints,
+    the weights cleared to a common denominator d and the total divided by
+    d^|G|.  A largest table, target.n^(width + 1) entries, past
+    ``DEFAULT_HOM_TABLE_BOUND`` raises ``CountingBoundExceeded`` before any is built."""
     if weights is not None and weights.keys() != set(range(target.n)):
         raise ValueError(f"hom_weights name vertices {list(weights)}; the target's are 0..{target.n - 1}")
-    w = {v: Fraction(1 if weights is None else weights[v]) for v in range(target.n)}
-    if any(x <= 0 for x in w.values()):
+    ws = tuple(Fraction(1 if weights is None else weights[v]) for v in range(target.n))
+    if any(x <= 0 for x in ws):
         raise ValueError("homomorphism weights must be positive")
-    # connected DFS order over G
-    order = [0]
-    placed = {0}
-    while len(order) < g.n:
-        nxt = min(
-            v
-            for v in range(g.n)
-            if v not in placed and any(u in placed for u in g.neighbors[v])
-        )
-        order.append(nxt)
-        placed.add(nxt)
-    image = [-1] * g.n
-    total = Fraction(0)
+    key = (g.n, g.edges, target, ws)
+    hit = _hom_memo.get(key)
+    if hit is not None:
+        return hit
+    k = target.n
+    order, width = _min_degree_order(g)
+    if k ** (width + 1) > DEFAULT_HOM_TABLE_BOUND:
+        raise CountingBoundExceeded(f"{k}^{width + 1} entries exceed the table bound {DEFAULT_HOM_TABLE_BOUND}")
+    if k == 0:
+        return _hom_memo.put(key, 0)  # V(G) is never empty
+    w, den = clear_denominators(ws)
+    adj = [int(target.adjacent(a, b)) for a in range(k) for b in range(k)]
+    return _hom_memo.put(key, _as_count(Fraction(_eliminate(g, order, k, adj, w), den**g.n)))
 
-    def rec(k: int, acc: Fraction) -> None:
-        nonlocal total
-        if k == g.n:
-            total += acc
-            return
-        v = order[k]
-        anchored = [u for u in g.neighbors[v] if image[u] != -1]
-        for t in range(target.n):
-            if all(target.adjacent(t, image[u]) for u in anchored):
-                image[v] = t
-                rec(k + 1, acc * w[t])
-                image[v] = -1
 
-    rec(0, Fraction(1))
-    return _as_count(total)
+def count_proper_colorings(g: Multigraph, q: int) -> int:
+    """Proper colourings with q colours: the homomorphisms to K_q."""
+    if q < 0:
+        raise ValueError("number of colors must be nonnegative")
+    return count_weighted_homomorphisms(g, HomTarget.complete(q))
 
 
 # -- matchings and packings --------------------------------------------------

@@ -7,9 +7,9 @@ arithmetic.  Loops produced by contraction are discarded; the number
 discarded is reported through the module logger for debugging.
 
 ``blocks`` is the one cut-vertex and bridge finder: it splits a graph into
-its blocks, where a bridge is a block of one pair.  Both deletion–contraction
-recursions in ``counting`` (Tutte and chromatic) split there, and
-``has_cut_edge`` reads the single-unit bridges off it.
+its blocks, where a bridge is a block of one pair.  It serves two callers:
+the Tutte recursion in ``counting`` splits there, and ``has_cut_edge``
+reads the single-unit bridges off it.
 
 A weight whose value is an integer is stored as that ``int`` (a unit
 weight as ``1``), any other as a normalized ``Fraction``.  Since

@@ -11,12 +11,14 @@ import itertools
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional, Union
 
 import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from gdom import multigraph
+from gdom.counting import HomTarget
 from gdom.embeddings import embeddings_iter
 from gdom.multigraph import Memo, Multigraph
 
@@ -207,6 +209,45 @@ def brute_coloring_count(g: Multigraph, q: int) -> int:
         if all(colors[u] != colors[v] for (u, v) in g.adjacency):
             count += 1
     return count
+
+
+def brute_hom_count(g: Multigraph, target: HomTarget, weights: Optional[dict] = None) -> Union[int, Fraction]:
+    """Total weight of the homomorphisms G -> target, one map at a time along
+    a connected order of G, with a ``Fraction`` accumulator."""
+    if weights is not None and weights.keys() != set(range(target.n)):
+        raise ValueError(f"hom_weights name vertices {list(weights)}; the target's are 0..{target.n - 1}")
+    w = {v: Fraction(1 if weights is None else weights[v]) for v in range(target.n)}
+    if any(x <= 0 for x in w.values()):
+        raise ValueError("homomorphism weights must be positive")
+    # connected DFS order over G
+    order = [0]
+    placed = {0}
+    while len(order) < g.n:
+        nxt = min(
+            v
+            for v in range(g.n)
+            if v not in placed and any(u in placed for u in g.neighbors[v])
+        )
+        order.append(nxt)
+        placed.add(nxt)
+    image = [-1] * g.n
+    total = Fraction(0)
+
+    def rec(k: int, acc: Fraction) -> None:
+        nonlocal total
+        if k == g.n:
+            total += acc
+            return
+        v = order[k]
+        anchored = [u for u in g.neighbors[v] if image[u] != -1]
+        for t in range(target.n):
+            if all(target.adjacent(t, image[u]) for u in anchored):
+                image[v] = t
+                rec(k + 1, acc * w[t])
+                image[v] = -1
+
+    rec(0, Fraction(1))
+    return int(total) if total.denominator == 1 else total
 
 
 def brute_matching_count(g: Multigraph) -> int:

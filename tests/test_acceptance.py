@@ -59,6 +59,7 @@ from gdom.symmetry import cached_code, is_transitive
 from conftest import (
     atlas_up_to,
     brute_acyclic_orientation_count,
+    brute_coloring_count,
     brute_forest_count,
     brute_spanning_tree_count,
     covers_every_vertex,
@@ -411,9 +412,10 @@ def test_criterion_11_cross_oracle_identities():
         assert count_weighted_homomorphisms(g, HomTarget.independent_set_target()) == (
             count_independent_sets(g)
         )
-        assert count_weighted_homomorphisms(g, HomTarget.complete(3)) == (
-            count_proper_colorings(g, 3)
-        )
+        # both sides run the one elimination engine, so each also meets the brute force
+        colorings = brute_coloring_count(g, 3)
+        assert count_weighted_homomorphisms(g, HomTarget.complete(3)) == colorings
+        assert count_proper_colorings(g, 3) == colorings
     _pass(11, f"T(1,1)=tau, T(2,1)=forests, T(2,0)=acyclic on {len(graphs)} graphs; hom encodings on 100")
 
 

@@ -25,7 +25,6 @@ DOCUMENTED_API = {
     "single_vertex",
     # homomorphism targets and spectral test functions
     "HomTarget.independent_set_target",
-    "HomTarget.complete",
     "exp_decay",
     "hinge",
     "shifted_inverse",

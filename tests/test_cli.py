@@ -9,7 +9,7 @@ import pytest
 
 from gdom import cli
 from gdom.cli import RunLog, main
-from gdom.search import PairGenerator, hunt
+from gdom.search import PairGenerator, generate_pair, hunt
 from gdom.multigraph import complete_graph, serialize_graph, star_graph, path_graph, single_edge
 from gdom.spectral import EigensolverError
 
@@ -302,7 +302,7 @@ def test_json_graph_fields_of_the_wrong_type_are_an_error(graphs, tmp_path, caps
 
 
 def test_check_colorings_of_a_long_path_under_a_low_recursion_limit(tmp_path, capsys):
-    # a path is all one-edge blocks, so its chromatic polynomial takes no recursion per edge
+    # colourings are counted by elimination, which takes no recursion per edge
     p = tmp_path / "p150.txt"
     p.write_text(serialize_graph(path_graph(150)))
     e = tmp_path / "k2.txt"
@@ -336,6 +336,31 @@ def test_check_resource_bound_is_an_error(tmp_path, capsys):
     (record,) = RunLog(str(tmp_path / "l")).records()
     assert record["summary"].startswith("check error: 28 edge units exceed the Tutte bound 24")
     assert record["reports"] == [] and set(record["input_digests"]) == {"g", "h"}
+
+
+def test_colorings_past_the_table_bound_are_an_error(tmp_path, capsys):
+    # K8 at q = 8 needs an elimination table of 8^8 entries, over the bound of 2^20
+    k8 = tmp_path / "k8.txt"
+    k8.write_text(serialize_graph(complete_graph(8)))
+    k3 = tmp_path / "k3.txt"
+    k3.write_text(serialize_graph(complete_graph(3)))
+    log = str(tmp_path / "check")
+    rc = main(["check", "vertex_counting:proper_colorings", str(k8), str(k3), "--q", "8", "--log-dir", log])
+    assert rc == 3
+    message = "8^8 entries exceed the table bound 1048576"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    (record,) = RunLog(log).records()
+    assert record["summary"] == f"check error: {message}" and record["reports"] == []
+    # a hunt whose catalog holds K8 skips that trial and goes on
+    log = str(tmp_path / "hunt")
+    argv = ["vertex_counting:proper_colorings", "--strategy", "transitive_catalog", "--relation", "fractional_tiling"]
+    argv += ["--max-n", "8", "--max-h", "4", "--q", "8", "--seed", "4", "--trials", "20", "--log-dir", log]
+    assert main(["hunt", *argv]) == 0
+    (record,) = RunLog(log).records()
+    (result,) = record["reports"]
+    assert (result["resource_skips"], result["checked"]) == (1, 19)
+    gen = PairGenerator("transitive_catalog", seed=4, relation="fractional_tiling", max_g=8, max_h=4)
+    assert generate_pair(gen, 14).g == complete_graph(8)
 
 
 def test_check_internal_failure_is_an_error(graphs, tmp_path, capsys, monkeypatch):

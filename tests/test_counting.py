@@ -11,7 +11,6 @@ from gdom.counting import (
     CountingBoundExceeded,
     HomTarget,
     bareiss_determinant,
-    chromatic_polynomial,
     count_acyclic_orientations,
     count_forests,
     count_independent_sets,
@@ -37,15 +36,14 @@ from gdom.multigraph import (
 
 from conftest import (
     atlas_up_to,
-    bound_memos,
     brute_acyclic_orientation_count,
     brute_coloring_count,
     brute_forest_count,
+    brute_hom_count,
     brute_independent_set_count,
     brute_matching_count,
     brute_spanning_tree_count,
     brute_weighted_tree_sum,
-    nx_to_multigraph,
     random_connected,
 )
 
@@ -273,51 +271,60 @@ def test_coloring_examples():
 
 
 def test_colorings_vs_brute_and_tutte_sign_formula():
-    for g in atlas_up_to(5):
-        for q in (2, 3):
+    for g in atlas_up_to(6):
+        t = tutte_polynomial(g)
+        for q in range(5):
             mine = count_proper_colorings(g, q)
             assert mine == brute_coloring_count(g, q)
             # connected case of the sign formula: P(q) = (-1)^(n-1) q T(1-q, 0)
-            assert mine == (-1) ** (g.n - 1) * q * tutte_polynomial(g).evaluate(1 - q, 0)
+            assert mine == (-1) ** (g.n - 1) * q * t.evaluate(1 - q, 0)
 
 
 def test_chromatic_polynomial_parallel_edges_collapse():
     simple = path_graph(3)
     multi = parse_graph("3; 0 1 3; 1 2")
-    assert chromatic_polynomial(simple) == chromatic_polynomial(multi)
+    for q in range(5):
+        assert count_proper_colorings(simple, q) == count_proper_colorings(multi, q)
 
 
-def test_one_polynomial_computes_each_block_once_past_the_memo_bound(monkeypatch):
-    """A Tutte or chromatic computation keeps the codes and block values it
-    meets until it returns, so a memo bound far below its block count makes
-    it recompute nothing: it stores as many codes and blocks as unbounded."""
-    import networkx as nx
-
-    from gdom.multigraph import Memo
-
-    petersen = nx_to_multigraph(nx.petersen_graph())
-    stores = []
-    real_put = Memo.put
-    monkeypatch.setattr(Memo, "put", lambda memo, key, value: stores.append(key) or real_put(memo, key, value))
-
-    def run(polynomial, bound):
-        bound_memos(monkeypatch, bound)
-        stores.clear()
-        return polynomial(petersen), len(stores)
-
-    for polynomial in (tutte_polynomial, chromatic_polynomial):
-        answer, unbounded = run(polynomial, 10**9)
-        assert unbounded > 50
-        assert run(polynomial, 2) == (answer, unbounded)
+def test_coloring_bound_names_the_largest_table():
+    # K8 eliminates one vertex with its 7 neighbours: a table of 8^8 = 2^24 entries
+    with pytest.raises(CountingBoundExceeded, match=r"^8\^8 entries exceed the table bound 1048576$"):
+        count_proper_colorings(complete_graph(8), 8)
+    assert count_proper_colorings(complete_graph(8), 4) == 0  # 4^8 = 2^16 entries fit
 
 
 def test_colorings_of_long_trees():
-    # a tree is all one-edge blocks: P = q (q-1)^(n-1), with no recursion per edge
+    # a tree has elimination width 1: q (q-1)^(n-1) colourings, with no recursion per edge
     assert count_proper_colorings(path_graph(600), 3) == 3 * 2**599
     assert count_proper_colorings(star_graph(599), 3) == 3 * 2**599
 
 
 # -- homomorphisms ---------------------------------------------------------------------
+
+
+def test_hom_reach_is_the_elimination_width():
+    # |G| bounds nothing: a path has width 1 and a cycle width 2
+    assert count_weighted_homomorphisms(path_graph(40), HomTarget.complete(3)) == 3 * 2**39
+    assert count_weighted_homomorphisms(cycle_graph(16), HomTarget.complete(4)) == 3**16 + 3
+
+
+def _random_target(rng: random.Random) -> tuple[HomTarget, dict[int, Fraction]]:
+    k = rng.randint(1, 4)
+    edges = frozenset((u, v) for u in range(k) for v in range(u, k) if rng.random() < 0.5)
+    return HomTarget(k, edges), {v: Fraction(rng.randint(1, 5), rng.randint(1, 5)) for v in range(k)}
+
+
+def test_weighted_homs_against_brute_force():
+    """300 seeded targets of up to 4 vertices, with loops and rational
+    weights, over every connected graph of at most 6 vertices in turn."""
+    rng = random.Random(2002)
+    atlas = atlas_up_to(6)
+    for i in range(300):
+        g = atlas[i % len(atlas)]
+        target, weights = _random_target(rng)
+        assert count_weighted_homomorphisms(g, target, weights) == brute_hom_count(g, target, weights)
+        assert count_weighted_homomorphisms(g, target) == brute_hom_count(g, target)
 
 
 def test_hom_constant_map():

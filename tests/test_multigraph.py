@@ -504,7 +504,7 @@ def test_memo_eviction_never_changes_an_answer(monkeypatch):
         ("gdom.symmetry", "_transitive"),
         ("gdom.embeddings", "_plans"),
         ("gdom.counting", "_tutte_memo"),
-        ("gdom.counting", "_chromatic_memo"),
+        ("gdom.counting", "_hom_memo"),
         ("gdom.search", "_catalogs"),
     } <= set(gdom_memos())
     bound_memos(monkeypatch, 2)

@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("survey_small_pairs.py", ["--max-n", "4"], "connected graphs up to 4 vertices"),
         ("hunt_hinge_counterexample.py", ["--trials", "50"], "50/50 checked trials"),
         ("relate_digest.py", ["--seed", "1", "--pairs", "24"], "24 pairs, seed 1: sha256 "),
+        ("count_digest.py", ["--seed", "1", "--pairs", "24"], "24 pairs, seed 1: "),
     ],
 )
 def test_script_runs(script, args, expect, tmp_path):
