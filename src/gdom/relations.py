@@ -19,10 +19,16 @@ H-vertices with too few high-degree G-vertices breaks Hall's condition.
 ``relate`` decides all four on one pair with one search; a copy is built
 only when a certificate lists it.  The search gives one embedding per copy
 of H, the images of ``enumerate_copies``, and the three copy deciders read
-the tiling masks and both LPs' columns off those images.  Each public decider searches
-for itself.  The LP is a revised fraction-free simplex over sparse copy
-columns that keeps only the basis inverse and rescales a row only when a
-pivot touches it.
+the tiling masks and both LPs' columns off those images.  ``relate`` also
+follows the paper's implications: a tiling's fractional tiling certificate
+is ``fractional_from_tiling`` of it, and a fractional tiling's coupling is
+``coupling_from_fractional_tiling`` of it, so the vertex LP runs only
+without a tiling and the domination walk only without a fractional tiling.
+Derived certificates are checked like any other.  Each public decider
+searches for itself, so ``check_domination`` always returns the walk's
+coupling.  The LP is a revised fraction-free simplex over sparse copy
+columns that keeps only the basis inverse, rescales a row only when a pivot
+touches it, and prices the columns in blocks.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ Certificate = Union[TilingCertificate, FractionalTilingCertificate, CouplingCert
 
 
 _BLAND_SWITCH = 200  # Dantzig pivoting until then, Bland afterwards (termination)
+_PRICING_BLOCK = 32  # columns per pricing block of Dantzig's rule; 16 to 64 time alike
 
 
 def feasible_nonnegative(
@@ -105,6 +112,12 @@ def feasible_nonnegative(
     is always touched (its entering entry is negative).  Sign and ratio
     tests read each row at its own positive scale, so the pivots are those
     of the eager dense tableau.
+
+    Dantzig's rule prices partially (Bixby 2002): the columns in fixed
+    blocks of ``_PRICING_BLOCK``, each priced with the artificial columns,
+    starting at the block after the last pivot's.  The first block with a
+    negative reduced cost gives the most negative one, so an LP of one
+    block pivots by the full rule.
     """
     m, n = len(rhs), len(columns)
     # the columns flat, w entries each: rows in K, coefficients in V; a
@@ -135,18 +148,35 @@ def feasible_nonnegative(
     row_den = [1] * m
     den_piv = 1  # last pivot: the scale of the objective row
 
+    def price(ks: list, vs: list) -> list:
+        """y*A over the flat columns ks, vs, one sum per column: zip over w
+        copies of one iterator groups the products by w."""
+        terms = map(y.__getitem__, ks) if unit else map(mul, map(y.__getitem__, ks), vs)
+        return list(map(sum, zip(*[terms] * w)))
+
+    B = _PRICING_BLOCK  # at least one block, so the artificials are priced even without columns
+    blocks = [(lo, K[lo * w : (lo + B) * w], V[lo * w : (lo + B) * w]) for lo in range(0, max(n, 1), B)]
+    start = 0  # the block that pricing starts at: the one after the last pivot's
+
     pivots = 0
     while obj[-1]:  # the scaled phase-1 objective; once 0, no pivot moves x
         y = [a - den_piv for a in obj]
-        # y*A, one sum per column: zip over w copies of one iterator groups it by w
-        terms = map(y.__getitem__, K) if unit else map(mul, map(y.__getitem__, K), V)
-        costs = list(map(sum, zip(*[terms] * w)))
-        costs += obj[:m]
+        enter = None
         if pivots < _BLAND_SWITCH:
-            best_cost = min(costs)
-            enter = costs.index(best_cost) if best_cost < 0 else None
+            for k in range(len(blocks)):
+                lo, ks, vs = blocks[(start + k) % len(blocks)]
+                costs = price(ks, vs)
+                width = len(costs)
+                costs += obj[:m]
+                cost = min(costs)
+                if cost < 0:
+                    j = costs.index(cost)
+                    enter = lo + j if j < width else n + j - width
+                    start = (start + k + 1) % len(blocks)
+                    break
         else:
-            enter = next((j for j, c in enumerate(costs) if c < 0), None)
+            costs = price(K, V) + obj[:m]
+            enter, cost = next(((j, c) for j, c in enumerate(costs) if c < 0), (None, 0))
         if enter is None:
             break
         if enter < n:
@@ -177,8 +207,7 @@ def feasible_nonnegative(
                 d = row_den[i]
                 R[i] = [(piv * a - f * b) // d for a, b in zip(R[i], prow)]
                 row_den[i] = piv
-        f = costs[enter]
-        obj = [(piv * a - f * b) // den_piv for a, b in zip(obj, prow)]
+        obj = [(piv * a - cost * b) // den_piv for a, b in zip(obj, prow)]
         den_piv = row_den[leave] = piv
         basis[leave] = enter
         pivots += 1
@@ -455,18 +484,55 @@ RELATIONS = {
 def relate(g: Multigraph, h: Multigraph) -> dict[str, Optional[Certificate]]:
     """Every relation of ``RELATIONS``, in its order: name -> certificate or None.
 
-    Equal to calling each decider, but the copies of H are searched once
-    and their images handed to the three copy deciders.
+    The same verdicts as calling each decider.  The copies of H are searched
+    once and their images handed to the three copy deciders, and a stronger
+    relation that holds gives the weaker one's certificate by its map: a
+    tiling the fractional tiling, a fractional tiling the coupling.  Only
+    where no fractional tiling holds does the domination walk run.
     """
     if h.n > g.n:
         return dict.fromkeys(RELATIONS)
     images = list(_search(g, h, each_copy_once=True))
+    tiling = None if g.n % h.n else _tiling(g, h, images)
+    fractional = fractional_from_tiling(tiling) if tiling else _fractional_tiling(g, h, images)
     return {
-        "tiling": None if g.n % h.n else _tiling(g, h, images),
-        "fractional_tiling": _fractional_tiling(g, h, images),
+        "tiling": tiling,
+        "fractional_tiling": fractional,
         "fractional_edge_tiling": _fractional_edge_tiling(g, h, images),
-        "domination": check_domination(g, h),
+        "domination": coupling_from_fractional_tiling(fractional) if fractional else check_domination(g, h),
     }
+
+
+# -- certificate maps: the paper's implications ------------------------------------
+
+
+def fractional_from_tiling(cert: TilingCertificate) -> FractionalTilingCertificate:
+    """A tiling as a fractional tiling: each copy once, every vertex covered once."""
+    return FractionalTilingCertificate(
+        copies=list(cert.copies), multiplicities=[1] * len(cert.copies), coverage=1, mode="vertex"
+    )
+
+
+def coupling_from_fractional_tiling(cert: FractionalTilingCertificate) -> CouplingCertificate:
+    """The coupling of a fractional (vertex) tiling (Strassen 1965).
+
+    With multiplicities k_c and coverage m, the mass of (x, y) is
+    sum_c k_c*[img_c(y) = x] / (m*|G|).  Each x lies in copies of total
+    multiplicity m, so its row sums to 1/|G|; each y has one image per copy,
+    and sum_c k_c = m*|G|/|H| (count the covered vertices twice), so its
+    column sums to 1/|H|.  Every positive-mass pair lies on a copy's image,
+    so the support's images are the witnesses, and no search runs.
+    """
+    if cert.mode != "vertex":
+        raise ValueError("only a vertex fractional tiling gives a coupling")
+    support = [(c.image, k) for c, k in zip(cert.copies, cert.multiplicities) if k]
+    units: dict[tuple[int, int], int] = {}
+    for img, k in support:
+        for y, x in enumerate(img):
+            units[(x, y)] = units.get((x, y), 0) + k
+    g_n = sum(k for _, k in support) * len(support[0][0]) // cert.coverage
+    masses = {pair: Fraction(u, cert.coverage * g_n) for pair, u in sorted(units.items())}
+    return CouplingCertificate(masses=masses, witnesses=[img for img, _ in support])
 
 
 # -- certificate verification ---------------------------------------------------

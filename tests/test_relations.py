@@ -118,7 +118,13 @@ def test_simplex_against_scipy_oracle(seed):
 
 def _eager_feasible_nonnegative(rows, rhs):
     """The simplex with eager row scaling: every pivot rewrites every row to
-    the new pivot.  The reference for the lazy one, pivot for pivot."""
+    the new pivot.  The reference for the lazy one, pivot for pivot.
+
+    Dantzig's rule prices in blocks of ``relations._PRICING_BLOCK``
+    structural columns, each with every artificial column: the first block
+    with a negative reduced cost gives the most negative one, the lowest
+    index among ties (the block's columns before the artificials), and the
+    next pricing starts at the block after it."""
     m, n = len(rows), len(rows[0])
     T = []
     for i in range(m):
@@ -136,12 +142,19 @@ def _eager_feasible_nonnegative(rows, rhs):
         obj[n + i] += 1
     den_piv = 1
     pivots = 0
+    size = relations._PRICING_BLOCK
+    blocks = [list(range(lo, min(lo + size, n))) + list(range(n, n + m)) for lo in range(0, n, size)]
+    start = 0
     while True:
         if pivots < relations._BLAND_SWITCH:
             enter, best_cost = None, 0
-            for j in range(n + m):
-                if obj[j] < best_cost:
-                    best_cost, enter = obj[j], j
+            for k in range(len(blocks)):
+                for j in blocks[(start + k) % len(blocks)]:
+                    if obj[j] < best_cost:
+                        best_cost, enter = obj[j], j
+                if enter is not None:
+                    start = (start + k + 1) % len(blocks)
+                    break
         else:
             enter = next((j for j in range(n + m) if obj[j] < 0), None)
         if enter is None:
@@ -193,6 +206,19 @@ def _random_lp(rng, kind):
 def test_lazy_row_scaling_matches_eager_simplex(monkeypatch, bland_switch, kind):
     """Rescaling only the rows a pivot touches gives the eager tableau's x,
     under Dantzig's rule and (switch 0) under Bland's rule alone."""
+    _assert_lazy_matches_eager(monkeypatch, bland_switch, kind)
+
+
+@pytest.mark.parametrize("bland_switch", [relations._BLAND_SWITCH, 0])
+@pytest.mark.parametrize("kind", ["cover", "int", "fraction"])
+def test_block_pricing_matches_eager_simplex(monkeypatch, bland_switch, kind):
+    """The same over pricing blocks of 3 columns, so that most of these LPs
+    span several blocks."""
+    monkeypatch.setattr(relations, "_PRICING_BLOCK", 3)
+    _assert_lazy_matches_eager(monkeypatch, bland_switch, kind)
+
+
+def _assert_lazy_matches_eager(monkeypatch, bland_switch, kind):
     monkeypatch.setattr(relations, "_BLAND_SWITCH", bland_switch)
     rng = random.Random(f"lazy-{kind}")
     feasible = 0
@@ -481,7 +507,9 @@ def test_relate_enumerates_copies_once(monkeypatch):
 def test_a_copy_is_built_only_for_the_copies_a_certificate_lists(monkeypatch):
     """The copy deciders work on the search's images and build a ``Copy``
     once for each copy their certificates list, in certificate order: the
-    tiling's cover and the support of each LP, and no other."""
+    tiling's cover and the support of each LP, and no other.  A fractional
+    tiling that ``relate`` maps from a tiling lists the tiling's copies and
+    builds none."""
     built = []
     copy_of = relations._copy_of
 
@@ -495,8 +523,12 @@ def test_a_copy_is_built_only_for_the_copies_a_certificate_lists(monkeypatch):
     listed = 0
     for g, h in pairs:
         built.clear()
-        certs = [cert for name, cert in relate(g, h).items() if cert is not None and name != "domination"]
-        assert built == [c.image for cert in certs for c in cert.copies], (g, h)
+        result = relate(g, h)
+        certs = [result[name] for name in ("tiling", "fractional_tiling", "fractional_edge_tiling")]
+        if certs[0] is not None:
+            assert certs[1].copies == certs[0].copies
+            del certs[1]
+        assert built == [c.image for cert in certs if cert is not None for c in cert.copies], (g, h)
         listed += len(built)
         for decider in (check_tiling, check_fractional_tiling, check_fractional_edge_tiling):
             built.clear()
@@ -506,8 +538,10 @@ def test_a_copy_is_built_only_for_the_copies_a_certificate_lists(monkeypatch):
 
 
 def test_relate_equals_the_deciders():
-    """Same certificates as calling each decider on its own: atlas pairs and
-    seeded multigraph pairs."""
+    """The verdicts of calling each decider on its own, on atlas pairs and
+    seeded multigraph pairs.  The tiling and edge certificates are the
+    deciders'; where a stronger relation holds, the weaker certificate is
+    the map of the stronger one, and otherwise the decider's."""
     pairs = [(g, h) for g in atlas_up_to(6) for h in atlas_up_to(4)]
     rng = random.Random(1602)
     for _ in range(120):
@@ -515,13 +549,121 @@ def test_relate_equals_the_deciders():
         h = _random_multigraph(rng, rng.randint(2, 4), 1, 2, rng.randint(0, 2))
         pairs.append((g, h))
     held = dict.fromkeys(RELATIONS, 0)
+    mapped = {"fractional_tiling": 0, "domination": 0}
     for g, h in pairs:
         result = relate(g, h)
         assert list(result) == list(RELATIONS)
-        assert result == {name: decider(g, h) for name, decider in RELATIONS.items()}, (g, h)
+        alone = {name: decider(g, h) for name, decider in RELATIONS.items()}
+        assert {k: v is not None for k, v in result.items()} == {k: v is not None for k, v in alone.items()}, (g, h)
+        for name in ("tiling", "fractional_edge_tiling"):
+            assert result[name] == alone[name], (g, h, name)
+        tiling, fractional = result["tiling"], result["fractional_tiling"]
+        if tiling is not None:
+            assert fractional == relations.fractional_from_tiling(tiling), (g, h)
+            mapped["fractional_tiling"] += 1
+        else:
+            assert fractional == alone["fractional_tiling"], (g, h)
+        if fractional is not None:
+            assert result["domination"] == relations.coupling_from_fractional_tiling(fractional), (g, h)
+            mapped["domination"] += 1
+        else:
+            assert result["domination"] == alone["domination"], (g, h)
         for name, cert in result.items():
             held[name] += cert is not None
+            assert cert is None or verify_certificate(g, h, cert), (g, h, name)
     assert min(held.values()) > 20, held
+    assert held["domination"] > mapped["domination"] > mapped["fractional_tiling"] > 20, mapped
+
+
+# -- certificate maps ------------------------------------------------------------
+
+
+def _mapped_certificates():
+    """(g, h, cert) for the map of every tiling and every fractional tiling
+    that holds: atlas <= 6 x <= 5 and the gcd multigraph pairs."""
+    pairs = [(g, h) for g in atlas_up_to(6) for h in atlas_up_to(5) if h.n <= g.n]
+    pairs += _gcd_multigraph_pairs(random.Random(1965), 120)
+    for g, h in pairs:
+        tiling = check_tiling(g, h)
+        if tiling is not None:
+            yield g, h, relations.fractional_from_tiling(tiling)
+        for fractional in (tiling and relations.fractional_from_tiling(tiling), check_fractional_tiling(g, h)):
+            if fractional is not None:
+                yield g, h, relations.coupling_from_fractional_tiling(fractional)
+
+
+def test_certificate_maps_verify():
+    kinds = {"fractional_tiling": 0, "domination": 0}
+    for g, h, cert in _mapped_certificates():
+        assert verify_certificate(g, h, cert), (g, h, cert)
+        kinds[cert.relation] += 1
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_mutated_mapped_certificates_rejected():
+    """A raised multiplicity breaks the common coverage; mass moved between
+    two pairs of one row breaks both columns; a dropped witness is rejected
+    exactly when some positive-mass pair loses its last witness."""
+    rejected = {"multiplicity": 0, "row": 0, "witness": 0}
+    for g, h, cert in _mapped_certificates():
+        if isinstance(cert, FractionalTilingCertificate):
+            for i in range(len(cert.multiplicities)):
+                mults = list(cert.multiplicities)
+                mults[i] += 1
+                assert not verify_certificate(g, h, replace(cert, multiplicities=mults)), (g, h, i)
+                rejected["multiplicity"] += 1
+            continue
+        rows: dict = {}
+        for x, y in cert.masses:
+            rows.setdefault(x, []).append(y)
+        x, ys = max(rows.items(), key=lambda row: len(row[1]))
+        if len(ys) > 1:
+            masses = dict(cert.masses)
+            moved = masses[(x, ys[0])] / 2
+            masses[(x, ys[0])] -= moved
+            masses[(x, ys[1])] += moved
+            assert not verify_certificate(g, h, replace(cert, masses=masses)), (g, h)
+            rejected["row"] += 1
+        for i in range(len(cert.witnesses)):
+            rest = cert.witnesses[:i] + cert.witnesses[i + 1 :]
+            covered = {(x, y) for emb in rest for y, x in enumerate(emb)}
+            kept = verify_certificate(g, h, replace(cert, witnesses=rest))
+            assert kept == covered.issuperset(cert.masses), (g, h, i)
+            rejected["witness"] += not kept
+    assert min(rejected.values()) > 100, rejected
+
+
+def test_relate_walks_no_embeddings_when_a_fractional_tiling_holds(monkeypatch):
+    """One copy search per ``relate``; the domination walk runs only where
+    no fractional tiling holds."""
+    searches, walks = [], []
+    search, walk = relations._search, relations.embeddings_iter
+
+    def counted_search(g, h, each_copy_once):
+        searches.append(g)
+        return search(g, h, each_copy_once)
+
+    def counted_walk(g, h):
+        walks.append(g)
+        return walk(g, h)
+
+    monkeypatch.setattr(relations, "_search", counted_search)
+    monkeypatch.setattr(relations, "embeddings_iter", counted_walk)
+    held = 0
+    for g in atlas_up_to(6):
+        for h in atlas_up_to(4):
+            if h.n > g.n:
+                continue
+            searches.clear()
+            walks.clear()
+            result = relate(g, h)
+            assert len(searches) == 1, (g, h)
+            if result["fractional_tiling"] is not None:
+                assert walks == [], (g, h)
+                held += 1
+            else:
+                assert len(walks) <= 1, (g, h)
+    assert held > 100, held
 
 
 # -- domination ---------------------------------------------------------------------

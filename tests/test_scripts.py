@@ -34,3 +34,32 @@ def test_script_runs(script, args, expect, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert expect in done.stdout
+
+
+def _relate_digest(monkeypatch, pairs):
+    """The ``relate_digest.py`` module, its argv set to seed 1 and ``pairs``."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("relate_digest", ROOT / "scripts" / "relate_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["relate_digest.py", "--seed", "1", "--pairs", str(pairs)])
+    return script
+
+
+def test_relate_digest_pins_both_lines(monkeypatch, capsys):
+    assert _relate_digest(monkeypatch, 24).main() == 0
+    assert capsys.readouterr().out == (
+        "24 pairs, seed 1: sha256 1f35dee80ab0b48acc61069310f6e007f6e9eca755e7a7e0f431ce6b47c9fb68\n"
+        "24 pairs, seed 1: verdicts sha256 63061a30dc9b33c06b322bc22a8ae41bb0220e540a982b9cf3238f09778840dd,"
+        " 82 certificates verify\n"
+    )
+
+
+def test_relate_digest_exits_1_on_a_certificate_that_does_not_verify(monkeypatch, capsys):
+    script = _relate_digest(monkeypatch, 3)
+    monkeypatch.setattr(script, "verify_certificate", lambda g, h, cert: cert.relation != "domination")
+    assert script.main() == 1
+    out, err = capsys.readouterr()
+    assert "3 pairs, seed 1: verdicts sha256 " in out
+    assert "pair 0: relate domination certificate does not verify" in err
