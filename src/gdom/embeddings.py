@@ -8,7 +8,7 @@ search adds the constraints of a stabilizer chain of Aut(H), which keep
 the first embedding of each class in DFS order.  Rooted questions keep the
 raw embeddings, because root identity matters for domination.  What the
 search derives from H alone (order, anchors, adjacency checks and the
-stabilizer-chain floors) is planned once per H value and shared.
+floors from the stabilizer chain) is planned once per H value and shared.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .multigraph import Memo, Multigraph
-from .symmetry import _pair_adjacency, _stabilizer_chain, _vertex_invariants
+from .symmetry import _pair_adjacency, _search_tree
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,10 @@ def _plan(h: Multigraph, each_copy_once: bool) -> tuple:
     Per level of the search order: the H-vertex placed, its degree, its
     anchor (None at level 0) and its adjacency checks.  The floors of
     ``each_copy_once`` (per level, the H-vertices whose images must lie
-    below the new one) stay None until a search asks for them: their
-    stabilizer chain takes seconds on a 60-vertex path.  A plan is never
-    changed; gaining floors replaces the entry, so live searches share it.
+    below the new one) stay None until a search asks for them; they come
+    from the basic orbits of Aut(H) along the search order, which
+    ``symmetry._search_tree`` finds.  A plan is never changed; gaining
+    floors replaces the entry, so live searches share it.
     """
     key = (h.n, h.edges)
     plan = _plans.get(key)
@@ -91,10 +92,10 @@ def _plan(h: Multigraph, each_copy_once: bool) -> tuple:
     if each_copy_once:
         lists: list[list[int]] = [[] for _ in order]
         pos = {y: k for k, y in enumerate(order)}
-        _, orbits = _stabilizer_chain(h_adj, _vertex_invariants(h_adj), h.n, order)
-        for i, orbit in enumerate(orbits):
-            for o in orbit - {order[i]}:
-                lists[pos[o]].append(order[i])
+        _, _, levels = _search_tree(h_adj, [0] * h.n, base=order)
+        for b, orbit in levels:
+            for o in orbit - {b}:
+                lists[pos[o]].append(b)
         below = tuple(map(tuple, lists))
     return _plans.put(key, (tuple(order), tuple(h_deg[y] for y in order), anchors, checks, below))
 

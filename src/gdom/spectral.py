@@ -154,8 +154,10 @@ _spectra = Memo()
 def eigenvalues(g: Multigraph) -> Spectrum:
     """Sorted Laplacian eigenvalues with a residual bound; cached per graph.
 
-    The Laplacian is turned into floats here and nowhere else; an entry
-    beyond the float range is a ValueError that names the largest weight."""
+    The c smallest of a graph with c components are exact zeros; one not
+    within the residual of 0 is an EigensolverError.  The Laplacian is
+    turned into floats here and nowhere else; an entry beyond the float
+    range is a ValueError that names the largest weight."""
     key = (g.n, g.edges)
     hit = _spectra.get(key)
     if hit is not None:
@@ -165,7 +167,32 @@ def eigenvalues(g: Multigraph) -> Spectrum:
     except OverflowError:
         weight = max(w for _, _, _, w in g.edges)
         raise ValueError(f"Laplacian beyond the float range: edge weight {weight}") from None
-    return _spectra.put(key, jacobi_eigenvalues(L))
+    spectrum = jacobi_eigenvalues(L)
+    # the Laplacian of a graph with c components has exactly c zero eigenvalues
+    c = _component_count(g)
+    if any(abs(x) > spectrum.residual for x in spectrum.values[:c]):
+        raise EigensolverError(
+            f"the {c} smallest eigenvalues {spectrum.values[:c]} are not within the residual {spectrum.residual} of 0"
+        )
+    spectrum.values[:c] = [0.0] * c
+    spectrum.values.sort()
+    return _spectra.put(key, spectrum)
+
+
+def _component_count(g: Multigraph) -> int:
+    """Union-find over the edge records, which unlike ``g.neighbors`` are
+    already built for a fresh graph."""
+    root = list(range(g.n))
+    count = g.n
+    for u, v, _, _ in g.edges:
+        while root[u] != u:
+            u = root[u]
+        while root[v] != v:
+            v = root[v]
+        if u != v:
+            root[u] = v
+            count -= 1
+    return count
 
 
 # -- functionals ----------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Isomorphism here means a bijection preserving adjacency with multiplicity;
 edge weights are carried data, not structure, and are ignored throughout
-this module.  Canonical codes are complete invariants computed by iterated
-color refinement with backtracking over the first non-singleton cell,
-adequate at desk scale.
+this module.  Canonical codes and automorphism groups come from one
+individualization-refinement search (McKay and Piperno, "Practical graph
+isomorphism, II", 2014): colour refinement, branching on one cell, and
+pruning by the automorphisms that equal leaves reveal.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .multigraph import Memo, Multigraph
 
@@ -49,69 +50,143 @@ def _refine(adj: list[dict[int, int]], colors: list[int]) -> list[int]:
         colors = new
 
 
-def _first_nonsingleton_cell(colors: list[int]) -> Optional[list[int]]:
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    for c in sorted(cells):
-        if len(cells[c]) > 1:
-            return cells[c]
-    return None
-
-
-def _leaf_code(adj, colors, n, root) -> tuple:
-    order = sorted(range(n), key=lambda v: colors[v])
-    lbl = {v: i for i, v in enumerate(order)}
+def _leaf_code(adj, colors, root) -> tuple:
+    """The graph relabelled by a discrete colouring: each vertex by its colour."""
     edges = sorted(
-        (min(lbl[u], lbl[v]), max(lbl[u], lbl[v]), m)
-        for u in range(n)
-        for v, m in adj[u].items()
+        (min(colors[u], colors[v]), max(colors[u], colors[v]), m)
+        for u, nbrs in enumerate(adj)
+        for v, m in nbrs.items()
         if u < v
     )
-    return (n, -1 if root is None else lbl[root], tuple(edges))
+    return (len(colors), -1 if root is None else colors[root], tuple(edges))
 
 
-_ORBIT_PRUNE_CELL = 5  # below this, plain branching is cheaper than an orbit pass
+# -- the search tree -------------------------------------------------------
 
 
-def _canon_tuple(adj, colors, n, root) -> tuple:
-    colors = _refine(adj, colors)
-    cell = _first_nonsingleton_cell(colors)
-    if cell is None:
-        return _leaf_code(adj, colors, n, root)
-    branch = cell
-    if len(cell) >= _ORBIT_PRUNE_CELL:
-        # vertices in one orbit of the color-preserving automorphism group
-        # lead to equal subtree minima; branch on representatives only, each
-        # found with its orbit, the level-0 orbit of a chain based at it
-        inv = [
-            (colors[v], tuple(sorted((colors[u], m) for u, m in adj[v].items())))
-            for v in range(n)
-        ]
-        covered: set[int] = set()
-        branch = []
+def _twin_swaps(adj, colors) -> list[tuple[int, ...]]:
+    """Swaps of same-coloured twins, vertices whose neighbourhoods agree apart
+    from each other: automorphisms the tree finds only one descent at a time."""
+    classes: dict[tuple, list[int]] = {}
+    for v, nbrs in enumerate(adj):
+        items = frozenset(nbrs.items())
+        for key in [items] + [items | {(v, m)} for m in set(nbrs.values())]:  # apart, or joined m times
+            classes.setdefault((colors[v], key), []).append(v)
+    swaps = []
+    for twins in classes.values():
+        for u, v in zip(twins, twins[1:]):
+            perm = list(range(len(adj)))
+            perm[u], perm[v] = v, u
+            swaps.append(tuple(perm))
+    return swaps
+
+
+def _orbit(seeds, gens) -> set[int]:
+    orbit = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        v = frontier.pop()
+        for p in gens:
+            if p[v] not in orbit:
+                orbit.add(p[v])
+                frontier.append(p[v])
+    return orbit
+
+
+def _search_tree(adj, colors: list[int], root: Optional[int] = None, base: Optional[Sequence[int]] = None):
+    """The individualization-refinement tree of a coloured graph.
+
+    A node refines its colouring, then branches on the vertices of one cell,
+    individualizing each in turn; a discrete colouring is a leaf.  Leaves
+    with equal codes differ by an automorphism, which is kept, and a node
+    branches on one vertex per orbit of the kept automorphisms fixing its
+    path.  On the first path those orbits end up exact, so the generators
+    fixing each prefix generate its stabilizer.
+
+    Without ``base`` each node branches on its first non-singleton cell, and
+    the least leaf code is the canonical code.  With ``base`` the first
+    path individualizes the first vertex of ``base`` not yet alone in its
+    cell; that choice depends on labels, so every other node branches on
+    the first path's cell of the same depth, and is cut where its cell sizes
+    differ from the first path's.
+
+    Returns the code (None with ``base``), the generators, and per depth of
+    the first path its vertex with that vertex's orbit under the stabilizer
+    of the path before it.
+    """
+    n = len(colors)
+    gens = _twin_swaps(adj, colors)
+    first: list[tuple[list[int], Optional[int]]] = []  # per depth: cell sizes, branching cell
+    levels: list[tuple[int, set[int]]] = []
+    leaves: list[tuple] = []  # (code, colours, path): the first leaf, then the least
+
+    def leaf(colors, path) -> Optional[int]:
+        code = _leaf_code(adj, colors, root)
+        for ref_code, ref, ref_path in leaves:
+            if code == ref_code:
+                at = sorted(range(n), key=colors.__getitem__)
+                gens.append(tuple(at[c] for c in ref))
+                return next(k for k, (a, b) in enumerate(zip(path, ref_path)) if a != b)
+        if not leaves:
+            leaves.append((code, colors, path))
+        elif base is None and code < leaves[-1][0]:
+            leaves[1:] = [(code, colors, path)]
+        return None
+
+    def visit(colors, path, on_first) -> Optional[int]:
+        """Explore below one node; returns the depth to unwind to, if any."""
+        colors = _refine(adj, colors)
+        k = len(path)
+        sizes = [0] * n
+        for c in colors:
+            sizes[c] += 1
+        if base is None:
+            cell_color = next((c for c, s in enumerate(sizes) if s > 1), None)
+        elif on_first:
+            lead = next((v for v in base if sizes[colors[v]] > 1), None)
+            cell_color = None if lead is None else colors[lead]
+            first.append((sizes, cell_color))
+        elif sizes != first[k][0]:
+            return None
+        else:
+            cell_color = first[k][1]
+        if cell_color is None:
+            return leaf(colors, path)
+        cell = [v for v, c in enumerate(colors) if c == cell_color]
+        if on_first and base is not None:
+            cell.remove(lead)
+            cell.insert(0, lead)
+        done: list[int] = []
+        known = -1
         for v in cell:
-            if v not in covered:
-                covered |= _stabilizer_chain(adj, inv, n, [v])[1][0]
-                branch.append(v)
-    best = None
-    for v in branch:
-        branched = [(c, 0 if u == v else 1) for u, c in enumerate(colors)]
-        palette = {s: i for i, s in enumerate(sorted(set(branched)))}
-        sub = _canon_tuple(adj, [palette[s] for s in branched], n, root)
-        if best is None or sub < best:
-            best = sub
-    return best
+            if known != len(gens):
+                known = len(gens)
+                fixing = [p for p in gens if all(p[u] == u for u in path)]
+                covered = _orbit(done, fixing)
+            if v in covered:
+                continue
+            done.append(v)
+            covered |= _orbit([v], fixing)
+            c = colors[v]
+            child = [x + (x > c or (x == c and u != v)) for u, x in enumerate(colors)]
+            back = visit(child, path + [v], on_first and len(done) == 1)
+            if back is not None and back < k:
+                return back
+        if on_first:  # these nodes finish deepest first
+            levels.insert(0, (done[0], _orbit(done[:1], [p for p in gens if all(p[u] == u for u in path)])))
+        return None
+
+    visit(colors, [], True)
+    return leaves[-1][0] if base is None else None, gens, levels
 
 
 def canonical_code(g: Multigraph, root: Optional[int] = None) -> bytes:
     """Complete isomorphism invariant; equal codes iff (rooted-)isomorphic."""
     if root is not None and not (0 <= root < g.n):
         raise ValueError(f"root {root} out of range")
-    adj = _pair_adjacency(g)
     colors = [0] * g.n if root is None else [1 if v == root else 0 for v in range(g.n)]
-    t = _canon_tuple(adj, colors, g.n, root)
-    return repr(t).encode("ascii")
+    code, _, _ = _search_tree(_pair_adjacency(g), colors, root)
+    return repr(code).encode("ascii")
 
 
 _codes = Memo()
@@ -136,100 +211,18 @@ class AutomorphismInfo:
     order: int
 
 
-def _vertex_invariants(adj: list[dict[int, int]]) -> list[tuple]:
-    return [tuple(sorted(ns.values())) for ns in adj]
-
-
-def _extend_automorphism(
-    adj, inv, mapping: dict[int, int], used: set[int], n: int
-) -> Optional[dict[int, int]]:
-    """Backtracking completion of a partial automorphism; None if impossible."""
-    if len(mapping) == n:
-        return dict(mapping)
-    v = min(u for u in range(n) if u not in mapping)
-    for x in range(n):
-        if x in used or inv[x] != inv[v]:
-            continue
-        ok = True
-        for u, img in mapping.items():
-            if adj[v].get(u, 0) != adj[x].get(img, 0):
-                ok = False
-                break
-        if not ok:
-            continue
-        mapping[v] = x
-        used.add(x)
-        res = _extend_automorphism(adj, inv, mapping, used, n)
-        if res is not None:
-            return res
-        del mapping[v]
-        used.discard(x)
-    return None
-
-
-def _orbit_closure(n: int, seeds: list[int], gens: list[tuple[int, ...]]) -> set[int]:
-    orbit = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        v = frontier.pop()
-        for p in gens:
-            w = p[v]
-            if w not in orbit:
-                orbit.add(w)
-                frontier.append(w)
-    return orbit
-
-
-def _stabilizer_chain(
-    adj, inv, n: int, base: Optional[list[int]] = None
-) -> tuple[list[tuple[int, ...]], list[set[int]]]:
-    """Generators of the automorphisms that preserve ``inv``, and the basic orbits.
-
-    Fixes the points of ``base`` (default 0, 1, ...) in turn and, per level,
-    finds automorphisms that move the base point while fixing the earlier
-    ones.  Level i's orbit is the orbit of ``base[i]`` under the automorphisms
-    that fix ``base[:i]``; the group order is the product of the orbit sizes.
-    """
-    gens: list[tuple[int, ...]] = []
-    orbits: list[set[int]] = []
-    prefix: dict[int, int] = {}
-    for b in range(n) if base is None else base:
-        level_gens: list[tuple[int, ...]] = []
-        orbit = {b}
-        for x in range(n):
-            if x == b or x in prefix or x in orbit or inv[x] != inv[b]:
-                continue
-            mapping = dict(prefix)
-            mapping[b] = x
-            found = _extend_automorphism(adj, inv, mapping, set(mapping.values()), n)
-            if found is not None:
-                perm = tuple(found[v] for v in range(n))
-                level_gens.append(perm)
-                gens.append(perm)
-                orbit = _orbit_closure(n, list(orbit), level_gens)
-        orbits.append(orbit)
-        prefix[b] = b
-    return gens, orbits
-
-
 def automorphisms(g: Multigraph) -> AutomorphismInfo:
-    """Generators, orbit partition, and exact group order (stabilizer chain)."""
+    """Generators, orbit partition, and exact group order (from the search tree)."""
     if g.n > DEFAULT_SIZE_BOUND:
         raise SizeBoundExceeded(f"|G| = {g.n} exceeds bound {DEFAULT_SIZE_BOUND}")
     n = g.n
-    adj = _pair_adjacency(g)
-    gens, level_orbits = _stabilizer_chain(adj, _vertex_invariants(adj), n)
-    seen: set[int] = set()
+    _, gens, levels = _search_tree(_pair_adjacency(g), [0] * n, base=range(n))
     orbits: list[list[int]] = []
     for v in range(n):
-        if v not in seen:
-            orb = sorted(_orbit_closure(n, [v], gens))
-            orbits.append(orb)
-            seen.update(orb)
-    if not gens:
-        gens = [tuple(range(n))]
-    order = math.prod(len(orbit) for orbit in level_orbits)
-    return AutomorphismInfo(generators=gens, orbits=orbits, order=order)
+        if all(v not in orbit for orbit in orbits):
+            orbits.append(sorted(_orbit([v], gens)))
+    order = math.prod(len(orbit) for _, orbit in levels)
+    return AutomorphismInfo(generators=gens or [tuple(range(n))], orbits=orbits, order=order)
 
 
 _transitive = Memo()
@@ -242,8 +235,8 @@ def is_transitive(g: Multigraph) -> bool:
     hit = _transitive.get(key)
     if hit is not None:
         return hit
-    inv = _vertex_invariants(_pair_adjacency(g))
-    return _transitive.put(key, g.n == 1 or (len(set(inv)) == 1 and len(automorphisms(g).orbits) == 1))
+    one_cell = not any(_refine(_pair_adjacency(g), [0] * g.n))
+    return _transitive.put(key, g.n == 1 or (one_cell and len(automorphisms(g).orbits) == 1))
 
 
 # -- local statistics (rooted balls) ----------------------------------------

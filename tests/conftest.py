@@ -46,6 +46,11 @@ def atlas_up_to(n: int) -> list[Multigraph]:
     return [g for g in connected_atlas() if g.n <= n]
 
 
+def cubic_graph(n: int) -> Multigraph:
+    """The random 3-regular graph on n vertices that networkx draws with seed 1."""
+    return nx_to_multigraph(nx.random_regular_graph(3, n, seed=1))
+
+
 @pytest.fixture(scope="session")
 def atlas6():
     return atlas_up_to(6)

@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,6 +14,10 @@ from gdom.cli import RunLog, main
 from gdom.search import PairGenerator, generate_pair, hunt
 from gdom.multigraph import complete_graph, serialize_graph, star_graph, path_graph, single_edge
 from gdom.spectral import EigensolverError
+
+from conftest import cubic_graph
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -37,6 +43,42 @@ def test_analyze(graphs, capsys):
     assert rc == 0
     assert "spanning_trees: 16" in out
     assert "transitive: True" in out
+
+
+def test_a_connected_graph_has_an_exact_zero_eigenvalue(graphs, capsys):
+    assert main(["analyze", graphs["k4"], "--log-dir", graphs["log"]]) == 0
+    assert "spectrum: [0.0, " in capsys.readouterr().out
+    # (1/4) sum 1/(lambda + p) is about 2.5e159; the Lipschitz budget 1/p^2
+    # overflows to inf, so the verdict stays inconclusive
+    argv = ["check", "spectral_decreasing_convex", graphs["k4"], graphs["k3"], "--hinge", "shifted_inverse(1e-160)"]
+    assert main([*argv, "--log-dir", graphs["log"]]) == 3
+    out = capsys.readouterr().out
+    assert "inconclusive" in out and "lhs = 2.5e+159" in out
+
+
+@pytest.mark.parametrize(
+    "argv, sizes, rc",
+    [
+        (["analyze"], (30,), 0),
+        (["check", "heat_trace_frac"], (20, 20), 0),
+        # G = H ties in floats, which is inconclusive
+        (["check", "spectral_decreasing_convex"], (26, 26), 3),
+    ],
+)
+def test_no_stall_on_cubic_graphs(argv, sizes, rc, tmp_path):
+    # in a child process, so that a stalled search fails by timeout
+    files = []
+    for n in sizes:
+        files.append(tmp_path / f"c{n}.txt")
+        files[-1].write_text(serialize_graph(cubic_graph(n)))
+    done = subprocess.run(
+        [sys.executable, "-m", "gdom.cli", *argv, *map(str, files), "--log-dir", str(tmp_path / "logs")],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == rc, done.stderr
 
 
 def test_analyze_json(graphs, capsys):

@@ -190,6 +190,21 @@ def test_copy_order_pinned_on_multigraphs():
     assert multiple > 50
 
 
+def test_copy_floors_are_the_basic_orbits_along_the_search_order():
+    # level i's orbit is that of order[i] under the automorphisms fixing
+    # order[:i]; each of its other points must be placed above order[i]
+    for h in atlas_up_to(6):
+        auts = brute_embeddings(h, h)
+        order = embeddings._plan(h, True)[0]
+        below = [[] for _ in order]
+        for i, b in enumerate(order):
+            stabilizer = [p for p in auts if all(p[u] == u for u in order[:i])]
+            for k, y in enumerate(order):
+                if y != b and any(p[b] == y for p in stabilizer):
+                    below[k].append(b)
+        assert embeddings._plan(h, True)[-1] == tuple(map(tuple, below))
+
+
 def test_rooted_relation_agrees_with_naive_injections():
     rng = random.Random(31)
     graphs = atlas_up_to(6)

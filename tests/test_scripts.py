@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("hunt_hinge_counterexample.py", ["--trials", "50"], "50/50 checked trials"),
         ("relate_digest.py", ["--seed", "1", "--pairs", "24"], "24 pairs, seed 1: sha256 "),
         ("count_digest.py", ["--seed", "1", "--pairs", "24"], "24 pairs, seed 1: "),
+        ("code_digest.py", ["--seed", "1", "--pairs", "24", "--max-n", "6"], "24 pairs, seed 1, transitive up to 6: "),
     ],
 )
 def test_script_runs(script, args, expect, tmp_path):

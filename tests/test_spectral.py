@@ -31,6 +31,16 @@ def test_k2_spectrum():
     assert abs(spec.values[0]) < 1e-12 and abs(spec.values[1] - 2) < 1e-12
 
 
+def test_zero_eigenvalues_are_exact_one_per_component(monkeypatch):
+    assert eigenvalues(complete_graph(4)).values[0] == 0.0
+    two_edges = Multigraph(4, [(0, 1), (2, 3)], _validated=True)
+    assert eigenvalues(two_edges).values[:2] == [0.0, 0.0] and eigenvalues(two_edges).values[2] > 0.5
+    # a smallest value farther from 0 than the residual allows is the solver's failure
+    monkeypatch.setattr(spectral, "jacobi_eigenvalues", lambda a: spectral.Spectrum([0.5, 2.0], 1e-3))
+    with pytest.raises(EigensolverError):
+        eigenvalues(Multigraph(2, [(0, 1, 1, Fraction(7, 9973))]))
+
+
 def test_complete_graph_spectra():
     for n in (3, 4):
         spec = eigenvalues(complete_graph(n))
@@ -75,7 +85,9 @@ def test_spectra_bit_identical_to_fraction_laplacian():
     ]
     for g in graphs:
         ref = jacobi_eigenvalues([[float(x) for x in row] for row in _fraction_laplacian(g)])
-        assert eigenvalues(g).values == ref.values
+        # the zero eigenvalue of a connected graph is pinned to an exact 0.0
+        assert abs(ref.values[0]) <= ref.residual
+        assert eigenvalues(g).values == [0.0] + ref.values[1:]
 
 
 def test_trace_identity():

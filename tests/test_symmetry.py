@@ -1,7 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +32,16 @@ from gdom.symmetry import (
     tv_distance,
 )
 
-from conftest import atlas_up_to, brute_automorphism_count, brute_isomorphic, random_connected
+from conftest import (
+    atlas_up_to,
+    brute_automorphism_count,
+    brute_embeddings,
+    brute_isomorphic,
+    nx_to_multigraph,
+    random_connected,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # -- automorphisms ----------------------------------------------------------------
@@ -53,6 +67,61 @@ def test_automorphism_orders_multigraphs():
         edges = [(u, v, rng.randint(1, 3), w) for u, v, m, w in base.edges]
         g = Multigraph(base.n, edges)
         assert automorphisms(g).order == brute_automorphism_count(g)
+
+
+def test_orders_orbits_and_generators_against_brute_force_atlas7():
+    for g in atlas_up_to(7):
+        auts = brute_embeddings(g, g)
+        info = automorphisms(g)
+        assert info.order == len(auts)
+        orbits = sorted({tuple(sorted({p[v] for p in auts})) for v in range(g.n)})
+        assert info.orbits == [list(orbit) for orbit in orbits]
+        assert set(info.generators) <= set(auts)
+
+
+def test_known_group_orders():
+    cases = [
+        (nx_to_multigraph(nx.petersen_graph()), 120),
+        (nx_to_multigraph(nx.hypercube_graph(5)), 3840),
+        (nx_to_multigraph(nx.complete_bipartite_graph(6, 6)), 1036800),
+        (cycle_graph(30), 60),
+        (star_graph(40), math.factorial(40)),
+    ]
+    for g, order in cases:
+        assert automorphisms(g).order == order
+    assert automorphisms(star_graph(40)).orbits == [[0], list(range(1, 41))]
+
+
+_REACH = """
+import time
+from conftest import cubic_graph
+from gdom.embeddings import enumerate_copies
+from gdom.multigraph import path_graph, star_graph
+from gdom.symmetry import automorphisms, canonical_code
+
+def cpu(f, *args):
+    t = time.process_time()
+    f(*args)
+    return time.process_time() - t
+
+for n in (20, 30, 40):
+    g = cubic_graph(n)
+    print(f"cubic{n}", cpu(canonical_code, g) + cpu(automorphisms, g) + cpu(enumerate_copies, g, g))
+print("path60", cpu(enumerate_copies, path_graph(60), path_graph(60)))
+print("star80", cpu(canonical_code, star_graph(80)))
+"""
+
+
+def test_regular_graphs_long_paths_and_stars_take_under_a_second():
+    # in a child process, so that a search that stalls fails by timeout
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+    done = subprocess.run([sys.executable, "-c", _REACH], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    seconds = {name: float(t) for name, t in map(str.split, done.stdout.splitlines())}
+    assert set(seconds) == {"cubic20", "cubic30", "cubic40", "path60", "star80"}
+    assert all(t < 1.0 for t in seconds.values()), seconds
+    with pytest.raises(SizeBoundExceeded):
+        automorphisms(star_graph(80))
 
 
 def test_generators_preserve_adjacency():
@@ -143,13 +212,31 @@ def test_codes_complete_on_atlas6():
     assert len({cached_code(g) for g in graphs}) == len(graphs)
 
 
-def test_orbit_pruning_keeps_codes(monkeypatch):
-    # branching on one vertex per orbit of the colored stabilizer chain
+def _unpruned_code(g):
+    """The least leaf code over the whole search tree, every cell branched in full."""
+    adj = symmetry._pair_adjacency(g)
+
+    def least(colors):
+        colors = symmetry._refine(adj, colors)
+        cells = [[v for v in range(g.n) if colors[v] == c] for c in sorted(set(colors))]
+        cell = next((cell for cell in cells if len(cell) > 1), None)
+        if cell is None:
+            return symmetry._leaf_code(adj, colors, None)
+        subs = []
+        for v in cell:
+            branched = [(c, 0 if u == v else 1) for u, c in enumerate(colors)]
+            palette = {s: i for i, s in enumerate(sorted(set(branched)))}
+            subs.append(least([palette[s] for s in branched]))
+        return min(subs)
+
+    return repr(least([0] * g.n)).encode("ascii")
+
+
+def test_orbit_pruning_keeps_codes():
+    # branching on one vertex per orbit of the automorphisms found so far
     # must give the same minimum as branching on the whole cell
     graphs = atlas_up_to(7)
-    pruned = [canonical_code(g) for g in graphs]
-    monkeypatch.setattr(symmetry, "_ORBIT_PRUNE_CELL", 10**9)
-    assert [canonical_code(g) for g in graphs] == pruned
+    assert [canonical_code(g) for g in graphs] == [_unpruned_code(g) for g in graphs]
 
 
 def test_codes_distinguish_multiplicity():
