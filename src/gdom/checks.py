@@ -35,7 +35,7 @@ from .embeddings import embeddings_iter, enumerate_copies
 from .multigraph import Multigraph, contract_complement, contract_subgraph_edges, has_cut_edge, serialize_graph
 from .multigraph import parse_graph
 from .relations import RELATIONS, Certificate, certificate_from_json, certificate_to_json, verify_certificate
-from .spectral import FunctionalSpec, spectral_functional, spectral_functional_error, spectral_sum
+from .spectral import FunctionalSpec, spectral_functional, spectral_sum
 from .symmetry import cached_code, is_transitive
 
 HOLDS = "holds"
@@ -125,27 +125,51 @@ class GridPoint:
 
 @dataclass
 class CheckReport:
+    """One check's outcome.  G, H and the hypothesis certificate are kept as
+    values, ``graphs`` and ``cert``; :attr:`g`, :attr:`h`, :attr:`certificate`
+    and :meth:`to_json` write them as edge-list text and certificate JSON
+    only when read, so a hunt pays for that only on the reports it keeps."""
+
     inequality: str
     verdict: str
     hypothesis: str
     hypothesis_ok: bool
     status: str = CONJECTURED
-    g: Optional[str] = None
-    h: Optional[str] = None
     family: Optional[str] = None
     lhs: Optional[Union[Fraction, float, int]] = None
     rhs: Optional[Union[Fraction, float, int]] = None
     exact: bool = True
     error_bound: float = 0.0
-    certificate: Optional[dict] = None
     strictness: Optional[str] = None
     params: dict = field(default_factory=dict)
     points: list[GridPoint] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    graphs: tuple[Optional[Multigraph], Optional[Multigraph]] = (None, None)
+    cert: Optional[Certificate] = None
+
+    @property
+    def g(self) -> Optional[str]:
+        return None if self.graphs[0] is None else serialize_graph(self.graphs[0])
+
+    @property
+    def h(self) -> Optional[str]:
+        return None if self.graphs[1] is None else serialize_graph(self.graphs[1])
+
+    @property
+    def certificate(self) -> Optional[dict]:
+        return None if self.cert is None else certificate_to_json(self.cert)
 
     def to_json(self) -> dict:
-        lhs, rhs = _value_repr(self.lhs), _value_repr(self.rhs)
-        return {**vars(self), "lhs": lhs, "rhs": rhs, "points": [p.to_json() for p in self.points]}
+        fields = {key: value for key, value in vars(self).items() if key not in ("graphs", "cert")}
+        return {
+            **fields,
+            "g": self.g,
+            "h": self.h,
+            "certificate": self.certificate,
+            "lhs": _value_repr(self.lhs),
+            "rhs": _value_repr(self.rhs),
+            "points": [p.to_json() for p in self.points],
+        }
 
 
 # -- grids and comparisons ------------------------------------------------------
@@ -271,10 +295,9 @@ def check(
         verdict=INCONCLUSIVE,
         hypothesis=hypothesis,
         hypothesis_ok=False,
-        g=serialize_graph(g),
-        h=None if h is None else serialize_graph(h),
         family=family,
         params=params_to_json({k: v for k, v in params.items() if k not in _OWN_FIELDS}),
+        graphs=(g, h),
     )
     if entry.takes_h and h is None:
         raise MissingParameter(f"{ineq.value} needs a second graph")
@@ -286,9 +309,7 @@ def check(
         report.notes.append(f"{side} is not transitive")
     elif entry.takes_h:
         hypothesis_ok, cert = verify_relation_hypothesis(hypothesis, g, h, params.get("certificate"))
-        report.hypothesis_ok = hypothesis_ok
-        if cert is not None:
-            report.certificate = certificate_to_json(cert)
+        report.hypothesis_ok, report.cert = hypothesis_ok, cert
     if not hypothesis_ok:
         report.verdict = HYPOTHESIS_FAILED
         report.status = claim_status(ineq, hypothesis, family, unit_weights=unit_weights)
@@ -432,30 +453,29 @@ def _check_cover_product(g, h, params: dict, report: CheckReport) -> None:
 
 def _compare_functionals(report: CheckReport, g, h, specs: Sequence[FunctionalSpec], labels: Sequence[str]) -> None:
     """(1/|G|) tr f(L_G) <= (1/|H|) tr f(L_H) at each f of ``specs``, one grid
-    point per f, labelled by ``labels``, within the eigenvalue residuals' budget."""
+    point per f, labelled by ``labels``, within the eigenvalue residuals' budget.
+    Each spectrum is read once.  Isomorphic unweighted graphs have the same
+    spectrum, so their traces are equal at every f."""
     report.exact = False
+    sg, sh = spectral.eigenvalues(g), spectral.eigenvalues(h)
+    if g.n == h.n and g.is_unweighted() and h.is_unweighted() and cached_code(g) == cached_code(h):
+        for f, label in zip(specs, labels):
+            val = sg.functional(f)
+            report.points.append(GridPoint(label, val, val, HOLDS_WITH_EQUALITY))
+        report.notes.append("G and H are isomorphic; equality holds at every point")
+        _settle_grid(report)
+        return
     for f, label in zip(specs, labels):
-        budget = spectral_functional_error(g, f) + spectral_functional_error(h, f)
-        lhs = spectral_functional(g, f)
-        rhs = spectral_functional(h, f)
+        budget = sg.functional_error(f) + sh.functional_error(f)
+        lhs = sg.functional(f)
+        rhs = sh.functional(f)
         report.points.append(GridPoint(label, lhs, rhs, compare_float(lhs, rhs, "le", budget), budget))
     _settle_grid(report, note_violation=True)
 
 
 def _check_heat_trace(g, h, params: dict, report: CheckReport) -> None:
     grid = params["t_grid"]
-    specs = [FunctionalSpec("exp_decay", t) for t in grid]
-    labels = [f"t={t}" for t in grid]
-    if g.is_unweighted() and h.is_unweighted() and g.n == h.n and cached_code(g) == cached_code(h):
-        # isomorphic graphs have identical traces at every t
-        report.exact = False
-        for f, label in zip(specs, labels):
-            val = spectral_functional(g, f)
-            report.points.append(GridPoint(label, val, val, HOLDS_WITH_EQUALITY))
-        report.notes.append("G and H are isomorphic; equality holds at every t")
-        _settle_grid(report)
-    else:
-        _compare_functionals(report, g, h, specs, labels)
+    _compare_functionals(report, g, h, [FunctionalSpec("exp_decay", t) for t in grid], [f"t={t}" for t in grid])
 
 
 def _check_weighted_cover_heat(g, h, params: dict, report: CheckReport) -> None:

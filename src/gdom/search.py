@@ -25,7 +25,7 @@ from typing import Optional
 from . import checks
 from .checks import INEQUALITIES, CheckReport, InequalityId, check, verify_relation_hypothesis
 from .counting import CountingBoundExceeded
-from .multigraph import Memo, Multigraph, serialize_graph
+from .multigraph import Memo, Multigraph
 from .relations import Certificate
 from .rng import Stream, derive_seed
 from .spectral import EigensolverError
@@ -410,8 +410,6 @@ def hunt(
             continue
         result.checked += 1
         if report.verdict == checks.VIOLATED:
-            result.violations.append(
-                Violation(trial, report, serialize_graph(g), None if h is None else serialize_graph(h))
-            )
+            result.violations.append(Violation(trial, report, report.g, report.h))
     result.elapsed = time.perf_counter() - t0
     return result

@@ -3,7 +3,7 @@
 Eigenvalues come from Householder tridiagonalisation followed by implicit
 QL with Wilkinson shifts; floating point enters only here.  Every trace of a
 function of a Laplacian, heat traces and the decreasing convex functionals
-alike, is one :func:`spectral_sum` over the memoized :func:`eigenvalues` of
+alike, is one :meth:`Spectrum.trace` of the memoized :func:`eigenvalues` of
 a graph; a weighted cover's entries are read as graphs through the same
 memo.  Shifted determinants stay exact (Bareiss over rationals) so the
 operator-monotone checks can be decided by big-integer comparison.
@@ -42,6 +42,29 @@ class Spectrum:
     # inequality: the Frobenius norm of the off-diagonal entries QL neglected,
     # plus the backward error of the Householder and QL rotations.
     residual: float
+    zeros: int = 0  # the leading values pinned to exact zeros by the component count
+
+    def trace(self, f: Callable[[float], float]) -> float:
+        """sum f(lambda_i) over the eigenvalues, each clipped at 0, not
+        normalized: the one sum over a spectrum."""
+        return sum(f(max(v, 0.0)) for v in self.values)
+
+    def functional(self, spec: FunctionalSpec) -> float:
+        """Normalized trace (1/n) sum f(lambda_i)."""
+        return self.trace(spec) / len(self.values)
+
+    def functional_error(self, spec: FunctionalSpec) -> float:
+        """Bound on the error of :meth:`functional` from the residual.
+
+        By Weyl's inequality each true eigenvalue that is not a pinned zero
+        lies within the residual of its computed value, so no farther below
+        the smallest unpinned value; the pinned zeros are exact.  The
+        Lipschitz constant is taken on that interval, clipped at 0."""
+        values, residual = self.values, self.residual
+        lo = max(values[self.zeros] - residual, 0.0) if self.zeros < len(values) else 0.0
+        lip = spec.lipschitz_on(lo, values[-1] + residual)
+        float_noise = 1e-14 * (1.0 + abs(spec(0.0))) * len(values)
+        return lip * residual + float_noise
 
 
 def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
@@ -176,6 +199,7 @@ def eigenvalues(g: Multigraph) -> Spectrum:
         )
     spectrum.values[:c] = [0.0] * c
     spectrum.values.sort()
+    spectrum.zeros = c
     return _spectra.put(key, spectrum)
 
 
@@ -265,23 +289,13 @@ def shifted_inverse(t) -> FunctionalSpec:
 
 
 def spectral_sum(g: Multigraph, f: Callable[[float], float]) -> float:
-    """sum f(lambda_i) over the Laplacian eigenvalues of g, each clipped at 0,
-    not normalized: the one sum over a spectrum."""
-    return sum(f(max(v, 0.0)) for v in eigenvalues(g).values)
+    """sum f(lambda_i) over the Laplacian eigenvalues of g, each clipped at 0."""
+    return eigenvalues(g).trace(f)
 
 
 def spectral_functional(g: Multigraph, spec: FunctionalSpec) -> float:
     """Normalized trace (1/|G|) sum f(lambda_i)."""
-    return spectral_sum(g, spec) / g.n
-
-
-def spectral_functional_error(g: Multigraph, spec: FunctionalSpec) -> float:
-    """Bound on the error of spectral_functional from eigenvalue residuals."""
-    eig = eigenvalues(g)
-    hi = max(eig.values) + eig.residual if eig.values else 0.0
-    lip = spec.lipschitz_on(0.0, hi)
-    float_noise = 1e-14 * (1.0 + abs(spec(0.0))) * g.n
-    return lip * eig.residual + float_noise
+    return eigenvalues(g).functional(spec)
 
 
 def heat_trace(g: Multigraph, t) -> float:

@@ -51,6 +51,13 @@ def cubic_graph(n: int) -> Multigraph:
     return nx_to_multigraph(nx.random_regular_graph(3, n, seed=1))
 
 
+def relabelled_petersen() -> tuple[Multigraph, Multigraph]:
+    """The Petersen graph and a relabelling of it by a fixed permutation."""
+    petersen = nx_to_multigraph(nx.petersen_graph())
+    perm = [3, 7, 0, 9, 5, 1, 8, 2, 6, 4]
+    return petersen, Multigraph(10, [(perm[u], perm[v]) for u, v, _, _ in petersen.edges])
+
+
 @pytest.fixture(scope="session")
 def atlas6():
     return atlas_up_to(6)

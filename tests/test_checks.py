@@ -44,10 +44,10 @@ from gdom.multigraph import (
 )
 from gdom.relations import RELATIONS, check_domination, check_fractional_tiling
 from gdom.rng import Stream, derive_seed
-from gdom.spectral import hinge
+from gdom.spectral import hinge, shifted_inverse
 from gdom.search import PairGenerator, generate_pair, random_connected_graph, transitive_catalog
 
-from conftest import atlas_up_to
+from conftest import atlas_up_to, relabelled_petersen
 
 K4 = complete_graph(4)
 K3 = complete_graph(3)
@@ -194,6 +194,31 @@ def test_heat_trace_equality_iff_isomorphic():
     assert all(p.verdict == HOLDS_WITH_EQUALITY for p in r.points)
     relabeled = Multigraph(4, [(3, 2), (3, 1), (3, 0), (2, 1), (2, 0), (1, 0)])
     assert check("heat_trace_frac", K4, relabeled).verdict == HOLDS_WITH_EQUALITY
+
+
+@pytest.mark.parametrize("ineq", ["heat_trace_frac", "spectral_decreasing_convex"])
+def test_isomorphic_graphs_hold_with_equality_at_every_point(ineq):
+    # their float traces tie, which proves nothing; their codes prove equality
+    g, h = relabelled_petersen()
+    assert g.edges != h.edges
+    r = check(ineq, g, h)
+    assert r.verdict == HOLDS_WITH_EQUALITY and r.status == PROVEN
+    assert r.points and all(p.verdict == HOLDS_WITH_EQUALITY and p.lhs == p.rhs for p in r.points)
+    assert r.notes == ["G and H are isomorphic; equality holds at every point"]
+
+
+def test_a_tiny_shifted_inverse_parameter_is_decided():
+    # the zero eigenvalue is exact, so the Lipschitz bound is taken from
+    # about 3 up; from 0 it would be 1/p^2, which overflows to inf
+    p = Fraction(1, 10**160)
+    r = check("spectral_decreasing_convex", K4, K3, {"functional": shifted_inverse(p)})
+    with mp.workdps(400):
+        q = mpf(p.numerator) / p.denominator
+        lhs = (1 / q + 3 / (4 + q)) / 4
+        rhs = (1 / q + 2 / (3 + q)) / 3
+        assert lhs < rhs
+        assert abs(mpf(r.lhs) - lhs) + abs(mpf(r.rhs) - rhs) <= r.error_bound < rhs - lhs
+    assert r.verdict == HOLDS and r.status == PROVEN
 
 
 def test_heat_trace_under_domination_is_conjecture():

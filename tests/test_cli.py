@@ -15,7 +15,7 @@ from gdom.search import PairGenerator, generate_pair, hunt
 from gdom.multigraph import complete_graph, serialize_graph, star_graph, path_graph, single_edge
 from gdom.spectral import EigensolverError
 
-from conftest import cubic_graph
+from conftest import cubic_graph, relabelled_petersen
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,12 +48,22 @@ def test_analyze(graphs, capsys):
 def test_a_connected_graph_has_an_exact_zero_eigenvalue(graphs, capsys):
     assert main(["analyze", graphs["k4"], "--log-dir", graphs["log"]]) == 0
     assert "spectrum: [0.0, " in capsys.readouterr().out
-    # (1/4) sum 1/(lambda + p) is about 2.5e159; the Lipschitz budget 1/p^2
-    # overflows to inf, so the verdict stays inconclusive
+    # (1/4) sum 1/(lambda + p) is about 2.5e159; the zero is exact, so the
+    # budget's Lipschitz bound is taken from about 3 up, not 1/p^2 = inf
     argv = ["check", "spectral_decreasing_convex", graphs["k4"], graphs["k3"], "--hinge", "shifted_inverse(1e-160)"]
-    assert main([*argv, "--log-dir", graphs["log"]]) == 3
+    assert main([*argv, "--log-dir", graphs["log"]]) == 0
     out = capsys.readouterr().out
-    assert "inconclusive" in out and "lhs = 2.5e+159" in out
+    assert "holds [proven]" in out and "lhs = 2.5e+159" in out
+
+
+def test_isomorphic_graphs_hold_with_equality(tmp_path, capsys):
+    files = []
+    for name, g in zip("pq", relabelled_petersen()):
+        files.append(str(tmp_path / f"{name}.txt"))
+        Path(files[-1]).write_text(serialize_graph(g))
+    for ineq in ("heat_trace_frac", "spectral_decreasing_convex"):
+        assert main(["check", ineq, *files, "--log-dir", str(tmp_path / "logs")]) == 0
+        assert f"{ineq}: holds_with_equality [proven]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -61,8 +71,8 @@ def test_a_connected_graph_has_an_exact_zero_eigenvalue(graphs, capsys):
     [
         (["analyze"], (30,), 0),
         (["check", "heat_trace_frac"], (20, 20), 0),
-        # G = H ties in floats, which is inconclusive
-        (["check", "spectral_decreasing_convex"], (26, 26), 3),
+        # G = H: isomorphic, so equal at every f
+        (["check", "spectral_decreasing_convex"], (26, 26), 0),
     ],
 )
 def test_no_stall_on_cubic_graphs(argv, sizes, rc, tmp_path):

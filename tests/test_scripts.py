@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("relate_digest.py", ["--seed", "1", "--pairs", "24"], "24 pairs, seed 1: sha256 "),
         ("count_digest.py", ["--seed", "1", "--pairs", "24"], "24 pairs, seed 1: "),
         ("code_digest.py", ["--seed", "1", "--pairs", "24", "--max-n", "6"], "24 pairs, seed 1, transitive up to 6: "),
+        ("hunt_digest.py", ["--seed", "2024", "--trials", "1000"], "1000 trials, seed 2024: sha256 bb7a0fee"),
     ],
 )
 def test_script_runs(script, args, expect, tmp_path):

@@ -1,6 +1,10 @@
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
-from gdom import search
+from gdom import checks, multigraph, relations, search, spectral
 from gdom.checks import VIOLATED
 from gdom.relations import verify_certificate
 from gdom.rng import Stream, derive_seed
@@ -151,6 +155,47 @@ def test_hunt_finds_hinge_counterexample():
     assert v.report.lhs > v.report.rhs
     # reproduction data present
     assert v.g and v.h and v.trial >= 0
+
+
+def _criterion_9_hunt(trials: int):
+    gen = PairGenerator("overlay_copies", seed=2024, relation="domination", max_g=10, max_h=5)
+    return hunt("spectral_decreasing_convex", gen, trials, params={"functional": hinge(4), "hypothesis": "domination"})
+
+
+def test_hinge_hunt_record_is_pinned():
+    res = _criterion_9_hunt(1000)
+    assert [v.trial for v in res.violations] == [747, 875, 944]
+    record = {key: value for key, value in res.to_json().items() if key != "elapsed"}
+    digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+    assert digest == "bb7a0fee5946242ecf814ccb6e4cd824e39c75fb4dd6be813ed11f0506c094ae"
+
+
+def test_a_trial_writes_json_only_for_a_violation_and_reads_each_spectrum_once(monkeypatch):
+    calls = Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in (
+        (multigraph, "serialize_graph"),
+        (checks, "serialize_graph"),
+        (relations, "certificate_to_json"),
+        (checks, "certificate_to_json"),
+        (spectral, "eigenvalues"),
+    ):
+        spy(module, name)
+    res = _criterion_9_hunt(1000)
+    assert len(res.violations) == 3 and res.checked > 900
+    # G and H of each violation, once each; no certificate until a report is written
+    assert calls["serialize_graph"] == 2 * len(res.violations)
+    assert calls["certificate_to_json"] == 0
+    assert calls["eigenvalues"] == 2 * res.checked
 
 
 def test_hunt_reports_are_reproducible():

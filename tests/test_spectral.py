@@ -41,6 +41,18 @@ def test_zero_eigenvalues_are_exact_one_per_component(monkeypatch):
         eigenvalues(Multigraph(2, [(0, 1, 1, Fraction(7, 9973))]))
 
 
+def test_the_budget_is_taken_above_the_pinned_zeros():
+    # the zeros are exact, and by Weyl the other eigenvalues lie within the
+    # residual of theirs, so no lower than the smallest of them minus it
+    s = eigenvalues(Multigraph(4, [(0, 1), (2, 3)], _validated=True))
+    assert s.zeros == 2 and s.values[:2] == [0.0, 0.0] and 0 < s.residual < 1e-12
+    lo = s.values[2] - s.residual
+    assert s.functional_error(exp_decay(1)) == math.exp(-lo) * s.residual + 1e-14 * 2.0 * 4
+    assert s.functional_error(shifted_inverse(1)) == 1.0 / (lo + 1.0) ** 2 * s.residual + 1e-14 * 2.0 * 4
+    # hinge's Lipschitz constant is 1 on any interval, so its budget is as it was
+    assert s.functional_error(hinge(4)) == 1.0 * s.residual + 1e-14 * 5.0 * 4
+
+
 def test_complete_graph_spectra():
     for n in (3, 4):
         spec = eigenvalues(complete_graph(n))
