@@ -649,6 +649,10 @@ class Inequality:
         return {"hypothesis", *self.reads, *by_family, *(("certificate",) if self.takes_h else ())}
 
 
+# op_monotone states the log-determinant inequality that char_poly decides:
+# one entry under both ids
+_LOG_DET = Inequality("domination", _check_char_poly, known_false=_false_under_subgraph, reads=("t_grid",))
+
 INEQUALITIES: dict[InequalityId, Inequality] = {
     # P4 against one edge of weight 3 is tiled, and tau gives 1 against 3;
     # tests/test_checks.py pins it and two more weighted pairs for both ids
@@ -684,12 +688,8 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
         ),
         reads=("functional",),
     ),
-    InequalityId.OP_MONOTONE: Inequality(
-        "domination", _check_char_poly, known_false=_false_under_subgraph, reads=("t_grid",)
-    ),
-    InequalityId.CHAR_POLY: Inequality(
-        "domination", _check_char_poly, known_false=_false_under_subgraph, reads=("t_grid",)
-    ),
+    InequalityId.OP_MONOTONE: _LOG_DET,
+    InequalityId.CHAR_POLY: _LOG_DET,
     InequalityId.VERTEX_COUNTING: Inequality(
         "fractional_tiling",
         _check_family_counting,

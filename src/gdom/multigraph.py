@@ -54,6 +54,14 @@ class FormatError(GraphError):
         self.position = position
 
 
+def find(parent: list[int], x: int) -> int:
+    """The root of x in the union-find forest ``parent``, halving the path it walks."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class Multigraph:
     """Connected weighted multigraph on vertices 0..n-1.
 
@@ -145,22 +153,20 @@ class Multigraph:
     def is_unweighted(self) -> bool:
         return all(w == 1 for _, _, _, w in self.edges)
 
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = {0}
-        stack = [0]
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+    def component_count(self) -> int:
+        """The number of connected components, by union-find over the edge
+        records, which unlike ``neighbors`` are already built for a fresh graph."""
+        parent = list(range(self.n))
+        count = self.n
         for u, v, _, _ in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        while stack:
-            x = stack.pop()
-            for y in nbrs[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.n
+            ru, rv = find(parent, u), find(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+                count -= 1
+        return count
+
+    def is_connected(self) -> bool:
+        return self.component_count() == 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -293,20 +299,13 @@ def contract_subgraph_edges(
     if not vs.issubset(range(g.n)):
         raise GraphError("subgraph vertices out of range")
     parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in sub_edges:
         if u not in vs or v not in vs:
             raise GraphError(f"subgraph edge {(u, v)} not within its vertex set")
         if g.multiplicity(u, v) == 0:
             raise GraphError(f"subgraph edge {(u, v)} is not an edge of the graph")
-        parent[find(u)] = find(v)
-    cls = [find(v) for v in range(g.n)]
+        parent[find(parent, u)] = find(parent, v)
+    cls = [find(parent, v) for v in range(g.n)]
     return _quotient(g, cls)
 
 

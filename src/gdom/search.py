@@ -25,7 +25,7 @@ from typing import Optional
 from . import checks
 from .checks import INEQUALITIES, CheckReport, InequalityId, check, verify_relation_hypothesis
 from .counting import CountingBoundExceeded
-from .multigraph import Memo, Multigraph
+from .multigraph import Memo, Multigraph, find
 from .relations import Certificate
 from .rng import Stream, derive_seed
 from .spectral import EigensolverError
@@ -110,19 +110,12 @@ def random_connected_subgraph(
     # keep a random spanning tree of the induced graph, then a random edge subset
     n = len(chosen)
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     order = list(range(len(induced)))
     rng.shuffle(order)
     keep = []
     for i in order:
         u, v, m = induced[i]
-        ru, rv = find(u), find(v)
+        ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             parent[ru] = rv
             keep.append((u, v, 1))

@@ -192,7 +192,7 @@ def eigenvalues(g: Multigraph) -> Spectrum:
         raise ValueError(f"Laplacian beyond the float range: edge weight {weight}") from None
     spectrum = jacobi_eigenvalues(L)
     # the Laplacian of a graph with c components has exactly c zero eigenvalues
-    c = _component_count(g)
+    c = g.component_count()
     if any(abs(x) > spectrum.residual for x in spectrum.values[:c]):
         raise EigensolverError(
             f"the {c} smallest eigenvalues {spectrum.values[:c]} are not within the residual {spectrum.residual} of 0"
@@ -201,22 +201,6 @@ def eigenvalues(g: Multigraph) -> Spectrum:
     spectrum.values.sort()
     spectrum.zeros = c
     return _spectra.put(key, spectrum)
-
-
-def _component_count(g: Multigraph) -> int:
-    """Union-find over the edge records, which unlike ``g.neighbors`` are
-    already built for a fresh graph."""
-    root = list(range(g.n))
-    count = g.n
-    for u, v, _, _ in g.edges:
-        while root[u] != u:
-            u = root[u]
-        while root[v] != v:
-            v = root[v]
-        if u != v:
-            root[u] = v
-            count -= 1
-    return count
 
 
 # -- functionals ----------------------------------------------------------

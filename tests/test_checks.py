@@ -311,6 +311,14 @@ def test_op_monotone_is_char_poly_on_a_domination_corpus():
             assert op.verdict == cp.verdict in (HOLDS, HOLDS_WITH_EQUALITY) and op.exact
 
 
+def test_op_monotone_and_char_poly_give_one_report_under_each_hypothesis():
+    # one Inequality entry serves both ids; K4 over K3 fails only the tiling hypothesis
+    for hypothesis in (*RELATIONS, "subgraph"):
+        op, cp = (check(ineq, K4, K3, {"hypothesis": hypothesis}).to_json() for ineq in ("op_monotone", "char_poly"))
+        assert (op.pop("inequality"), cp.pop("inequality")) == ("op_monotone", "char_poly")
+        assert op == cp, hypothesis
+
+
 def test_op_monotone_decides_a_relabelled_path_exactly():
     g, h = parse_graph("3; 0 1; 1 2"), parse_graph("3; 0 1; 0 2")
     r = check("op_monotone", g, h)

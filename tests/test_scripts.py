@@ -1,6 +1,7 @@
 """Smoke test for the scripts: each runs in a fresh interpreter against the
 package source and exits 0, so a change to gdom's API cannot break one
-unnoticed."""
+unnoticed.  Each ``digest.py`` subcommand prints its digest lines in full,
+so a change to what gdom computes on them shows here too."""
 
 import os
 import subprocess
@@ -17,11 +18,32 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("torture_soundness.py", ["--budget", "5"], "0 violations"),
         ("survey_small_pairs.py", ["--max-n", "4"], "connected graphs up to 4 vertices"),
-        ("hunt_hinge_counterexample.py", ["--trials", "50"], "50/50 checked trials"),
-        ("relate_digest.py", ["--seed", "1", "--pairs", "24"], "24 pairs, seed 1: sha256 "),
-        ("count_digest.py", ["--seed", "1", "--pairs", "24"], "24 pairs, seed 1: "),
-        ("code_digest.py", ["--seed", "1", "--pairs", "24", "--max-n", "6"], "24 pairs, seed 1, transitive up to 6: "),
-        ("hunt_digest.py", ["--seed", "2024", "--trials", "1000"], "1000 trials, seed 2024: sha256 bb7a0fee"),
+        pytest.param(
+            "digest.py",
+            ["relate", "--seed", "1", "--pairs", "24"],
+            "24 pairs, seed 1: sha256 1f35dee80ab0b48acc61069310f6e007f6e9eca755e7a7e0f431ce6b47c9fb68\n",
+            id="digest.py-relate",
+        ),
+        pytest.param(
+            "digest.py",
+            ["count", "--seed", "1", "--pairs", "24"],
+            "24 pairs, seed 1: 39 graphs, sha256 c09b3c32531011a841387e1c180560a8a2769c0dbdf4fea781ce317d9b24a1fa\n",
+            id="digest.py-count",
+        ),
+        pytest.param(
+            "digest.py",
+            ["code", "--seed", "1", "--pairs", "24", "--max-n", "6"],
+            "24 pairs, seed 1, transitive up to 6: 50 graphs,"
+            " sha256 b6318bace4149bfa02376a05ca45c3b35160a0fb5c66b71b630dc4f69126f72c\n",
+            id="digest.py-code",
+        ),
+        pytest.param(
+            "digest.py",
+            ["hunt", "--seed", "2024", "--trials", "1000"],
+            "1000 trials, seed 2024: sha256 bb7a0fee5946242ecf814ccb6e4cd824e39c75fb4dd6be813ed11f0506c094ae,"
+            " 3 violations\nverdicts: holds 991, inconclusive 6, violated 3\n",
+            id="digest.py-hunt",
+        ),
     ],
 )
 def test_script_runs(script, args, expect, tmp_path):
@@ -38,19 +60,18 @@ def test_script_runs(script, args, expect, tmp_path):
     assert expect in done.stdout
 
 
-def _relate_digest(monkeypatch, pairs):
-    """The ``relate_digest.py`` module, its argv set to seed 1 and ``pairs``."""
+def _digest():
+    """The ``scripts/digest.py`` module, loaded without running it."""
     import importlib.util
 
-    spec = importlib.util.spec_from_file_location("relate_digest", ROOT / "scripts" / "relate_digest.py")
+    spec = importlib.util.spec_from_file_location("digest", ROOT / "scripts" / "digest.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    monkeypatch.setattr(sys, "argv", ["relate_digest.py", "--seed", "1", "--pairs", str(pairs)])
     return script
 
 
-def test_relate_digest_pins_both_lines(monkeypatch, capsys):
-    assert _relate_digest(monkeypatch, 24).main() == 0
+def test_relate_digest_pins_both_lines(capsys):
+    assert _digest().main(["relate", "--seed", "1", "--pairs", "24"]) == 0
     assert capsys.readouterr().out == (
         "24 pairs, seed 1: sha256 1f35dee80ab0b48acc61069310f6e007f6e9eca755e7a7e0f431ce6b47c9fb68\n"
         "24 pairs, seed 1: verdicts sha256 63061a30dc9b33c06b322bc22a8ae41bb0220e540a982b9cf3238f09778840dd,"
@@ -59,9 +80,9 @@ def test_relate_digest_pins_both_lines(monkeypatch, capsys):
 
 
 def test_relate_digest_exits_1_on_a_certificate_that_does_not_verify(monkeypatch, capsys):
-    script = _relate_digest(monkeypatch, 3)
+    script = _digest()
     monkeypatch.setattr(script, "verify_certificate", lambda g, h, cert: cert.relation != "domination")
-    assert script.main() == 1
+    assert script.main(["relate", "--seed", "1", "--pairs", "3"]) == 1
     out, err = capsys.readouterr()
     assert "3 pairs, seed 1: verdicts sha256 " in out
     assert "pair 0: relate domination certificate does not verify" in err
