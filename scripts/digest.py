@@ -8,7 +8,9 @@ hashes as its exception's name, so equal digests also mean equal refusals.
 relate  ``gdom relate G H --certificates --json`` and ``gdom check
         frac_tiling_tree G H --json`` on every pair, in this process.  The
         first line covers exit codes and outputs, certificates included; the
-        verdict line only exit codes, ``holds`` bits and check verdicts.
+        verdict line only exit codes, ``holds`` bits and check verdicts; the
+        run-log line every record the runs logged, without its ``timestamp``
+        and with the temporary directory as ``$TMP``.
         Each printed certificate is re-verified from its JSON; one that
         fails is named on standard error, and the exit code is 1.
 count   ``checks.family_count`` of every distinct graph for every family,
@@ -104,9 +106,16 @@ def relate(args) -> int:
                     elif cert is not None:
                         failed += 1
                         print(f"pair {i}: {argv[0]} {name} certificate does not verify", file=sys.stderr)
+        log, records = hashlib.sha256(), 0
+        with open(os.path.join(log_dir, "runs.jsonl"), encoding="utf-8") as fh:
+            for records, line in enumerate(fh, 1):
+                record = json.loads(line)
+                del record["timestamp"]
+                log.update((json.dumps(record, sort_keys=True).replace(tmp, "$TMP") + "\n").encode())
     head = f"{args.pairs} pairs, seed {args.seed}:"
     print(f"{head} sha256 {digest.hexdigest()}")
     print(f"{head} verdicts sha256 {verdicts.hexdigest()}, {verified} certificates verify")
+    print(f"{head} run log sha256 {log.hexdigest()}, {records} records")
     return 1 if failed else 0
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import io
 import json
 import os
 import sys
@@ -55,6 +54,9 @@ EXIT_ERROR = 3
 
 DEFAULT_LOG_DIR = "gdom-logs"
 
+# ``json.dumps(obj, sort_keys=True)`` without building an encoder per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 def _detect_format(path: str, override: Optional[str]) -> str:
     if override:
@@ -81,10 +83,11 @@ def _read_inputs(args) -> dict:
 
 
 def _load_graph(args, name: str) -> Multigraph:
-    """The graph in the file ``args.<name>``, decoded as ``open`` would decode it."""
+    """The graph in the file ``args.<name>``, decoded as ``open`` would decode
+    it: strict UTF-8, with universal newlines."""
     if isinstance(args._inputs[name], OSError):
         raise args._inputs[name]
-    text = io.TextIOWrapper(io.BytesIO(args._inputs[name]), encoding="utf-8").read()
+    text = args._inputs[name].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     return parse_graph(text.strip(), _detect_format(getattr(args, name), args.format))
 
 
@@ -97,16 +100,19 @@ def _check_request(args) -> tuple[InequalityId, dict]:
 
 
 class RunLog:
-    """Append-only JSONL run records, one per command invocation."""
+    """Append-only JSONL run records, one per command invocation.  The first
+    record creates the directory; reading creates nothing."""
 
     def __init__(self, log_dir: str):
         self.log_dir = log_dir
-        os.makedirs(log_dir, exist_ok=True)
         self.path = os.path.join(log_dir, "runs.jsonl")
 
-    def append(self, record: dict) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    def append(self, line: str) -> None:
+        """Append one encoded record, ``line`` with its newline."""
+        if not os.path.isdir(self.log_dir):
+            os.makedirs(self.log_dir, exist_ok=True)
+        with open(self.path, "ab") as fh:
+            fh.write(line.encode())
 
     def records(self) -> list[dict]:
         if not os.path.exists(self.path):
@@ -115,19 +121,16 @@ class RunLog:
             return [json.loads(line) for line in fh if line.strip()]
 
 
-def _log_run(args, summary: str, reports: list[dict]) -> None:
-    RunLog(args.log_dir).append(
-        {
-            "schema": 1,
-            "timestamp": time.time(),
-            "command": list(args._argv),
-            "seed": getattr(args, "seed", None),
-            "version": __version__,
-            "input_digests": {k: hashlib.sha256(v).hexdigest() for k, v in args._inputs.items() if isinstance(v, bytes)},
-            "summary": summary,
-            "reports": reports,
-        }
+def _log_run(args, summary: str, report: str = "") -> None:
+    """Append the run's record, with ``report``, its one report as :func:`_encode`
+    gave it, or with none.  The line is ``_encode(record)``, built around the
+    report's text: sorted, ``reports`` follows ``command`` and ``input_digests``."""
+    digests = {k: hashlib.sha256(v).hexdigest() for k, v in args._inputs.items() if isinstance(v, bytes)}
+    head = _encode({"command": args._argv, "input_digests": digests})
+    tail = _encode(
+        {"schema": 1, "seed": getattr(args, "seed", None), "summary": summary, "timestamp": time.time(), "version": __version__}
     )
+    RunLog(args.log_dir).append(f'{head[:-1]}, "reports": [{report}], {tail[1:]}\n')
 
 
 # -- analyze ------------------------------------------------------------------
@@ -164,12 +167,13 @@ def _analyze_fields(g: Multigraph, t_grid: list) -> dict:
 def cmd_analyze(args) -> int:
     g = _load_graph(args, "graph")
     fields = _analyze_fields(g, PARAMS["t_grid"].read(args.t_grid))
+    text = _encode(fields)
     if args.json:
-        print(json.dumps(fields, sort_keys=True))
+        print(text)
     else:
         for k, v in fields.items():
             print(f"{k}: {v}")
-    _log_run(args, "analyze", [fields])
+    _log_run(args, "analyze", text)
     return EXIT_OK
 
 
@@ -197,8 +201,9 @@ def cmd_relate(args) -> int:
             "convention": "half-L1 total variation of rooted-ball distributions, in [0,1]",
             "by_radius": tv,
         }
+    text = _encode(out)
     if args.json:
-        print(json.dumps(out, sort_keys=True))
+        print(text)
     else:
         for name, info in out.items():
             if name == "local_statistics_tv":
@@ -208,8 +213,8 @@ def cmd_relate(args) -> int:
                 continue
             print(f"{name}: {'yes' if info['holds'] else 'no'}")
             if "certificate" in info:
-                print(f"  certificate: {json.dumps(info['certificate'], sort_keys=True)}")
-    _log_run(args, "relate " + " ".join(f"{k}={v}" for k, v in verdicts.items()), [out])
+                print(f"  certificate: {_encode(info['certificate'])}")
+    _log_run(args, "relate " + " ".join(f"{k}={v}" for k, v in verdicts.items()), text)
     return EXIT_OK
 
 
@@ -229,9 +234,9 @@ def cmd_check(args) -> int:
     g = _load_graph(args, "g")
     h = _load_graph(args, "h") if args.h else None
     report = check(ineq, g, h, params)
-    payload = report.to_json()
+    text = _encode(report.to_json())
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(text)
     else:
         print(f"{report.inequality}: {report.verdict} [{report.status}]")
         if report.lhs is not None:
@@ -239,7 +244,7 @@ def cmd_check(args) -> int:
             print(f"  rhs = {report.rhs}")
         for note in report.notes:
             print(f"  note: {note}")
-    _log_run(args, f"check {args.id} -> {report.verdict}", [payload])
+    _log_run(args, f"check {args.id} -> {report.verdict}", text)
     return _EXIT_BY_VERDICT.get(report.verdict, EXIT_ERROR)
 
 
@@ -262,9 +267,10 @@ def cmd_hunt(args) -> int:
         with open(os.path.join(args.log_dir, name), "w", encoding="utf-8") as fh:
             json.dump(v.to_json(), fh, sort_keys=True, indent=2)
     print(f"{result.summary()}, {result.elapsed:.1f}s")
+    text = _encode(result.to_json())
     if args.json:
-        print(json.dumps(result.to_json(), sort_keys=True))
-    _log_run(args, result.summary(), [result.to_json()])
+        print(text)
+    _log_run(args, result.summary(), text)
     return EXIT_ERROR if result.failed_trials else EXIT_OK
 
 
@@ -303,6 +309,7 @@ def _radius(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="gdom", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
+    p.commands = sub.choices  # name -> subcommand parser, for _parse_args
 
     def common(sp):
         sp.add_argument("--format", choices=("edge_list", "graph6", "json"), default=None)
@@ -364,12 +371,26 @@ def build_parser() -> argparse.ArgumentParser:
 _parser: Optional[argparse.ArgumentParser] = None  # built by the first main() call
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, parsed by the named subcommand's parser
+    alone when it takes every argument.  No subcommand, an unknown one,
+    ``-h`` and a leftover argument go through ``parser`` itself, so every
+    message and usage text is the one ``parse_args`` gives."""
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.cmd = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     global _parser
     argv = list(sys.argv[1:] if argv is None else argv)
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parse_args(_parser, argv)
     args._argv = ["gdom"] + argv
     args._inputs = _read_inputs(args)
     try:
@@ -378,7 +399,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if args.cmd != "report":
             with contextlib.suppress(OSError):  # an unwritable log dir still ends in exit 3
-                _log_run(args, f"{args.cmd} error: {exc}", [])
+                _log_run(args, f"{args.cmd} error: {exc}")
         return EXIT_ERROR
 
 

@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ import pytest
 from gdom import cli
 from gdom.cli import RunLog, main
 from gdom.search import PairGenerator, generate_pair, hunt
-from gdom.multigraph import complete_graph, serialize_graph, star_graph, path_graph, single_edge
+from gdom.multigraph import complete_graph, parse_graph, serialize_graph, star_graph, path_graph, single_edge
 from gdom.spectral import EigensolverError
 
 from conftest import cubic_graph, relabelled_petersen
@@ -579,6 +581,122 @@ def test_run_log_digests_are_those_of_the_bytes_parsed(graphs, tmp_path, capsys,
         with open(g, "rb") as fg, open(h, "rb") as fh:
             digests = {"g": hashlib.sha256(fg.read()).hexdigest(), "h": hashlib.sha256(fh.read()).hexdigest()}
         assert record["input_digests"] == digests
+
+
+def _load_graph_through_text_io(args, name):
+    """How ``_load_graph`` decoded a graph file before: a ``TextIOWrapper``."""
+    if isinstance(args._inputs[name], OSError):
+        raise args._inputs[name]
+    text = io.TextIOWrapper(io.BytesIO(args._inputs[name]), encoding="utf-8").read()
+    return parse_graph(text.strip(), cli._detect_format(getattr(args, name), args.format))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"4;\r\n0 1;\r\n1 2;\r\n2 3\r\n",
+        b"4;\r\n0 1;\r\n1 2;\r\n2 3\r\nx\r\n",  # the error quotes its clause and counts its position
+        b"4;\r0 1;\r1 2;\r2 3\rx\r",
+        b"\xef\xbb\xbf4; 0 1; 1 2; 2 3\n",
+        b"4; 0 1; 1 2; 2 \xff3\n",
+    ],
+    ids=["crlf", "crlf-bad-clause", "lone-cr", "bom", "not-utf8"],
+)
+def test_graph_files_decode_as_a_text_wrapper_decodes_them(graphs, tmp_path, capsys, monkeypatch, data):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    args = argparse.Namespace(g=str(path), format=None, _inputs={"g": data})
+    try:
+        expected = _load_graph_through_text_io(args, "g")
+    except ValueError as exc:
+        expected = repr(exc)
+    try:
+        got = cli._load_graph(args, "g")
+    except ValueError as exc:
+        got = repr(exc)
+    assert got == expected
+    outcomes = []
+    for load in (cli._load_graph, _load_graph_through_text_io):
+        log = str(tmp_path / f"log-{load.__name__}")
+        monkeypatch.setattr(cli, "_load_graph", load)
+        rc = main(["check", "spanning_tree", str(path), graphs["edge"], "--log-dir", log])
+        (record,) = RunLog(log).records()
+        del record["timestamp"]
+        record["command"][-1] = "LOG"
+        outcomes.append((rc, capsys.readouterr(), record))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_run_log_lines_are_the_sorted_json_of_their_records(graphs, tmp_path, capsys):
+    log = str(tmp_path / "logs")
+    g, h = graphs["k4"], graphs["k3"]
+    runs = [
+        (["analyze", h], 0),
+        (["relate", g, h, "--certificates", "--json"], 0),
+        (["check", "spanning_tree", g, h, "--json"], 0),
+        (["hunt", "spanning_tree", "--trials", "2", "--seed", "3", "--max-n", "6", "--json"], 0),
+        (["check", "spanning_tree", g, str(tmp_path / "nope.txt")], 3),
+    ]
+    outs = []
+    for argv, code in runs:
+        assert main([*argv, "--log-dir", log]) == code
+        outs.append(capsys.readouterr().out)
+    with open(os.path.join(log, "runs.jsonl"), encoding="utf-8") as fh:
+        lines = fh.readlines()
+    assert len(lines) == len(runs)
+    for (argv, _), out, line in zip(runs, outs, lines):
+        record = json.loads(line)
+        assert line == json.dumps(record, sort_keys=True) + "\n"
+        if "--json" in argv:
+            assert out.splitlines()[-1] == json.dumps(record["reports"][0], sort_keys=True)
+    assert json.loads(lines[-1])["reports"] == []
+
+
+def test_report_on_a_missing_log_dir_creates_nothing(tmp_path, capsys):
+    log = tmp_path / "never"
+    assert main(["report", "--log-dir", str(log)]) == 0
+    assert capsys.readouterr().out == "no runs logged\n"
+    assert not log.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "g", "--t-grid", "1,2", "--format", "graph6", "--json", "--log-dir", "L"],
+        ["relate", "g", "h", "--certificates", "--local-stats", "2", "--json", "--log-dir", "L"],
+        ["check", "vertex_counting:forests", "g", "h", "--hypothesis", "domination", "--t-grid", "1", "--grid", "1,1",
+         "--hinge", "4", "--q", "3", "--a", "0", "--b", "1", "--format", "json", "--json", "--log-dir", "L"],
+        ["check", "spanning_tree", "g"],
+        ["hunt", "spanning_tree", "--strategy", "s", "--relation", "r", "--trials", "2", "--seed", "5",
+         "--max-n", "6", "--max-h", "3", "--hinge", "4", "--json", "--log-dir", "L"],
+        ["report", "--log-dir", "L"],
+        ["report"],
+        ["relate", "--", "g", "h"],
+        ["relate", "g", "h", "--cert"],
+        ["hunt", "spanning_tree", "--max", "3"],
+        ["relate", "g", "h", "--bogus"],
+        ["relate", "g", "h", "extra"],
+        ["report", "extra"],
+        ["relate", "g"],
+        ["relate", "g", "h", "--local-stats", "-1"],
+        ["hunt", "spanning_tree", "--trials", "many"],
+        ["relate", "-h"],
+        ["-h"],
+        [],
+        ["frobnicate", "g"],
+        ["--", "relate", "g", "h"],
+    ],
+)
+def test_subcommand_parsing_agrees_with_the_top_parser(argv, capsys):
+    def outcome(parse):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    routed = outcome(lambda argv: cli._parse_args(cli.build_parser(), argv))
+    assert routed == outcome(lambda argv: cli.build_parser().parse_args(argv))
 
 
 def test_run_log_reproducibility(graphs, capsys):

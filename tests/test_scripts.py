@@ -70,12 +70,14 @@ def _digest():
     return script
 
 
-def test_relate_digest_pins_both_lines(capsys):
+def test_relate_digest_pins_its_three_lines(capsys):
     assert _digest().main(["relate", "--seed", "1", "--pairs", "24"]) == 0
     assert capsys.readouterr().out == (
         "24 pairs, seed 1: sha256 1f35dee80ab0b48acc61069310f6e007f6e9eca755e7a7e0f431ce6b47c9fb68\n"
         "24 pairs, seed 1: verdicts sha256 63061a30dc9b33c06b322bc22a8ae41bb0220e540a982b9cf3238f09778840dd,"
         " 82 certificates verify\n"
+        "24 pairs, seed 1: run log sha256 357a951a026f5285ec053294471abeabea2895d166c108605c9a19fa18b5609e,"
+        " 48 records\n"
     )
 
 
