@@ -23,8 +23,13 @@ hunt    the ``hinge(4)`` domination hunt of acceptance criterion 9 and of
         ``hinge_hunt``: its sorted ``HuntResult.to_json()`` without
         ``elapsed``, and a histogram of trial outcomes (the verdict,
         ``no_pair`` or ``raised``), read by rebinding ``gdom.search.check``.
+checks  a hunt of every inequality id under each generator strategy, at
+        ``max_g=8, max_h=4``, with the id's default hypothesis as the
+        relation (``domination`` for an id without H): the full
+        ``CheckReport.to_json()`` of every trial, read by rebinding
+        ``gdom.search.check``.
 
-Usage: PYTHONPATH=src python3 scripts/digest.py {relate,count,code,hunt} [flags],
+Usage: PYTHONPATH=src python3 scripts/digest.py {relate,count,code,hunt,checks} [flags],
 with each subcommand's flags and defaults as :data:`COMMANDS` lists them.
 """
 
@@ -45,7 +50,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from workloads import make_pair_corpus  # noqa: E402
 
 from gdom import cli, search  # noqa: E402
-from gdom.checks import EDGE_FAMILIES, family_count  # noqa: E402
+from gdom.checks import EDGE_FAMILIES, INEQUALITIES, family_count  # noqa: E402
 from gdom.counting import CountingBoundExceeded, HomTarget  # noqa: E402
 from gdom.multigraph import parse_graph, serialize_graph  # noqa: E402
 from gdom.relations import certificate_from_json, verify_certificate  # noqa: E402
@@ -165,11 +170,35 @@ def hunt(args) -> int:
     return 0
 
 
+def checks(args) -> int:
+    digest, reports, check = hashlib.sha256(), 0, search.check
+
+    def hashed_check(*check_args):
+        nonlocal reports
+        report = check(*check_args)
+        digest.update((json.dumps(report.to_json(), sort_keys=True) + "\n").encode())
+        reports += 1
+        return report
+
+    search.check = hashed_check
+    try:
+        for ineq, spec in INEQUALITIES.items():
+            relation = "domination" if spec.hypothesis == "params" else spec.hypothesis
+            for strategy in search.STRATEGIES:
+                gen = search.PairGenerator(strategy, args.seed, relation=relation, max_g=8, max_h=4)
+                search.hunt(ineq, gen, args.trials)
+    finally:
+        search.check = check
+    print(f"{args.trials} trials, seed {args.seed}: {reports} reports, sha256 {digest.hexdigest()}")
+    return 0
+
+
 COMMANDS = {
     relate: {"--seed": 1, "--pairs": 2880},
     count: {"--seed": 1, "--pairs": 480},
     code: {"--seed": 1, "--pairs": 2880, "--max-n": 12},
     hunt: {"--seed": 2024, "--trials": 14100},
+    checks: {"--seed": 1, "--trials": 200},
 }
 
 

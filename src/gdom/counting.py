@@ -293,22 +293,32 @@ class HomTarget:
 
 
 _hom_memo = Memo()
+_orders = Memo()  # (g.n, g.edges) -> (elimination order, width)
 
 
-def _min_degree_order(g: Multigraph) -> tuple[list[int], int]:
-    """An elimination order of V(G) that takes a vertex of least degree in G
-    plus the fill edges so far, and its width: the most neighbours a vertex
-    has when it goes."""
-    nbrs = {v: set(ns) for v, ns in enumerate(g.neighbors)}
-    order, width = [], 0
-    while nbrs:
-        v = min(nbrs, key=lambda x: (len(nbrs[x]), x))
-        order.append(v)
-        width = max(width, len(nbrs[v]))
-        for u in nbrs[v]:
-            nbrs[u] = (nbrs[u] | nbrs[v]) - {u, v}
-        del nbrs[v]
-    return order, width
+def _bounded_order(g: Multigraph, k: int) -> list[int]:
+    """An elimination order of V(G), found once per graph, that takes a vertex
+    of least degree in G plus the fill edges so far.  Its width is the most
+    neighbours a vertex has when it goes.  A map into range(k) needs tables
+    of up to k^(width + 1) entries and an adjacency table of k^2; if either
+    passes ``DEFAULT_HOM_TABLE_BOUND``, ``CountingBoundExceeded``."""
+    key = (g.n, g.edges)
+    if (hit := _orders.get(key)) is None:
+        nbrs = {v: set(ns) for v, ns in enumerate(g.neighbors)}
+        order, width = [], 0
+        while nbrs:
+            v = min(nbrs, key=lambda x: (len(nbrs[x]), x))
+            order.append(v)
+            width = max(width, len(nbrs[v]))
+            for u in nbrs[v]:
+                nbrs[u] = (nbrs[u] | nbrs[v]) - {u, v}
+            del nbrs[v]
+        hit = _orders.put(key, (order, width))
+    order, width = hit
+    power = max(width + 1, 2)
+    if k**power > DEFAULT_HOM_TABLE_BOUND:
+        raise CountingBoundExceeded(f"{k}^{power} entries exceed the table bound {DEFAULT_HOM_TABLE_BOUND}")
+    return order
 
 
 def _expand(table: list[int], scope: tuple[int, ...], full: list[int], k: int) -> list[int]:
@@ -354,8 +364,8 @@ def count_weighted_homomorphisms(
 
     Bucket elimination (Dechter 1999; Díaz, Serna and Thilikos 2002) in ints,
     the weights cleared to a common denominator d and the total divided by
-    d^|G|.  A largest table, target.n^(width + 1) entries, past
-    ``DEFAULT_HOM_TABLE_BOUND`` raises ``CountingBoundExceeded`` before any is built."""
+    d^|G|.  A table past ``DEFAULT_HOM_TABLE_BOUND`` raises
+    ``CountingBoundExceeded`` before any is built (``_bounded_order``)."""
     if weights is not None and weights.keys() != set(range(target.n)):
         raise ValueError(f"hom_weights name vertices {list(weights)}; the target's are 0..{target.n - 1}")
     ws = tuple(Fraction(1 if weights is None else weights[v]) for v in range(target.n))
@@ -366,9 +376,7 @@ def count_weighted_homomorphisms(
     if hit is not None:
         return hit
     k = target.n
-    order, width = _min_degree_order(g)
-    if k ** (width + 1) > DEFAULT_HOM_TABLE_BOUND:
-        raise CountingBoundExceeded(f"{k}^{width + 1} entries exceed the table bound {DEFAULT_HOM_TABLE_BOUND}")
+    order = _bounded_order(g, k)
     if k == 0:
         return _hom_memo.put(key, 0)  # V(G) is never empty
     w, den = clear_denominators(ws)
@@ -377,9 +385,10 @@ def count_weighted_homomorphisms(
 
 
 def count_proper_colorings(g: Multigraph, q: int) -> int:
-    """Proper colourings with q colours: the homomorphisms to K_q."""
+    """Proper colourings with q colours: the homomorphisms to K_q, refused before K_q is built."""
     if q < 0:
         raise ValueError("number of colors must be nonnegative")
+    _bounded_order(g, q)
     return count_weighted_homomorphisms(g, HomTarget.complete(q))
 
 

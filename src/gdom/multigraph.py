@@ -1,10 +1,7 @@
-"""Exact multigraph data model and surgery.
+"""Exact multigraph data model.
 
 Graphs here are finite, connected, loopless multigraphs: parallel edges
-are first class (a ``mult`` field), weights are exact rationals, and all
-surgery (vertex contraction, edge-set contraction) stays in exact
-arithmetic.  Loops produced by contraction are discarded; the number
-discarded is reported through the module logger for debugging.
+are first class (a ``mult`` field) and weights are exact rationals.
 
 ``blocks`` is the one cut-vertex and bridge finder: it splits a graph into
 its blocks, where a bridge is a block of one pair.  It serves two callers:
@@ -23,14 +20,11 @@ Values are immutable once constructed and safe to share across threads.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import threading
 from collections import OrderedDict
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
-
-log = logging.getLogger(__name__)
 
 # (u, v, mult, weight) with u < v; an integral weight is an int
 Edge = tuple[int, int, int, int | Fraction]
@@ -241,72 +235,6 @@ class Memo:
             if len(self._values) > MEMO_BOUND:
                 self._values.popitem(last=False)
         return value
-
-
-# -- surgery -------------------------------------------------------------
-
-
-def _quotient(g: Multigraph, cls: Sequence[int]) -> Multigraph:
-    """Quotient by the vertex partition ``cls[v] -> block id``; drops loops."""
-    blocks = sorted(set(cls))
-    remap = {b: i for i, b in enumerate(blocks)}
-    edges = []
-    dropped = 0
-    for u, v, m, w in g.edges:
-        a, b = remap[cls[u]], remap[cls[v]]
-        if a == b:
-            dropped += m
-        else:
-            edges.append((a, b, m, w))
-    if dropped:
-        log.debug("contraction discarded %d loop unit(s)", dropped)
-    return Multigraph(len(blocks), edges, _validated=True)
-
-
-def contract_vertices(g: Multigraph, w: Iterable[int]) -> Multigraph:
-    """G/W: identify all vertices of ``w`` to a single vertex."""
-    ws = set(w)
-    if not ws:
-        raise GraphError("contract_vertices needs a nonempty vertex set")
-    if not ws.issubset(range(g.n)):
-        raise GraphError("vertex set out of range")
-    rep = min(ws)
-    cls = [rep if v in ws else v for v in range(g.n)]
-    return _quotient(g, cls)
-
-
-def contract_complement(g: Multigraph, a: Iterable[int]) -> Multigraph:
-    """G_A := G/(V \\ A); with A = V this is G itself, with A = {} a point."""
-    aset = set(a)
-    if not aset.issubset(range(g.n)):
-        raise GraphError("vertex set out of range")
-    comp = set(range(g.n)) - aset
-    if not comp:
-        return g
-    return contract_vertices(g, comp)
-
-
-def contract_subgraph_edges(
-    g: Multigraph, vertices: Iterable[int], sub_edges: Iterable[tuple[int, int]]
-) -> Multigraph:
-    """G//H: contract every edge of the subgraph H.
-
-    ``vertices`` and ``sub_edges`` describe H inside g; one merged vertex
-    per connected component of H, untouched vertices kept.  H need not be
-    connected.
-    """
-    vs = set(vertices)
-    if not vs.issubset(range(g.n)):
-        raise GraphError("subgraph vertices out of range")
-    parent = list(range(g.n))
-    for u, v in sub_edges:
-        if u not in vs or v not in vs:
-            raise GraphError(f"subgraph edge {(u, v)} not within its vertex set")
-        if g.multiplicity(u, v) == 0:
-            raise GraphError(f"subgraph edge {(u, v)} is not an edge of the graph")
-        parent[find(parent, u)] = find(parent, v)
-    cls = [find(parent, v) for v in range(g.n)]
-    return _quotient(g, cls)
 
 
 def blocks(g: Multigraph) -> list[list[tuple[int, int]]]:

@@ -29,6 +29,7 @@ from .multigraph import Memo, Multigraph, find
 from .relations import Certificate
 from .rng import Stream, derive_seed
 from .spectral import EigensolverError
+from .symmetry import SizeBoundExceeded
 
 STRATEGIES = ("overlay_copies", "transitive_catalog", "random_connected_pair")
 
@@ -393,7 +394,7 @@ def hunt(
             h = None
         try:
             report = check(ineq, g, h, trial_params)
-        except CountingBoundExceeded:
+        except (CountingBoundExceeded, SizeBoundExceeded):
             result.resource_skips += 1
             continue
         except (RecursionError, EigensolverError) as exc:

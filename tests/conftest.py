@@ -142,6 +142,17 @@ def brute_weighted_tree_sum(g: Multigraph) -> Fraction:
     return total
 
 
+def contract(g: Multigraph, s) -> Multigraph:
+    """G/S: the vertices of ``s`` merged into the least of them, the loops
+    this makes dropped, and the vertices renumbered in their old order.
+    Merging the empty set or one vertex leaves G."""
+    s = set(s)
+    keep = [v for v in range(g.n) if v not in s or v == min(s)]
+    pos = {v: i for i, v in enumerate(keep)}
+    new = [pos[min(s)] if v in s else pos[v] for v in range(g.n)]
+    return Multigraph(len(keep), [(new[u], new[v], m, w) for u, v, m, w in g.edges if new[u] != new[v]])
+
+
 def brute_forest_count(g: Multigraph) -> int:
     units = edge_units(g)
     count = 0

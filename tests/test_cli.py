@@ -417,6 +417,18 @@ def test_colorings_past_the_table_bound_are_an_error(tmp_path, capsys):
     assert generate_pair(gen, 14).g == complete_graph(8)
 
 
+def test_hunt_skips_a_trial_past_the_automorphism_size_bound(tmp_path, capsys):
+    # the catalog up to 70 vertices holds graphs past the 64-vertex bound of
+    # symmetry.automorphisms; trials 3 and 4 draw one, and the hunt goes on
+    log = str(tmp_path / "log")
+    argv = ["hunt", "transitive_G", "--strategy", "transitive_catalog", "--max-n", "70", "--trials", "5", "--seed", "1"]
+    assert main([*argv, "--log-dir", log]) == 0
+    summary = "hunt transitive_G: 0 violation(s) in 3/5 checked trials (0 generation failures, 2 resource skips, failed trials [])"
+    assert capsys.readouterr().out.startswith(summary + ", ")
+    (record,) = RunLog(log).records()
+    assert record["summary"] == summary and record["reports"][0]["resource_skips"] == 2
+
+
 def test_check_internal_failure_is_an_error(graphs, tmp_path, capsys, monkeypatch):
     # exit 1 means "violated", so an internal failure must not end that way
     for i, exc in enumerate((RecursionError("maximum recursion depth exceeded"), EigensolverError("no convergence"))):

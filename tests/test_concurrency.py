@@ -1,6 +1,5 @@
 """Shared memo caches are concurrently usable; results are schedule-independent."""
 
-import logging
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +7,7 @@ from fractions import Fraction
 
 from gdom.counting import count_forests, tutte_polynomial
 from gdom.embeddings import embeddings_iter, enumerate_copies
-from gdom.multigraph import Multigraph, complete_graph, contract_vertices, path_graph
+from gdom.multigraph import Multigraph
 from gdom.spectral import heat_trace
 from gdom.symmetry import cached_code
 
@@ -96,13 +95,3 @@ def test_shared_memos_under_eviction(monkeypatch):
         _shared_search_plans()
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_contraction_logs_discarded_loops(caplog):
-    with caplog.at_level(logging.DEBUG, logger="gdom.multigraph"):
-        contract_vertices(complete_graph(3), {0, 1})
-    assert any("discarded 1 loop unit" in rec.message for rec in caplog.records)
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="gdom.multigraph"):
-        contract_vertices(path_graph(3), {0, 2})  # no loop created
-    assert not caplog.records

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from gdom.counting import (
 from gdom.multigraph import (
     Multigraph,
     complete_graph,
-    contract_subgraph_edges,
     cycle_graph,
     parse_graph,
     path_graph,
@@ -44,6 +44,7 @@ from conftest import (
     brute_matching_count,
     brute_spanning_tree_count,
     brute_weighted_tree_sum,
+    contract,
     random_connected,
 )
 
@@ -110,14 +111,13 @@ def test_minor_examples():
 
 
 def test_minor_equals_tau_of_contraction():
-    # e.MTT: the principal minor on A equals tau of the complement contraction
-    from gdom.multigraph import contract_complement
-
+    # e.MTT: the principal minor on A is the tree weight of G/(V - A), here
+    # summed tree by tree on conftest's reference contraction
     rng = random.Random(23)
     for _ in range(40):
-        g = random_connected(rng, rng.randint(2, 6), extra=rng.randint(0, 4))
-        a = set(rng.sample(range(g.n), rng.randint(0, g.n - 1)))
-        assert laplacian_minor(g, a) == count_spanning_trees(contract_complement(g, a))
+        g = random_connected(rng, rng.randint(2, 6), extra=rng.randint(0, 4), weighted=True)
+        for a in (set(), set(range(1, g.n)), set(rng.sample(range(g.n), rng.randint(0, g.n - 1)))):
+            assert laplacian_minor(g, a) == brute_weighted_tree_sum(contract(g, set(range(g.n)) - a))
 
 
 # -- Koteljanskii / log-submodularity (exact, no tolerance) -----------------------
@@ -152,7 +152,7 @@ def test_tree_product_lemma_exhaustive_small():
                 if sub_g is None:
                     continue
                 tau_h = count_spanning_trees(sub_g)
-                quotient = contract_subgraph_edges(g, verts, list(sub))
+                quotient = contract(g, verts)  # sub_g is connected, so G//H merges verts
                 assert tau_h * count_spanning_trees(quotient) <= tau_g
 
 
@@ -180,7 +180,7 @@ def test_tree_product_lemma_sampled_seven_vertices():
         sub_g = _as_subgraph(verts, sub)
         if sub_g is None:
             continue
-        quotient = contract_subgraph_edges(g, verts, sub)
+        quotient = contract(g, verts)
         assert count_spanning_trees(sub_g) * count_spanning_trees(quotient) <= tau_g
 
 
@@ -292,6 +292,19 @@ def test_coloring_bound_names_the_largest_table():
     with pytest.raises(CountingBoundExceeded, match=r"^8\^8 entries exceed the table bound 1048576$"):
         count_proper_colorings(complete_graph(8), 8)
     assert count_proper_colorings(complete_graph(8), 4) == 0  # 4^8 = 2^16 entries fit
+
+
+def test_colorings_are_refused_before_k_q_is_built():
+    # K_q has q(q - 1)/2 pairs; the k^2 adjacency table counts as a table, so
+    # even a single vertex, of elimination width 0, is refused past q = 1024
+    for g in (path_graph(3), single_vertex()):
+        start = time.perf_counter()
+        with pytest.raises(CountingBoundExceeded, match=r"^100000\^2 entries exceed the table bound 1048576$"):
+            count_proper_colorings(g, 10**5)
+        assert time.perf_counter() - start < 0.05
+    assert count_proper_colorings(single_vertex(), 1024) == 1024
+    with pytest.raises(CountingBoundExceeded):
+        count_proper_colorings(single_vertex(), 1025)
 
 
 def test_colorings_of_long_trees():

@@ -14,9 +14,6 @@ from gdom.multigraph import (
     Multigraph,
     blocks,
     complete_graph,
-    contract_complement,
-    contract_subgraph_edges,
-    contract_vertices,
     cycle_graph,
     has_cut_edge,
     parse_graph,
@@ -25,9 +22,10 @@ from gdom.multigraph import (
     single_edge,
     star_graph,
 )
-from gdom.counting import count_spanning_trees
+from gdom.checks import _tau_contract
+from gdom.counting import count_spanning_trees, laplacian_minor
 
-from conftest import atlas_up_to, bound_memos, gdom_memos, nx_to_multigraph, random_connected
+from conftest import atlas_up_to, bound_memos, contract, gdom_memos, nx_to_multigraph, random_connected
 
 
 # -- parsing -------------------------------------------------------------------
@@ -113,57 +111,57 @@ def test_roundtrip_all_formats(seed, n, weighted):
         assert parse_graph(serialize_graph(g, "graph6"), "graph6") == g
 
 
-# -- surgery -------------------------------------------------------------------
+# -- contraction ---------------------------------------------------------------
+# tau(G/S) is the principal Laplacian minor on V - S (all-minors Matrix-Tree);
+# the contracted graphs come from conftest's reference ``contract``
 
 
 def test_contract_path3_endpoints():
-    g = contract_vertices(path_graph(3), {0, 2})
+    g = contract(path_graph(3), {0, 2})
     assert g.n == 2 and g.adjacency == {(0, 1): 2}
-    assert count_spanning_trees(g) == 2
+    assert count_spanning_trees(g) == laplacian_minor(path_graph(3), {1}) == 2
 
 
 def test_contract_singleton_is_identity():
     g = complete_graph(4)
-    assert contract_vertices(g, {2}) == g
+    assert contract(g, {2}) == g
+    assert laplacian_minor(g, {0, 1, 3}) == count_spanning_trees(g) == 16
 
 
 def test_contract_triangle_pair():
-    g = contract_vertices(complete_graph(3), {0, 1})
+    g = contract(complete_graph(3), {0, 1})
     assert g.n == 2 and g.adjacency == {(0, 1): 2}
-    assert count_spanning_trees(g) == 2
-
-
-def test_contract_empty_set_rejected():
-    with pytest.raises(GraphError):
-        contract_vertices(path_graph(3), set())
+    assert count_spanning_trees(g) == laplacian_minor(complete_graph(3), {2}) == 2
 
 
 def test_contract_complement_cases():
+    # tau(G_A), G_A = G/(V - A), as the checks read it
     p3 = path_graph(3)
-    assert contract_complement(p3, {0, 1}) == p3  # complement is a singleton
-    assert contract_complement(p3, range(3)) == p3  # A = V
-    k4a = contract_complement(complete_graph(4), {0})
+    assert _tau_contract(p3, {0, 1}) == count_spanning_trees(p3)  # complement is a singleton
+    assert _tau_contract(p3, range(3)) == count_spanning_trees(p3)  # A = V: G itself, though det L = 0
+    assert _tau_contract(p3, set()) == 1  # a point
+    k4a = contract(complete_graph(4), {1, 2, 3})
     assert k4a.n == 2 and k4a.adjacency == {(0, 1): 3}
+    assert _tau_contract(complete_graph(4), {0}) == 3
 
 
 def test_contract_subgraph_edges_triangle_in_k4():
-    g = contract_subgraph_edges(complete_graph(4), [0, 1, 2], [(0, 1), (0, 2), (1, 2)])
+    g = contract(complete_graph(4), {0, 1, 2})
     assert g.n == 2 and g.adjacency == {(0, 1): 3}
+    assert laplacian_minor(complete_graph(4), {3}) == 3
 
 
 def test_contract_subgraph_no_edges_is_identity():
-    g = complete_graph(4)
-    assert contract_subgraph_edges(g, [1], []) == g
+    # a one-vertex copy leaves G//H = G, and its minor is tau(G)
+    g = cycle_graph(5)
+    assert contract(g, {3}) == g
+    assert laplacian_minor(g, {0, 1, 2, 4}) == count_spanning_trees(g) == 5
 
 
 def test_contract_subgraph_middle_edge_of_path4():
-    g = contract_subgraph_edges(path_graph(4), [1, 2], [(1, 2)])
+    g = contract(path_graph(4), {1, 2})
     assert g.n == 3 and g.adjacency == {(0, 1): 1, (1, 2): 1}
-
-
-def test_contract_subgraph_rejects_non_edges():
-    with pytest.raises(GraphError):
-        contract_subgraph_edges(path_graph(3), [0, 2], [(0, 2)])
+    assert laplacian_minor(path_graph(4), {0, 3}) == 1
 
 
 def subdivide_edge(g: Multigraph, edge_index: int) -> Multigraph:
@@ -273,10 +271,10 @@ def test_contraction_commutes_with_laplacian_atlas5():
         if g.n < 3:
             continue
         w = set(rng.sample(range(g.n), rng.randint(2, g.n - 1)))
-        contracted = contract_vertices(g, w)
+        contracted = contract(g, w)
         direct = contracted.laplacian()
         merged = _merged_laplacian(g.laplacian(), w, g.n)
-        # align labels: contract_vertices puts the merged vertex at rank of min(w)
+        # align labels: contract puts the merged vertex at rank of min(w)
         rep = min(w)
         keep = [v for v in range(g.n) if v not in w]
         order = sorted(keep + [rep])

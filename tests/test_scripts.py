@@ -44,6 +44,13 @@ ROOT = Path(__file__).resolve().parents[1]
             " 3 violations\nverdicts: holds 991, inconclusive 6, violated 3\n",
             id="digest.py-hunt",
         ),
+        pytest.param(
+            "digest.py",
+            ["checks", "--seed", "1", "--trials", "5"],
+            "5 trials, seed 1: 270 reports,"
+            " sha256 aa02634dfe8dd17d9e9c179d5af52d07961a4fe09cd5c88439aa413208f62d96\n",
+            id="digest.py-checks",
+        ),
     ],
 )
 def test_script_runs(script, args, expect, tmp_path):
