@@ -92,8 +92,6 @@ def laplacian_minor(g: Multigraph, a: Iterable[int]) -> Count:
 
 def count_spanning_trees(g: Multigraph) -> Count:
     """Spanning-tree count by Matrix-Tree; weighted graphs give the tree weight sum."""
-    if g.n == 1:
-        return 1
     return laplacian_minor(g, range(g.n - 1))
 
 
@@ -385,11 +383,17 @@ def count_weighted_homomorphisms(
 
 
 def count_proper_colorings(g: Multigraph, q: int) -> int:
-    """Proper colourings with q colours: the homomorphisms to K_q, refused before K_q is built."""
+    """Proper colourings with q colours: the homomorphisms to K_q, memoized
+    on (G, q) and counted on K_q's adjacency table without building K_q."""
     if q < 0:
         raise ValueError("number of colors must be nonnegative")
-    _bounded_order(g, q)
-    return count_weighted_homomorphisms(g, HomTarget.complete(q))
+    key = (g.n, g.edges, q)
+    hit = _hom_memo.get(key)
+    if hit is None:
+        order = _bounded_order(g, q)
+        adj = [int(a != b) for a in range(q) for b in range(q)]
+        hit = _hom_memo.put(key, _eliminate(g, order, q, adj, [1] * q) if q else 0)  # V(G) is never empty
+    return hit
 
 
 # -- matchings and packings --------------------------------------------------

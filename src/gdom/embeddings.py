@@ -63,20 +63,18 @@ def _degrees(g: Multigraph) -> list[int]:
 _plans = Memo()
 
 
-def _plan(h: Multigraph, each_copy_once: bool) -> tuple:
+def _plan(h: Multigraph) -> tuple:
     """What the search derives from H alone, memoized on the graph value.
 
     Per level of the search order: the H-vertex placed, its degree, its
-    anchor (None at level 0) and its adjacency checks.  The floors of
-    ``each_copy_once`` (per level, the H-vertices whose images must lie
-    below the new one) stay None until a search asks for them; they come
-    from the basic orbits of Aut(H) along the search order, which
-    ``symmetry._search_tree`` finds.  A plan is never changed; gaining
-    floors replaces the entry, so live searches share it.
+    anchor (None at level 0), its adjacency checks and its floors (the
+    H-vertices whose images must lie below the new one when each copy is
+    produced once).  The floors come from the basic orbits of Aut(H) along
+    the search order, which ``symmetry._search_tree`` finds.
     """
     key = (h.n, h.edges)
     plan = _plans.get(key)
-    if plan is not None and (plan[-1] is not None or not each_copy_once):
+    if plan is not None:
         return plan
     h_deg = _degrees(h)
     order = _search_order(h, h_deg)
@@ -88,16 +86,13 @@ def _plan(h: Multigraph, each_copy_once: bool) -> tuple:
     # the anchor's adjacency is implied by the candidate list unless it is a
     # multiple edge
     checks = tuple(tuple(nbrs[1:] if nbrs and nbrs[0][1] == 1 else nbrs) for nbrs in placed_nbrs)
-    below = None
-    if each_copy_once:
-        lists: list[list[int]] = [[] for _ in order]
-        pos = {y: k for k, y in enumerate(order)}
-        _, _, levels = _search_tree(h_adj, [0] * h.n, base=order)
-        for b, orbit in levels:
-            for o in orbit - {b}:
-                lists[pos[o]].append(b)
-        below = tuple(map(tuple, lists))
-    return _plans.put(key, (tuple(order), tuple(h_deg[y] for y in order), anchors, checks, below))
+    below: list[list[int]] = [[] for _ in order]
+    pos = {y: k for k, y in enumerate(order)}
+    _, _, levels = _search_tree(h_adj, [0] * h.n, base=order)
+    for b, orbit in levels:
+        for o in orbit - {b}:
+            below[pos[o]].append(b)
+    return _plans.put(key, (tuple(order), tuple(h_deg[y] for y in order), anchors, checks, tuple(map(tuple, below))))
 
 
 def _search(g: Multigraph, h: Multigraph, each_copy_once: bool) -> Iterator[tuple[int, ...]]:
@@ -113,7 +108,7 @@ def _search(g: Multigraph, h: Multigraph, each_copy_once: bool) -> Iterator[tupl
     """
     if h.n > g.n:
         return
-    order, need, anchors, checks, below = _plan(h, each_copy_once)
+    order, need, anchors, checks, below = _plan(h)
     if not each_copy_once:
         below = ((),) * h.n
     g_deg = _degrees(g)
@@ -183,8 +178,6 @@ def enumerate_copies(g: Multigraph, h: Multigraph) -> CopyList:
 def rooted_copy_relation(g: Multigraph, h: Multigraph) -> set[tuple[int, int]]:
     """Pairs (x, y) with some embedding sending H-vertex y to G-vertex x."""
     rel: set[tuple[int, int]] = set()
-    if h.n > g.n:
-        return rel
     full = g.n * h.n
     roots = range(h.n)
     for emb in embeddings_iter(g, h):

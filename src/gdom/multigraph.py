@@ -160,7 +160,8 @@ class Multigraph:
         return count
 
     def is_connected(self) -> bool:
-        return self.component_count() == 1
+        # n vertices need n - 1 edge records to connect; fewer is refused before the walk
+        return len(self.edges) >= self.n - 1 and self.component_count() == 1
 
     def __eq__(self, other) -> bool:
         return (

@@ -226,13 +226,14 @@ def feasible_nonnegative(
 
 def check_tiling(g: Multigraph, h: Multigraph) -> Optional[TilingCertificate]:
     """Exact cover of V(G) by vertex-disjoint copies of H."""
-    if h.n > g.n or g.n % h.n != 0:
-        return None
     return _tiling(g, h, list(_search(g, h, each_copy_once=True)))
 
 
 def _tiling(g: Multigraph, h: Multigraph, images: list) -> Optional[TilingCertificate]:
-    """The exact cover search of ``check_tiling`` over one image per copy of H."""
+    """The exact cover search of ``check_tiling`` over one image per copy of H:
+    depth first on the least uncovered vertex, |G|/|H| copies deep on a stack."""
+    if g.n % h.n:
+        return None
     masks = [sum(1 << v for v in img) for img in images]
     by_vertex: list[list[int]] = [[] for _ in range(g.n)]
     for i, img in enumerate(images):
@@ -240,22 +241,23 @@ def _tiling(g: Multigraph, h: Multigraph, images: list) -> Optional[TilingCertif
             by_vertex[v].append(i)
     full = (1 << g.n) - 1
     chosen: list[int] = []
-
-    def cover(used: int) -> bool:
-        if used == full:
-            return True
-        v = ((~used) & full)
-        v = (v & -v).bit_length() - 1
-        for i in by_vertex[v]:
+    used = 0
+    stack = [iter(by_vertex[0])]
+    while stack:
+        for i in stack[-1]:
             if not masks[i] & used:
-                chosen.append(i)
-                if cover(used | masks[i]):
-                    return True
-                chosen.pop()
-        return False
-
-    if cover(0):
-        return TilingCertificate(copies=[_copy_of(images[i], h) for i in chosen])
+                break
+        else:  # no copy covers the least uncovered vertex here: backtrack
+            stack.pop()
+            if chosen:
+                used ^= masks[chosen.pop()]
+            continue
+        chosen.append(i)
+        used |= masks[i]
+        if used == full:
+            return TilingCertificate(copies=[_copy_of(images[i], h) for i in chosen])
+        free = ~used & full
+        stack.append(iter(by_vertex[(free & -free).bit_length() - 1]))
     return None
 
 
@@ -280,7 +282,7 @@ def _fractional_lp(
 
 def check_fractional_tiling(g: Multigraph, h: Multigraph) -> Optional[FractionalTilingCertificate]:
     """An integer combination of copies covering every vertex equally often."""
-    return None if h.n > g.n else _fractional_tiling(g, h, list(_search(g, h, each_copy_once=True)))
+    return _fractional_tiling(g, h, list(_search(g, h, each_copy_once=True)))
 
 
 def _fractional_tiling(g: Multigraph, h: Multigraph, images: list) -> Optional[FractionalTilingCertificate]:
@@ -295,7 +297,7 @@ def _fractional_tiling(g: Multigraph, h: Multigraph, images: list) -> Optional[F
 
 def check_fractional_edge_tiling(g: Multigraph, h: Multigraph) -> Optional[FractionalTilingCertificate]:
     """An integer combination of copies covering every edge unit equally often."""
-    return None if h.n > g.n else _fractional_edge_tiling(g, h, list(_search(g, h, each_copy_once=True)))
+    return _fractional_edge_tiling(g, h, list(_search(g, h, each_copy_once=True)))
 
 
 def _fractional_edge_tiling(g: Multigraph, h: Multigraph, images: list) -> Optional[FractionalTilingCertificate]:
@@ -347,8 +349,6 @@ def check_domination(
     for emb in known:
         if not _is_embedding(g, h, emb):
             raise ValueError(f"{list(emb)} is not an embedding of H in G")
-    if h.n > g.n:
-        return None
     supply, demand = [h.n] * g.n, [g.n] * h.n
     rel: set[tuple[int, int]] = set()  # the pairs found so far
     flow: dict[tuple[int, int], int] = {}  # found pair -> its units, if it carries any
@@ -490,10 +490,8 @@ def relate(g: Multigraph, h: Multigraph) -> dict[str, Optional[Certificate]]:
     tiling the fractional tiling, a fractional tiling the coupling.  Only
     where no fractional tiling holds does the domination walk run.
     """
-    if h.n > g.n:
-        return dict.fromkeys(RELATIONS)
     images = list(_search(g, h, each_copy_once=True))
-    tiling = None if g.n % h.n else _tiling(g, h, images)
+    tiling = _tiling(g, h, images)
     fractional = fractional_from_tiling(tiling) if tiling else _fractional_tiling(g, h, images)
     return {
         "tiling": tiling,
@@ -559,15 +557,8 @@ def _copy_is_valid(g: Multigraph, h: Multigraph, c: Copy) -> bool:
 def verify_certificate(g: Multigraph, h: Multigraph, cert: Certificate) -> bool:
     """Re-validate every certificate invariant from scratch."""
     if isinstance(cert, TilingCertificate):
-        seen: set[int] = set()
-        for c in cert.copies:
-            if not _copy_is_valid(g, h, c):
-                return False
-            if seen & set(c.vertices):
-                return False
-            seen.update(c.vertices)
-        return seen == set(range(g.n))
-
+        # covering every vertex exactly once: disjoint copies that cover V(G)
+        cert = fractional_from_tiling(cert)
     if isinstance(cert, FractionalTilingCertificate):
         if len(cert.copies) != len(cert.multiplicities):
             return False

@@ -25,7 +25,7 @@ from typing import Optional
 from . import checks
 from .checks import INEQUALITIES, CheckReport, InequalityId, check, verify_relation_hypothesis
 from .counting import CountingBoundExceeded
-from .multigraph import Memo, Multigraph, find
+from .multigraph import Memo, Multigraph, complete_graph, cycle_graph, find
 from .relations import Certificate
 from .rng import Stream, derive_seed
 from .spectral import EigensolverError
@@ -135,11 +135,8 @@ def transitive_catalog(max_n: int) -> tuple[Multigraph, ...]:
     hit = _catalogs.get(max_n)
     if hit is not None:
         return hit
-    out: list[Multigraph] = []
-    for n in range(2, max_n + 1):
-        out.append(Multigraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]))
-    for n in range(3, max_n + 1):
-        out.append(Multigraph(n, [(i, (i + 1) % n) for i in range(n)]))
+    out: list[Multigraph] = [complete_graph(n) for n in range(2, max_n + 1)]
+    out += [cycle_graph(n) for n in range(3, max_n + 1)]
     d = 2
     while 2**d <= max_n:
         n = 2**d
@@ -236,8 +233,6 @@ def generate_pair(gen: PairGenerator, trial: int = 0) -> GeneratedPair:
     for attempt in range(gen.max_attempts):
         rng = Stream(derive_seed(gen.seed, trial, attempt))
         g, h, known = _propose(rng, gen)
-        if h.n > g.n:
-            continue
         ok, cert = verify_relation_hypothesis(gen.relation, g, h, known=known)
         if ok:
             return GeneratedPair(
@@ -320,14 +315,6 @@ class HuntResult:
         return {**vars(self), "violations": [v.to_json() for v in self.violations]}
 
 
-# the params keys a hunt draws for each trial, so none of them can be given
-_DRAWN = {
-    InequalityId.KOTELJANSKII_STEP: ("a", "b"),
-    InequalityId.COVER_PRODUCT: ("cover",),
-    InequalityId.WEIGHTED_COVER_HEAT: ("weighted_cover",),
-}
-
-
 def _hunt_params_trial(
     ineq: InequalityId, gen: PairGenerator, trial: int, params: dict
 ) -> tuple[Optional[Multigraph], dict]:
@@ -367,9 +354,11 @@ def hunt(
     ``EigensolverError`` is counted by type and listed, and the hunt goes on.
     """
     ineq = InequalityId(ineq)
-    takes_h = INEQUALITIES[ineq].takes_h
+    entry = INEQUALITIES[ineq]
     given = params or {}
-    params = checks.parse_params(ineq, given, _DRAWN.get(ineq, ("certificate",)))
+    # none of what a trial draws can be given: its certificate, or each required key of an id without H
+    drawn = ("certificate",) if entry.takes_h else [key for key in entry.reads if checks.PARAMS[key].required]
+    params = checks.parse_params(ineq, given, drawn)
     t0 = time.perf_counter()
     result = HuntResult(
         inequality=ineq.value,
@@ -378,7 +367,7 @@ def hunt(
         params=checks.params_to_json({key: params[key] for key in given}),
     )
     for trial in range(trials):
-        if takes_h:
+        if entry.takes_h:
             try:
                 pair = generate_pair(gen, trial)
             except GenerationError:

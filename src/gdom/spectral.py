@@ -272,11 +272,6 @@ def shifted_inverse(t) -> FunctionalSpec:
     return FunctionalSpec("shifted_inverse", Fraction(t))
 
 
-def spectral_sum(g: Multigraph, f: Callable[[float], float]) -> float:
-    """sum f(lambda_i) over the Laplacian eigenvalues of g, each clipped at 0."""
-    return eigenvalues(g).trace(f)
-
-
 def spectral_functional(g: Multigraph, spec: FunctionalSpec) -> float:
     """Normalized trace (1/|G|) sum f(lambda_i)."""
     return eigenvalues(g).functional(spec)
@@ -287,7 +282,7 @@ def heat_trace(g: Multigraph, t) -> float:
     t = _float(t, "time")
     if t < 0:
         raise ValueError("time must be nonnegative")
-    return spectral_sum(g, lambda s: math.exp(-t * s)) / g.n
+    return eigenvalues(g).trace(lambda s: math.exp(-t * s)) / g.n
 
 
 # -- exact shifted determinants ---------------------------------------------

@@ -1,11 +1,13 @@
-"""No public function or method of ``src/gdom`` that only tests call.
+"""No public function or method of ``src/gdom`` that only tests call, and
+no private module-level function that no code calls.
 
 A public function (no leading underscore) counts as named where a module in
 ``src/``, ``scripts/`` or ``bench/`` names it: by name, by import or as an
 attribute.  A public method counts only where it is called as an attribute
 (``x.name(...)``), and a property where it is read as one (``x.name``), so a
 local variable of the same name does not count.  :data:`DOCUMENTED_API` is
-the public API that a user calls and no module needs.
+the public API that a user calls and no module needs.  A private function
+(one leading underscore) counts as named as a public function does.
 """
 
 import ast
@@ -79,3 +81,17 @@ def test_every_public_function_is_named_outside_tests():
 
 def test_documented_api_is_defined():
     assert DOCUMENTED_API <= _public_definitions().keys()
+
+
+def test_every_private_function_is_named_outside_tests():
+    named = _named()["function"]
+    unnamed = [
+        f"{path.stem}.{node.name}"
+        for path in sorted((ROOT / "src" / "gdom").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in named
+    ]
+    assert unnamed == [], "no code calls these; delete them or move them to tests"

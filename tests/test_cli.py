@@ -107,6 +107,13 @@ def test_analyze_bad_file(graphs, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_analyze_refuses_a_billion_isolated_vertices_at_once(graphs, tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text("1000000000")
+    assert main(["analyze", str(big), "--log-dir", graphs["log"]]) == 3
+    assert capsys.readouterr().err.strip() == "error: graph is not connected"
+
+
 def test_relate(graphs, capsys):
     rc = main(["relate", graphs["k4"], graphs["k3"], "--json", "--log-dir", graphs["log"]])
     payload = json.loads(capsys.readouterr().out)

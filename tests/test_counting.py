@@ -307,6 +307,14 @@ def test_colorings_are_refused_before_k_q_is_built():
         count_proper_colorings(single_vertex(), 1025)
 
 
+def test_a_repeated_colouring_count_is_a_memo_hit():
+    # the memo key is (G, q): a hit neither builds nor hashes K_q's pairs
+    assert count_proper_colorings(path_graph(3), 1024) == 1024 * 1023**2
+    start = time.perf_counter()
+    assert count_proper_colorings(path_graph(3), 1024) == 1024 * 1023**2
+    assert time.perf_counter() - start < 0.01
+
+
 def test_colorings_of_long_trees():
     # a tree has elimination width 1: q (q-1)^(n-1) colourings, with no recursion per edge
     assert count_proper_colorings(path_graph(600), 3) == 3 * 2**599

@@ -195,14 +195,14 @@ def test_copy_floors_are_the_basic_orbits_along_the_search_order():
     # order[:i]; each of its other points must be placed above order[i]
     for h in atlas_up_to(6):
         auts = brute_embeddings(h, h)
-        order = embeddings._plan(h, True)[0]
+        order = embeddings._plan(h)[0]
         below = [[] for _ in order]
         for i, b in enumerate(order):
             stabilizer = [p for p in auts if all(p[u] == u for u in order[:i])]
             for k, y in enumerate(order):
                 if y != b and any(p[b] == y for p in stabilizer):
                     below[k].append(b)
-        assert embeddings._plan(h, True)[-1] == tuple(map(tuple, below))
+        assert embeddings._plan(h)[-1] == tuple(map(tuple, below))
 
 
 def test_rooted_relation_agrees_with_naive_injections():
@@ -233,11 +233,10 @@ def test_equal_graphs_share_one_search_plan(monkeypatch):
     assert h1 == h2 and h1 is not h2
     before = len(embeddings._plans._values)
     first = list(embeddings_iter(g, h1))
-    plan = embeddings._plan(h2, False)
-    assert list(embeddings_iter(g, h2)) == first and embeddings._plan(h1, False) is plan
-    assert plan[-1] is None  # no floors until a copy search asks for them
+    plan = embeddings._plan(h2)
+    assert list(embeddings_iter(g, h2)) == first and embeddings._plan(h1) is plan
     copies = enumerate_copies(g, h2).copies
-    assert embeddings._plan(h1, False)[-1] is not None and embeddings._plan(h1, True) is embeddings._plan(h2, False)
+    assert embeddings._plan(h1) is plan
     assert len(embeddings._plans._values) == before + 1
     assert copies == enumerate_copies(g, _fresh_h(1)).copies
 

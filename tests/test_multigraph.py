@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -50,6 +51,19 @@ def test_parse_edge_list_mult_weight():
 def test_parse_rejects_disconnected():
     with pytest.raises(DisconnectedError):
         parse_graph("4; 0 1; 2 3")
+
+
+def test_too_few_edge_records_are_refused_before_the_walk():
+    # n vertices need n - 1 records to connect; the walk would allocate per vertex
+    for text in ("1000000000", "2000000; 0 1"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedError):
+                parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, text
 
 
 def test_parse_rejects_loop():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdom import relations
+from gdom.checks import _IMPLIES, HYPOTHESIS_FAILED, INEQUALITIES, check
 from gdom.counting import clear_denominators
 from gdom.embeddings import _copy_of, embeddings_iter, enumerate_copies, rooted_copy_relation
 from gdom.multigraph import (
@@ -21,6 +22,7 @@ from gdom.multigraph import (
     parse_graph,
     path_graph,
     single_edge,
+    single_vertex,
     star_graph,
 )
 from gdom.relations import (
@@ -501,7 +503,7 @@ def test_relate_enumerates_copies_once(monkeypatch):
     assert list(result) == list(RELATIONS)
     assert result["tiling"] is not None and result["fractional_tiling"] is not None
     assert relate(single_edge(), complete_graph(3)) == dict.fromkeys(RELATIONS)
-    assert len(calls) == 1
+    assert len(calls) == 2  # a larger H is searched once too, and has no copy
 
 
 def test_a_copy_is_built_only_for_the_copies_a_certificate_lists(monkeypatch):
@@ -1184,3 +1186,31 @@ def test_fractional_certificates_list_only_their_support():
                     assert all(m > 0 for m in cert.multiplicities), (g, h, cert.mode)
                     held += 1
     assert held > 100
+
+
+def test_a_larger_h_has_no_copy_and_no_relation():
+    """|H| > |G| is decided once, by the copy search finding nothing: every
+    relation, every decider and the rooted relation come out empty, and so
+    every hypothesis of every check that takes H fails."""
+    pairs = [(g, h) for g in atlas_up_to(4) for h in atlas_up_to(4) if h.n > g.n]
+    assert len(pairs) == 29
+    takes_h = [ineq for ineq, entry in INEQUALITIES.items() if entry.takes_h]
+    for g, h in pairs:
+        result = relate(g, h)
+        assert list(result) == list(RELATIONS) and result == dict.fromkeys(RELATIONS)
+        assert all(decider(g, h) is None for decider in RELATIONS.values())
+        assert rooted_copy_relation(g, h) == set()
+        with pytest.raises(ValueError):
+            enumerate_copies(g, h)
+        for ineq in takes_h:
+            for hypothesis in _IMPLIES:
+                assert check(ineq, g, h, {"hypothesis": hypothesis}).verdict == HYPOTHESIS_FAILED, (ineq, hypothesis)
+
+
+@pytest.mark.parametrize("g, h", [(path_graph(1200), single_vertex()), (path_graph(1000), single_edge())])
+def test_a_tiling_of_many_copies_needs_no_recursion(g, h):
+    """The exact cover search goes |G|/|H| copies deep without recursing."""
+    result = relate(g, h)
+    assert len(result["tiling"].copies) == g.n // h.n
+    for name, cert in result.items():
+        assert cert is None or verify_certificate(g, h, cert), name
