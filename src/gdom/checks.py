@@ -278,10 +278,16 @@ def check(
 ) -> CheckReport:
     """Run one inequality check; :data:`INEQUALITIES` gives each id's
     hypothesis, default family, params, checker and claim status.  The hypothesis
-    must be a relation of ``_IMPLIES`` for an id that takes H, else "params"."""
+    must be a relation of ``_IMPLIES`` for an id that takes H, else "params".
+    :func:`parse_params` reads ``params``, and :func:`run_check` runs the check."""
     ineq = InequalityId(ineq)
+    return run_check(ineq, g, h, parse_params(ineq, params))
+
+
+def run_check(ineq: InequalityId, g: Multigraph, h: Optional[Multigraph], params: dict) -> CheckReport:
+    """:func:`check` on ``params`` that :func:`parse_params` has read, as a
+    hunt reads its own once for all its trials."""
     entry = INEQUALITIES[ineq]
-    params = parse_params(ineq, params)
     hypothesis = params.get("hypothesis", entry.hypothesis)
     valid = tuple(_IMPLIES) if entry.takes_h else ("params",)
     if hypothesis not in valid:

@@ -26,8 +26,14 @@ is ``fractional_from_tiling`` of it, and a fractional tiling's coupling is
 without a tiling and the domination walk only without a fractional tiling.
 Derived certificates are checked like any other.  Each public decider
 searches for itself, so ``check_domination`` always returns the walk's
-coupling.  The LP is a revised fraction-free simplex over sparse copy
-columns that keeps only the basis inverse, rescales a row only when a pivot
+coupling.  A copy column with every coefficient 1 is the list of its rows:
+a vertex column is the copy's vertex set, and a simple H's edge column the
+rows of its copy's pairs; a multigraph H's edge columns map rows to units.
+The rows settle many copy LPs alone (``_forced``): a row that no copy
+meets refutes the LP, and a row down to one live column, or with its rhs
+used up, fixes columns until every column is fixed or no row forces more.
+Only the LPs left undecided reach the simplex, a revised fraction-free one
+that keeps only the basis inverse, rescales a row only when a pivot
 touches it, and prices the columns in blocks.
 """
 
@@ -88,13 +94,18 @@ _PRICING_BLOCK = 32  # columns per pricing block of Dantzig's rule; 16 to 64 tim
 
 
 def feasible_nonnegative(
-    columns: list[dict[int, Union[int, Fraction]]], rhs: list[Union[int, Fraction]]
+    columns: list[Union[dict[int, Union[int, Fraction]], Collection[int]]], rhs: list[Union[int, Fraction]]
 ) -> Optional[list[Fraction]]:
     """Some x >= 0 with sum_j x[j] * columns[j] = rhs, or None.
 
     Column j maps each row it meets to its coefficient, an int or a
-    ``Fraction``.  Each row is scaled by the lcm of its denominators and
+    ``Fraction``, or it is a collection of distinct rows, each with
+    coefficient 1.  Each row is scaled by the lcm of its denominators and
     negated if its rhs is negative, so the simplex runs over integers.
+    When every column is such a row collection, all of one width, and the
+    rhs is of nonnegative ints, there is nothing to scale, and the
+    coefficient, denominator and scale passes are skipped.  The copy LPs
+    call this only when their rows do not settle them (``_forced``).
 
     Revised phase-1 simplex with integer (fraction-free) pivoting.  Of the
     tableau [A | I | b] it keeps R, the artificial block and the rhs; the
@@ -123,22 +134,31 @@ def feasible_nonnegative(
     # the columns flat, w entries each: rows in K, coefficients in V; a
     # shorter column is padded with 0s on a dummy row m
     w = max(map(len, columns), default=0) or 1
-    K, V = [], []
-    for col in columns:
-        K += col
-        K += [m] * (w - len(col))
-        V += col.values()
-        V += [0] * (w - len(col))
-    ints = {*map(type, V)} <= {int}
-    den = [b.denominator for b in rhs] + [1]
-    if not ints:
-        for k, a in zip(K, V):
-            den[k] = math.lcm(den[k], a.denominator)
-    scale = [-d if b < 0 else d for d, b in zip(den, rhs)] + [1]
-    if not ints or scale.count(1) <= m:
-        V = [a.numerator * (scale[k] // a.denominator) for k, a in zip(K, V)]
-    unit = V.count(1) == len(V)  # every coefficient 1, no column padded
-    R = [[0] * m + [b.numerator * (s // b.denominator)] for b, s in zip(rhs, scale)]
+    if all(len(col) == w and not isinstance(col, dict) for col in columns) and all(
+        type(b) is int and b >= 0 for b in rhs
+    ):  # 0/1 columns of one width over an int rhs: nothing to pad or scale
+        K = [k for col in columns for k in col]
+        V, unit = [1] * len(K), True
+        R = [[0] * m + [b] for b in rhs]
+    else:
+        K, V = [], []
+        for col in columns:
+            if not isinstance(col, dict):
+                col = dict.fromkeys(col, 1)
+            K += col
+            K += [m] * (w - len(col))
+            V += col.values()
+            V += [0] * (w - len(col))
+        ints = {*map(type, V)} <= {int}
+        den = [b.denominator for b in rhs] + [1]
+        if not ints:
+            for k, a in zip(K, V):
+                den[k] = math.lcm(den[k], a.denominator)
+        scale = [-d if b < 0 else d for d, b in zip(den, rhs)] + [1]
+        if not ints or scale.count(1) <= m:
+            V = [a.numerator * (scale[k] // a.denominator) for k, a in zip(K, V)]
+        unit = V.count(1) == len(V)  # every coefficient 1, no column padded
+        R = [[0] * m + [b.numerator * (s // b.denominator)] for b, s in zip(rhs, scale)]
     for i in range(m):
         R[i][i] = 1
     basis = [n + i for i in range(m)]
@@ -261,17 +281,74 @@ def _tiling(g: Multigraph, h: Multigraph, images: list) -> Optional[TilingCertif
     return None
 
 
+def _forced(columns: list, rhs: list[int]) -> tuple[bool, Optional[list]]:
+    """(True, x or None) when the rows alone settle a copy LP, else (False, None).
+
+    Every coefficient and rhs of a copy LP is positive.  So a row that no
+    column meets has no x, a row with one live column fixes that column at
+    the row's remaining rhs over its coefficient, and a row whose remaining
+    rhs is 0 fixes its live columns at 0: the singleton and forcing rows of
+    presolve (Andersen and Andersen 1995).  A negative remainder, or a row
+    left short with no live column, has no x.  Each fixed value holds in
+    every solution, so once every column is fixed, x is the LP's only
+    solution and the simplex's answer too."""
+    meets: list[list[int]] = [[] for _ in rhs]  # row -> the columns that meet it
+    for j, col in enumerate(columns):
+        for i in col:
+            meets[i].append(j)
+    if not all(meets):
+        return True, None
+    queue = [i for i, js in enumerate(meets) if len(js) == 1]  # rows that may fix a column
+    if not queue:
+        return False, None
+    left, live = list(rhs), [len(js) for js in meets]
+    x: list = [None] * len(columns)
+    for i in queue:  # grows as rows fall to one live column or to rhs 0
+        free = [j for j in meets[i] if x[j] is None]
+        if not free:
+            continue
+        if left[i]:  # one live column
+            j = free[0]
+            col = columns[j]
+            a = col[i] if isinstance(col, dict) else 1
+            fixed = [(j, left[i] if a == 1 else Fraction(left[i], a))]
+        else:
+            fixed = [(j, 0) for j in free]
+        for j, v in fixed:
+            x[j] = v
+            col = columns[j]
+            for k in col:
+                live[k] -= 1
+                if v:
+                    left[k] -= v * col[k] if isinstance(col, dict) else v
+                    if left[k] < 0:
+                        return True, None
+                    if not left[k] and live[k]:
+                        queue.append(k)
+                if left[k] and live[k] < 2:
+                    if not live[k]:
+                        return True, None
+                    queue.append(k)
+    return (True, x) if None not in x else (False, None)
+
+
 def _fractional_lp(
     h: Multigraph, images: Collection[tuple[int, ...]], columns: list, rhs: list[int], mode: str
 ) -> Optional[FractionalTilingCertificate]:
     """Copies weighted so that every LP row meets its rhs, scaled to integers.
 
     ``images`` holds the first image of each column's copies, in column
-    order.  No rows (the edge mode on K_1) is vacuous coverage.  The
+    order.  No rows (the edge mode on K_1) is vacuous coverage.  The rows
+    settle many LPs alone (``_forced``); the rest go to the simplex.  The
     certificate keeps the copies of positive value, in copy order."""
     if not images:
         return None
-    x = feasible_nonnegative(columns, rhs) if rhs else [Fraction(1)] + [Fraction(0)] * (len(images) - 1)
+    if not rhs:
+        x = [Fraction(1)] + [Fraction(0)] * (len(images) - 1)
+    else:
+        decided, x = _forced(columns, rhs)
+        if not decided:
+            x = feasible_nonnegative(columns, rhs)
     if x is None:
         return None
     support = [(img, xi) for img, xi in zip(images, x) if xi]
@@ -287,12 +364,12 @@ def check_fractional_tiling(g: Multigraph, h: Multigraph) -> Optional[Fractional
 
 def _fractional_tiling(g: Multigraph, h: Multigraph, images: list) -> Optional[FractionalTilingCertificate]:
     """Copies on the same vertices are interchangeable for coverage, so the
-    LP runs over one column per vertex set: a 1 in the row of each of its
-    vertices, against rhs 1."""
+    LP runs over one column per vertex set, the set itself: a 1 in the row
+    of each of its vertices, against rhs 1."""
     reps: dict = {}
     for img in images:
         reps.setdefault(frozenset(img), img)
-    return _fractional_lp(h, reps.values(), [dict.fromkeys(vs, 1) for vs in reps], [1] * g.n, "vertex")
+    return _fractional_lp(h, reps.values(), list(reps), [1] * g.n, "vertex")
 
 
 def check_fractional_edge_tiling(g: Multigraph, h: Multigraph) -> Optional[FractionalTilingCertificate]:
@@ -307,19 +384,24 @@ def _fractional_edge_tiling(g: Multigraph, h: Multigraph, images: list) -> Optio
     ``clear_denominators`` scales the normalized row, so the simplex pivots
     alike).  Each copy has a column of its own: H is connected, so two
     copies on the same pairs are one copy (on K_1 every column is empty,
-    and the rows alone decide)."""
+    and the rows alone decide).  For a simple H every unit is 1 and a row
+    that a copy meets has gcd 1, so a column is the list of its pairs' rows
+    and the rhs the pair multiplicities."""
     pairs = sorted(g.adjacency)
     row = [[0] * g.n for _ in range(g.n)]  # a pair of G, either way round -> its row
     for i, (u, v) in enumerate(pairs):
         row[u][v] = row[v][u] = i
+    rhs = [g.adjacency[pair] for pair in pairs]
+    if h.is_simple():
+        columns = [[row[img[a]][img[b]] for a, b in h.adjacency] for img in images]
+        return _fractional_lp(h, images, columns, rhs, "edge")
     h_pairs = h.adjacency.items()
     columns = [{row[img[a]][img[b]]: m for (a, b), m in h_pairs} for img in images]
-    gcd = [g.adjacency[pair] for pair in pairs]  # each row's gcd, rhs included
+    gcd = rhs[:]  # each row's gcd, rhs included
     for i, units in set().union(*(col.items() for col in columns)):
         gcd[i] = math.gcd(gcd[i], units)
-    if not h.is_simple():  # else every row a copy meets has gcd 1
-        columns = [{i: units // gcd[i] for i, units in col.items()} for col in columns]
-    return _fractional_lp(h, images, columns, [g.adjacency[pair] // d for pair, d in zip(pairs, gcd)], "edge")
+    columns = [{i: units // gcd[i] for i, units in col.items()} for col in columns]
+    return _fractional_lp(h, images, columns, [b // d for b, d in zip(rhs, gcd)], "edge")
 
 
 def check_domination(

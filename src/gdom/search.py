@@ -23,7 +23,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import checks
-from .checks import INEQUALITIES, CheckReport, InequalityId, check, verify_relation_hypothesis
+# a hunt reads its params once, so each trial's check runs on read params
+from .checks import INEQUALITIES, CheckReport, InequalityId, verify_relation_hypothesis
+from .checks import run_check as check
 from .counting import CountingBoundExceeded
 from .multigraph import Memo, Multigraph, complete_graph, cycle_graph, find
 from .relations import Certificate
@@ -320,22 +322,22 @@ def _hunt_params_trial(
 ) -> tuple[Optional[Multigraph], dict]:
     rng = Stream(derive_seed(gen.seed, trial, 10_000))
     g = random_connected_graph(rng, rng.randint(2, gen.max_g))
-    extra = dict(params)
+    drawn = {}
     if ineq is InequalityId.KOTELJANSKII_STEP:
-        extra["a"] = random_vertex_subset(rng, g.n)
-        extra["b"] = random_vertex_subset(rng, g.n)
+        drawn["a"] = random_vertex_subset(rng, g.n)
+        drawn["b"] = random_vertex_subset(rng, g.n)
     elif ineq is InequalityId.COVER_PRODUCT:
-        extra["cover"] = random_regular_cover(rng, g.n, rng.randint(1, 3))
+        drawn["cover"] = random_regular_cover(rng, g.n, rng.randint(1, 3))
     else:
         # cover g by itself with randomly reduced weights; hypothesis (ii) holds
         scale = Fraction(rng.randint(1, 4), 4)
-        extra["weighted_cover"] = [
+        drawn["weighted_cover"] = [
             {
                 "vertices": list(range(g.n)),
                 "edges": [[u, v, m, str(w * scale)] for u, v, m, w in g.edges],
             }
         ]
-    return g, extra
+    return g, {**params, **{key: checks.PARAMS[key].read(value) for key, value in drawn.items()}}
 
 
 def hunt(
@@ -346,7 +348,8 @@ def hunt(
 ) -> HuntResult:
     """Run ``check`` over generated inputs; collect violated reports only.
 
-    ``params`` are read once, before the first trial, and kept as JSON.
+    ``params`` are read once, before the first trial, and kept as JSON;
+    each trial runs the check on them, with what it draws added.
     Ids that take no H check one random graph with synthesized parameters
     per trial.  Hypothesis-failed trials are never reported as violations;
     generation failures (attempt cap) and resource-bound trials are counted

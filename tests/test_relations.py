@@ -194,6 +194,10 @@ def _random_lp(rng, kind):
     m, n = rng.randint(1, 7), rng.randint(1, 12)
     if kind == "cover":  # 0/1 rows with rhs 1, the vertex tiling LP's form
         return [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)], [1] * m
+    if kind == "copies":  # 0/1 columns of one width, rhs >= 1: a simple H's copy LPs' form
+        w = rng.randint(1, m)
+        cols = [rng.sample(range(m), w) for _ in range(n)]
+        return [[int(i in col) for col in cols] for i in range(m)], [rng.randint(1, 2) for _ in range(m)]
     if kind == "int":  # small ints, rhs <= 0
         return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)], [rng.randint(-4, 0) for _ in range(m)]
 
@@ -204,7 +208,7 @@ def _random_lp(rng, kind):
 
 
 @pytest.mark.parametrize("bland_switch", [relations._BLAND_SWITCH, 0])
-@pytest.mark.parametrize("kind", ["cover", "int", "fraction"])
+@pytest.mark.parametrize("kind", ["cover", "copies", "int", "fraction"])
 def test_lazy_row_scaling_matches_eager_simplex(monkeypatch, bland_switch, kind):
     """Rescaling only the rows a pivot touches gives the eager tableau's x,
     under Dantzig's rule and (switch 0) under Bland's rule alone."""
@@ -212,7 +216,7 @@ def test_lazy_row_scaling_matches_eager_simplex(monkeypatch, bland_switch, kind)
 
 
 @pytest.mark.parametrize("bland_switch", [relations._BLAND_SWITCH, 0])
-@pytest.mark.parametrize("kind", ["cover", "int", "fraction"])
+@pytest.mark.parametrize("kind", ["cover", "copies", "int", "fraction"])
 def test_block_pricing_matches_eager_simplex(monkeypatch, bland_switch, kind):
     """The same over pricing blocks of 3 columns, so that most of these LPs
     span several blocks."""
@@ -228,6 +232,8 @@ def _assert_lazy_matches_eager(monkeypatch, bland_switch, kind):
         rows, rhs = _random_lp(rng, kind)
         x = feasible_nonnegative(_columns(rows), rhs)
         assert x == _eager_feasible_nonnegative(rows, rhs), (rows, rhs)
+        if kind in ("cover", "copies"):  # the same columns as lists of their rows
+            assert feasible_nonnegative([list(col) for col in _columns(rows)], rhs) == x, (rows, rhs)
         feasible += x is not None
     assert 30 < feasible < 270
 
@@ -487,6 +493,66 @@ def test_lp_cells_count_the_nonzeros_of_both_copy_lps(monkeypatch):
             nonzeros = sum(a != 0 for row in rows for a in row[:-1])
             assert len(columns) * len(columns[0]) == sum(map(len, columns)) == nonzeros, (g, h, mode)
             assert rhs == [row[-1] for row in rows]
+
+
+def test_rows_that_force_a_copy_lp_give_the_simplex_answer(monkeypatch):
+    """Whenever the rows settle a copy LP, their answer is the simplex's on
+    the same LP: atlas <= 6 x <= 4 and random multigraph pairs.  Every
+    outcome occurs: a row no copy meets, refuted, solved and undecided."""
+    lps = []
+    forced = relations._forced
+
+    def spy(columns, rhs):
+        result = forced(columns, rhs)
+        lps.append((columns, rhs, result))
+        return result
+
+    monkeypatch.setattr(relations, "_forced", spy)
+    pairs = [(g, h) for g in atlas_up_to(6) for h in atlas_up_to(4)]
+    rng = random.Random(2016)
+    for _ in range(240):
+        g = _random_multigraph(rng, rng.randint(3, 6), 2, 3, rng.randint(0, 5))
+        h = _random_multigraph(rng, rng.randint(2, 4), 1, 3, rng.randint(0, 2))
+        pairs.append((g, h))
+    for g, h in pairs:
+        images = list(relations._search(g, h, each_copy_once=True))
+        relations._fractional_tiling(g, h, images)
+        relations._fractional_edge_tiling(g, h, images)
+    seen = {"uncovered": 0, "refuted": 0, "solved": 0, "undecided": 0}
+    for columns, rhs, (decided, x) in lps:
+        uncovered = set(range(len(rhs))).difference(*columns)
+        if decided:
+            assert x == feasible_nonnegative(columns, rhs), (columns, rhs)
+        else:
+            assert not uncovered and x is None
+        outcome = "undecided" if not decided else "uncovered" if uncovered else "refuted" if x is None else "solved"
+        seen[outcome] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_a_used_up_row_fixes_its_live_columns_at_0():
+    """Row 0 fixes column 0 at 1, which uses up row 1, which fixes column 1
+    at 0 and leaves row 2 to fix column 2.  With a coefficient of 2 on row
+    0, each row leaves the next half its rhs instead."""
+    assert relations._forced([[0, 1], [1, 2], [2]], [1, 1, 1]) == (True, [1, 0, 1])
+    assert relations._forced([{0: 2, 1: 1}, [1, 2], [2]], [1, 1, 1]) == (True, [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)])
+
+
+def test_a_forced_edge_lp_makes_no_simplex_call(monkeypatch):
+    """Each pair of a path is covered by one copy of K_2 alone, so the rows
+    fix every column of the edge LP, and the tiling leaves no vertex LP."""
+    calls = []
+    solve = relations.feasible_nonnegative
+
+    def spy(columns, rhs):
+        calls.append(rhs)
+        return solve(columns, rhs)
+
+    monkeypatch.setattr(relations, "feasible_nonnegative", spy)
+    result = relate(path_graph(12), single_edge())
+    assert calls == []
+    assert result["fractional_edge_tiling"].multiplicities == [1] * 11
+    assert all(verify_certificate(path_graph(12), single_edge(), cert) for cert in result.values())
 
 
 def test_relate_enumerates_copies_once(monkeypatch):
