@@ -278,13 +278,21 @@ def cmd_hunt(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """One line per logged run.  A record that is no run record (not an
+    object, a field missing, a timestamp that is no time) raises
+    ``ValueError`` naming its line, blank lines uncounted; nothing prints."""
     records = RunLog(args.log_dir).records()
     if not records:
         print("no runs logged")
         return EXIT_OK
-    for rec in records:
-        stamp = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(rec["timestamp"]))
-        print(f"[{stamp}] schema={rec['schema']} v{rec['version']}: {rec['summary']}")
+    lines = []
+    for n, rec in enumerate(records, 1):
+        try:
+            stamp = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(rec["timestamp"]))
+            lines.append(f"[{stamp}] schema={rec['schema']} v{rec['version']}: {rec['summary']}")
+        except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
+            raise ValueError(f"run log line {n}: malformed record: {exc!r}") from None
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -34,7 +34,9 @@ meets refutes the LP, and a row down to one live column, or with its rhs
 used up, fixes columns until every column is fixed or no row forces more.
 Only the LPs left undecided reach the simplex, a revised fraction-free one
 that keeps only the basis inverse, rescales a row only when a pivot
-touches it, and prices the columns in blocks.
+touches it, and prices the columns in blocks.  It takes the copy LPs' form
+alone, columns of one form and one width over a nonnegative int rhs, and
+pivots over the caller's rows as given: nothing is padded, scaled or negated.
 """
 
 from __future__ import annotations
@@ -94,18 +96,15 @@ _PRICING_BLOCK = 32  # columns per pricing block of Dantzig's rule; 16 to 64 tim
 
 
 def feasible_nonnegative(
-    columns: list[Union[dict[int, Union[int, Fraction]], Collection[int]]], rhs: list[Union[int, Fraction]]
+    columns: list[Union[dict[int, int], Collection[int]]], rhs: list[int]
 ) -> Optional[list[Fraction]]:
     """Some x >= 0 with sum_j x[j] * columns[j] = rhs, or None.
 
-    Column j maps each row it meets to its coefficient, an int or a
-    ``Fraction``, or it is a collection of distinct rows, each with
-    coefficient 1.  Each row is scaled by the lcm of its denominators and
-    negated if its rhs is negative, so the simplex runs over integers.
-    When every column is such a row collection, all of one width, and the
-    rhs is of nonnegative ints, there is nothing to scale, and the
-    coefficient, denominator and scale passes are skipped.  The copy LPs
-    call this only when their rows do not settle them (``_forced``).
+    The input is the copy LPs' form, and only it: at least one column,
+    each a collection of distinct rows, each with coefficient 1, or a dict
+    from rows to int coefficients; the columns of one call all of one form
+    and one width; the rhs nonnegative ints.  The copy LPs call this only
+    when their rows do not settle them (``_forced``).
 
     Revised phase-1 simplex with integer (fraction-free) pivoting.  Of the
     tableau [A | I | b] it keeps R, the artificial block and the rhs; the
@@ -130,35 +129,12 @@ def feasible_nonnegative(
     negative reduced cost gives the most negative one, so an LP of one
     block pivots by the full rule.
     """
-    m, n = len(rhs), len(columns)
-    # the columns flat, w entries each: rows in K, coefficients in V; a
-    # shorter column is padded with 0s on a dummy row m
-    w = max(map(len, columns), default=0) or 1
-    if all(len(col) == w and not isinstance(col, dict) for col in columns) and all(
-        type(b) is int and b >= 0 for b in rhs
-    ):  # 0/1 columns of one width over an int rhs: nothing to pad or scale
-        K = [k for col in columns for k in col]
-        V, unit = [1] * len(K), True
-        R = [[0] * m + [b] for b in rhs]
-    else:
-        K, V = [], []
-        for col in columns:
-            if not isinstance(col, dict):
-                col = dict.fromkeys(col, 1)
-            K += col
-            K += [m] * (w - len(col))
-            V += col.values()
-            V += [0] * (w - len(col))
-        ints = {*map(type, V)} <= {int}
-        den = [b.denominator for b in rhs] + [1]
-        if not ints:
-            for k, a in zip(K, V):
-                den[k] = math.lcm(den[k], a.denominator)
-        scale = [-d if b < 0 else d for d, b in zip(den, rhs)] + [1]
-        if not ints or scale.count(1) <= m:
-            V = [a.numerator * (scale[k] // a.denominator) for k, a in zip(K, V)]
-        unit = V.count(1) == len(V)  # every coefficient 1, no column padded
-        R = [[0] * m + [b.numerator * (s // b.denominator)] for b, s in zip(rhs, scale)]
+    m, n, w = len(rhs), len(columns), len(columns[0])
+    # the columns flat, w entries each: rows in K, coefficients in V
+    unit = not isinstance(columns[0], dict)
+    K = [k for col in columns for k in col]
+    V = [1] * len(K) if unit else [a for col in columns for a in col.values()]
+    R = [[0] * m + [b] for b in rhs]
     for i in range(m):
         R[i][i] = 1
     basis = [n + i for i in range(m)]
@@ -174,8 +150,8 @@ def feasible_nonnegative(
         terms = map(y.__getitem__, ks) if unit else map(mul, map(y.__getitem__, ks), vs)
         return list(map(sum, zip(*[terms] * w)))
 
-    B = _PRICING_BLOCK  # at least one block, so the artificials are priced even without columns
-    blocks = [(lo, K[lo * w : (lo + B) * w], V[lo * w : (lo + B) * w]) for lo in range(0, max(n, 1), B)]
+    B = _PRICING_BLOCK
+    blocks = [(lo, K[lo * w : (lo + B) * w], V[lo * w : (lo + B) * w]) for lo in range(0, n, B)]
     start = 0  # the block that pricing starts at: the one after the last pivot's
 
     pivots = 0

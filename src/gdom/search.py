@@ -319,7 +319,7 @@ class HuntResult:
 
 def _hunt_params_trial(
     ineq: InequalityId, gen: PairGenerator, trial: int, params: dict
-) -> tuple[Optional[Multigraph], dict]:
+) -> tuple[Multigraph, dict]:
     rng = Stream(derive_seed(gen.seed, trial, 10_000))
     g = random_connected_graph(rng, rng.randint(2, gen.max_g))
     drawn = {}

@@ -847,6 +847,26 @@ def test_report_command(graphs, capsys):
     assert rc == 0 and "schema=1" in out
 
 
+@pytest.mark.parametrize(
+    "record, error",
+    [
+        ("{}", "KeyError"),
+        ("[1]", "TypeError"),
+        ('{"timestamp": "x", "schema": 1, "version": "0", "summary": "s"}', "TypeError"),
+        ('{"timestamp": 1e300, "schema": 1, "version": "0", "summary": "s"}', "OverflowError"),
+    ],
+)
+def test_report_names_the_line_of_a_malformed_record(tmp_path, capsys, record, error):
+    """A record that is no run record is an error (exit 3) that names its
+    line, not a traceback that exits 1; the well-formed line before it
+    does not print either."""
+    good = '{"timestamp": 0, "schema": 1, "version": "0", "summary": "ok"}'
+    (tmp_path / "runs.jsonl").write_text(f"{good}\n{record}\n")
+    assert main(["report", "--log-dir", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: run log line 2: malformed record: {error}(")
+
+
 def test_graph6_format_flag(tmp_path, capsys):
     p = tmp_path / "k4.g6"
     p.write_text("C~")
