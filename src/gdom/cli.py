@@ -115,10 +115,24 @@ class RunLog:
             fh.write(line.encode())
 
     def records(self) -> list[dict]:
+        """The decoded lines, blank ones skipped; a line that is not UTF-8
+        JSON raises :func:`_malformed`."""
         if not os.path.exists(self.path):
             return []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
+        with open(self.path, "rb") as fh:
+            lines = [line for line in fh.read().splitlines() if line.strip()]
+        records = []
+        for n, line in enumerate(lines, 1):
+            try:
+                records.append(json.loads(line.decode("utf-8")))
+            except ValueError as exc:
+                raise _malformed(n, exc) from None
+        return records
+
+
+def _malformed(n: int, exc: Exception) -> ValueError:
+    """The error of the run log's ``n``-th nonblank line, which is no run record."""
+    return ValueError(f"run log line {n}: malformed record: {exc!r}")
 
 
 def _log_run(args, summary: str, report: str = "") -> None:
@@ -278,8 +292,8 @@ def cmd_hunt(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """One line per logged run.  A record that is no run record (not an
-    object, a field missing, a timestamp that is no time) raises
+    """One line per logged run.  A line that is no run record (not JSON,
+    not an object, a field missing, a timestamp that is no time) raises
     ``ValueError`` naming its line, blank lines uncounted; nothing prints."""
     records = RunLog(args.log_dir).records()
     if not records:
@@ -291,7 +305,7 @@ def cmd_report(args) -> int:
             stamp = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(rec["timestamp"]))
             lines.append(f"[{stamp}] schema={rec['schema']} v{rec['version']}: {rec['summary']}")
         except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
-            raise ValueError(f"run log line {n}: malformed record: {exc!r}") from None
+            raise _malformed(n, exc) from None
     print("\n".join(lines))
     return EXIT_OK
 
@@ -317,7 +331,7 @@ def _radius(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="gdom", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
-    p.commands = sub.choices  # name -> subcommand parser, for _parse_args
+    p.commands = sub.choices  # name -> subcommand parser
 
     def common(sp):
         sp.add_argument("--format", choices=("edge_list", "graph6", "json"), default=None)
@@ -373,24 +387,99 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("report", help="summarize the run log")
     e.add_argument("--log-dir", default=DEFAULT_LOG_DIR)
     e.set_defaults(func=cmd_report)
+    p.plain = {name: form for name, sp in sub.choices.items() if (form := _PlainForm.of(sub.dest, name, sp))}
     return p
+
+
+def _typed(action: argparse.Action, text: str):
+    """``text`` as argparse stores it for ``action``: through its ``type``,
+    then checked against its ``choices``; ``ValueError`` where argparse
+    would refuse it."""
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{value!r} is not a choice")
+    return value
+
+
+class _PlainForm:
+    """The plain argv of one subcommand, read off its parser's own actions:
+    their option strings, dest, nargs, const, default, type and choices,
+    and the parser's ``set_defaults``.  It keeps no state between reads."""
+
+    def __init__(self, start: dict, positionals: list, flags: dict):
+        self.start = start  # the namespace before any argument is read
+        self.positionals = positionals
+        self.required = sum(action.nargs is None for action in positionals)
+        self.flags = flags  # option string -> action
+
+    @classmethod
+    def of(cls, dest: str, name: str, sp: argparse.ArgumentParser) -> Optional["_PlainForm"]:
+        """The form of subcommand ``name``, or ``None`` when one of its
+        actions is of a kind that the form does not read as argparse does."""
+        start, positionals, flags = {}, [], {}
+        for action in sp._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            store = type(action) is argparse._StoreAction
+            if action.option_strings:  # one value, or a constant (store_true)
+                const = isinstance(action, argparse._StoreConstAction)
+                takes = (store and action.nargs is None or const) and not action.required
+                flags.update(dict.fromkeys(action.option_strings, action))
+            else:
+                takes = store and (action.nargs is None or action.nargs == "?" and action.choices is None)
+                positionals.append(action)
+            # argparse types a str default only when its flag is absent
+            if not takes or isinstance(action.default, str) and action.type is not None:
+                return None
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                start.setdefault(action.dest, action.default)
+        form = cls({dest: name, **sp._defaults, **start}, positionals, flags)
+        # argparse matches a required positional after an optional one by backtracking
+        return form if all(action.nargs == "?" for action in positionals[form.required :]) else None
+
+    def read(self, argv: list[str]) -> Optional[argparse.Namespace]:
+        """The namespace of ``argv``, the subcommand first, or ``None`` when
+        ``argv`` is not plain or argparse would refuse a value."""
+        values = dict(self.start)
+        end = 1  # argv[1:end] are the positionals
+        while end < len(argv) and not argv[end].startswith("-"):
+            end += 1
+        if not self.required < end <= len(self.positionals) + 1:
+            return None
+        try:
+            for action, text in zip(self.positionals, argv[1:end]):
+                values[action.dest] = _typed(action, text)
+            while end < len(argv):
+                action = self.flags.get(argv[end])
+                if action is None:
+                    return None
+                if action.nargs == 0:
+                    values[action.dest] = action.const
+                    end += 1
+                elif end + 1 < len(argv) and not argv[end + 1].startswith("-"):
+                    values[action.dest] = _typed(action, argv[end + 1])
+                    end += 2
+                else:
+                    return None
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        return argparse.Namespace(**values)
 
 
 _parser: Optional[argparse.ArgumentParser] = None  # built by the first main() call
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, parsed by the named subcommand's parser
-    alone when it takes every argument.  No subcommand, an unknown one,
-    ``-h`` and a leftover argument go through ``parser`` itself, so every
-    message and usage text is the one ``parse_args`` gives."""
-    sub = parser.commands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:])
-        if not rest:
-            args.cmd = argv[0]
-            return args
-    return parser.parse_args(argv)
+    """``parser.parse_args(argv)``.  A plain argv skips argparse: a known
+    subcommand, then its positionals, then exact flags, each followed by one
+    value that does not start with ``-``, or by none for a flag that stores a
+    constant; :class:`_PlainForm` reads it.  Every other argv (``-h``, ``--``,
+    ``--flag=value``, an abbreviation, a positional after a flag, a value
+    that fails its type or choices) goes to ``parser.parse_args``, which
+    writes every usage, help and error text."""
+    form = parser.plain.get(argv[0]) if argv else None
+    args = form.read(argv) if form is not None else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[list[str]] = None) -> int:

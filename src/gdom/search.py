@@ -355,7 +355,10 @@ def hunt(
     generation failures (attempt cap) and resource-bound trials are counted
     and skipped, and a trial whose check raises ``RecursionError`` or
     ``EigensolverError`` is counted by type and listed, and the hunt goes on.
+    A negative ``trials`` raises ``ValueError``.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, not {trials}")
     ineq = InequalityId(ineq)
     entry = INEQUALITIES[ineq]
     given = params or {}

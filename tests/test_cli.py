@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -10,6 +11,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdom import cli
 from gdom.cli import RunLog, main
@@ -436,6 +439,17 @@ def test_hunt_skips_a_trial_past_the_automorphism_size_bound(tmp_path, capsys):
     assert record["summary"] == summary and record["reports"][0]["resource_skips"] == 2
 
 
+def test_hunt_refuses_a_negative_trial_count(tmp_path, capsys):
+    log = str(tmp_path / "log")
+    argv = ["hunt", "spectral_decreasing_convex", "--log-dir", log]
+    assert main([*argv, "--trials", "-3"]) == 3
+    assert capsys.readouterr() == ("", "error: trials must be >= 0, not -3\n")
+    (record,) = RunLog(log).records()
+    assert record["summary"] == "hunt error: trials must be >= 0, not -3" and record["reports"] == []
+    assert main([*argv, "--trials", "0"]) == 0
+    assert capsys.readouterr().out.startswith("hunt spectral_decreasing_convex: 0 violation(s) in 0/0 checked trials")
+
+
 def test_check_internal_failure_is_an_error(graphs, tmp_path, capsys, monkeypatch):
     # exit 1 means "violated", so an internal failure must not end that way
     for i, exc in enumerate((RecursionError("maximum recursion depth exceeded"), EigensolverError("no convergence"))):
@@ -706,16 +720,93 @@ def test_report_on_a_missing_log_dir_creates_nothing(tmp_path, capsys):
         ["--", "relate", "g", "h"],
     ],
 )
-def test_subcommand_parsing_agrees_with_the_top_parser(argv, capsys):
-    def outcome(parse):
+def test_subcommand_parsing_agrees_with_the_top_parser(argv):
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(argparse.ArgumentParser.parse_args, argv)
+
+
+def _parse_outcome(parse, argv: list[str]) -> tuple:
+    """What ``parse(build_parser(), argv)`` gives: its namespace, or its exit
+    code, with what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parse(argv))
+            result = vars(parse(cli.build_parser(), argv))
         except SystemExit as exc:
             result = exc.code
-        return result, capsys.readouterr()
+    return result, out.getvalue(), err.getvalue()
 
-    routed = outcome(lambda argv: cli._parse_args(cli.build_parser(), argv))
-    assert routed == outcome(lambda argv: cli.build_parser().parse_args(argv))
+
+# values that argparse takes, types, refuses or reads as a flag; "3" fits every type
+_values = st.one_of(st.just("3"), st.sampled_from(["g", "-1", "", "1/2", "0,1", "json", "yaml", "x y"]))
+
+
+_COMMANDS = cli.build_parser().commands  # subcommand name -> its parser
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A subcommand of the parser, its positionals and flags of its own
+    parser, each in its exact, ``--flag=value`` or abbreviated form; then
+    maybe a positional after them, a value missing at the end, or a token
+    that no plain argv holds."""
+    name = draw(st.sampled_from([*_COMMANDS, "frobnicate"]))
+    actions = _COMMANDS[name]._actions if name in _COMMANDS else []
+    positionals = [action for action in actions if not action.option_strings]
+    count = draw(st.one_of(st.just(len(positionals)), st.integers(0, len(positionals) + 1)))
+    argv = [name, *(draw(_values) for _ in range(count))]
+    flags = [(flag, action.nargs) for action in actions if action.dest != "help" for flag in action.option_strings]
+    for flag, nargs in draw(st.lists(st.sampled_from(flags), max_size=4)) if flags else []:
+        value = draw(_values)
+        form = draw(st.sampled_from(["exact"] * 4 + ["equals", "abbreviated"]))
+        if form == "equals":
+            argv.append(f"{flag}={value}")
+        elif form == "abbreviated":
+            argv += [flag[: draw(st.integers(2, max(2, len(flag) - 1)))], value]
+        else:
+            argv += [flag] if nargs == 0 else [flag, value]
+    tweak = draw(st.sampled_from(["none"] * 3 + ["positional", "truncate", "token"]))
+    if tweak == "positional":
+        argv.append("g")
+    elif tweak == "truncate":
+        argv.pop()
+    elif tweak == "token":
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--", "-h", "--help", "--he", "--bogus"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+def test_plain_reading_agrees_with_the_top_parser_on_drawn_argvs(argv):
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(argparse.ArgumentParser.parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the two argv shapes of the cli_pairs benchmark, then the README's examples
+        ["relate", "g.txt", "h.txt", "--certificates", "--json", "--log-dir", "L"],
+        ["check", "frac_tiling_tree", "g.txt", "h.txt", "--json", "--log-dir", "L"],
+        ["relate", "k4.txt", "k3.txt"],
+        ["check", "spanning_tree", "k4.txt", "k3.txt"],
+        ["hunt", "spectral_decreasing_convex", "--hinge", "4", "--relation", "domination",
+         "--seed", "2024", "--max-n", "10", "--max-h", "5", "--trials", "5000"],
+        ["analyze", "g.txt", "--t-grid", "1/4,1,4", "--format", "graph6", "--json"],
+        ["relate", "g.txt", "h.txt", "--local-stats", "2"],
+        ["check", "vertex_counting:forests", "g.txt", "--q", "3", "--hypothesis", "domination"],
+        ["hunt", "spanning_tree", "--trials", "0"],
+        ["report", "--log-dir", "L"],
+        ["report"],
+    ],
+)
+def test_plain_argvs_never_reach_argparse(argv, monkeypatch):
+    expected = vars(cli.build_parser().parse_args(argv))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refused)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refused)
+    assert vars(cli._parse_args(cli.build_parser(), argv)) == expected
 
 
 def test_run_log_reproducibility(graphs, capsys):
@@ -850,18 +941,20 @@ def test_report_command(graphs, capsys):
 @pytest.mark.parametrize(
     "record, error",
     [
-        ("{}", "KeyError"),
-        ("[1]", "TypeError"),
-        ('{"timestamp": "x", "schema": 1, "version": "0", "summary": "s"}', "TypeError"),
-        ('{"timestamp": 1e300, "schema": 1, "version": "0", "summary": "s"}', "OverflowError"),
+        (b"{}", "KeyError"),
+        (b"[1]", "TypeError"),
+        (b'{"timestamp": "x", "schema": 1, "version": "0", "summary": "s"}', "TypeError"),
+        (b'{"timestamp": 1e300, "schema": 1, "version": "0", "summary": "s"}', "OverflowError"),
+        (b'{"timestamp": 2, "sch', "JSONDecodeError"),
+        (b'{"summary": "\xff"}', "UnicodeDecodeError"),
     ],
 )
 def test_report_names_the_line_of_a_malformed_record(tmp_path, capsys, record, error):
-    """A record that is no run record is an error (exit 3) that names its
-    line, not a traceback that exits 1; the well-formed line before it
-    does not print either."""
-    good = '{"timestamp": 0, "schema": 1, "version": "0", "summary": "ok"}'
-    (tmp_path / "runs.jsonl").write_text(f"{good}\n{record}\n")
+    """A line that is no run record is an error (exit 3) that names its
+    line, blank lines uncounted, not a traceback that exits 1; the
+    well-formed line before it does not print either."""
+    good = b'{"timestamp": 0, "schema": 1, "version": "0", "summary": "ok"}'
+    (tmp_path / "runs.jsonl").write_bytes(b"\n".join([good, b"  ", record, b""]))
     assert main(["report", "--log-dir", str(tmp_path)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: run log line 2: malformed record: {error}(")

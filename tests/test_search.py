@@ -258,6 +258,18 @@ def test_hunt_reads_its_params_once_before_any_trial(monkeypatch):
             hunt(ineq, gen, 5, params)
 
 
+def test_hunt_refuses_a_negative_trial_count(monkeypatch):
+    gen = PairGenerator("random_connected_pair", seed=5, relation="domination", max_g=7)
+    assert hunt("spanning_tree", gen, 0).checked == 0
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(search, "generate_pair", no_trial)
+    with pytest.raises(ValueError, match="trials must be >= 0, not -3"):
+        hunt("spanning_tree", gen, -3)
+
+
 def test_random_regular_cover():
     rng = Stream(8)
     for _ in range(20):
