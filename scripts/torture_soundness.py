@@ -14,7 +14,7 @@ import sys
 
 from gdom.checks import PROVEN, claim_status
 from gdom.rng import derive_seed
-from gdom.search import PairGenerator, hunt
+from gdom.search import STRATEGIES, PairGenerator, hunt
 
 THEOREM_HUNTS = [
     # (inequality, relation hypothesis, params, weight)
@@ -35,8 +35,6 @@ THEOREM_HUNTS = [
     ("cover_product", "domination", {}, 2),
     ("weighted_cover_heat", "domination", {}, 1),
 ]
-
-STRATEGIES = ("overlay_copies", "transitive_catalog", "random_connected_pair")
 
 
 def main() -> int:

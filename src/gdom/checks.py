@@ -47,7 +47,7 @@ PROVEN = "proven"
 CONJECTURED = "conjectured"
 KNOWN_FALSE = "known_false"
 
-SHEARER_BUDGET = 1e-9  # entropies are sums of float logs; a closer difference is inconclusive
+FLOAT_BUDGET = 1e-9  # for floats with no error bound of their own; a closer difference is inconclusive
 
 # family -> the params keys it reads besides those of its id: the arguments,
 # in order, that ``counting.count_<family>`` takes after the graph
@@ -198,14 +198,12 @@ def compare_normalized_powers(a: Count, na: int, b: Count, nb: int, direction: s
     return compare_exact(Fraction(a) ** nb, Fraction(b) ** na, direction)
 
 
-def compare_float(lhs: float, rhs: float, direction: str, budget: float) -> str:
-    """Two floats within the budget of each other, equal ones included, are
-    inconclusive: a float tie proves no equality, which only exact paths claim."""
+def compare_float(lhs: float, rhs: float, budget: float) -> str:
+    """lhs <= rhs.  Two floats within the budget of each other, equal ones included,
+    are inconclusive: a float tie proves no equality, which only exact paths claim."""
     diff = lhs - rhs
     if abs(diff) <= budget:
         return INCONCLUSIVE
-    if direction == "ge":
-        return HOLDS if diff > 0 else VIOLATED
     return HOLDS if diff < 0 else VIOLATED
 
 
@@ -214,8 +212,6 @@ def aggregate_verdicts(verdicts: Sequence[str]) -> str:
         return INCONCLUSIVE
     if any(v == VIOLATED for v in verdicts):
         return VIOLATED
-    if any(v == HYPOTHESIS_FAILED for v in verdicts):
-        return HYPOTHESIS_FAILED
     if any(v == INCONCLUSIVE for v in verdicts):
         return INCONCLUSIVE
     if all(v == HOLDS_WITH_EQUALITY for v in verdicts):
@@ -292,41 +288,44 @@ def run_check(ineq: InequalityId, g: Multigraph, h: Optional[Multigraph], params
     valid = tuple(_IMPLIES) if entry.takes_h else ("params",)
     if hypothesis not in valid:
         raise ValueError(f"{ineq.value} takes no hypothesis {hypothesis!r}; expected one of {valid}")
+    if entry.takes_h and h is None:
+        raise MissingParameter(f"{ineq.value} needs a second graph")
     family = params.get("family", entry.family)
+    unit_weights = g.is_unweighted() and (h is None or h.is_unweighted())
+    # the status is the claim's standing for this pair, whether or not its hypothesis holds
     report = CheckReport(
         inequality=ineq.value,
         verdict=INCONCLUSIVE,
         hypothesis=hypothesis,
-        hypothesis_ok=False,
+        hypothesis_ok=True,
+        status=claim_status(ineq, hypothesis, family, h, unit_weights),
         family=family,
         params=params_to_json({k: v for k, v in params.items() if k not in _OWN_FIELDS}),
         graphs=(g, h),
     )
-    if entry.takes_h and h is None:
-        raise MissingParameter(f"{ineq.value} needs a second graph")
-
-    unit_weights = g.is_unweighted() and (h is None or h.is_unweighted())
     side = entry.transitive
-    hypothesis_ok = not side or is_transitive(g if side == "G" else h)
-    if not hypothesis_ok:
-        report.notes.append(f"{side} is not transitive")
-    elif entry.takes_h:
-        hypothesis_ok, cert = verify_relation_hypothesis(hypothesis, g, h, params.get("certificate"))
-        report.hypothesis_ok, report.cert = hypothesis_ok, cert
-    if not hypothesis_ok:
-        report.verdict = HYPOTHESIS_FAILED
-        report.status = claim_status(ineq, hypothesis, family, unit_weights=unit_weights)
+    if side and not is_transitive(g if side == "G" else h):
+        _unmet(report, f"{side} is not transitive")
         return report
+    if entry.takes_h:
+        ok, report.cert = verify_relation_hypothesis(hypothesis, g, h, params.get("certificate"))
+        if not ok:
+            _unmet(report)
+            return report
     if side:
         report.notes.append(f"{side} transitive")
-
-    h_trans = ineq is InequalityId.SPECTRAL_DECREASING_CONVEX and h is not None and is_transitive(h)
-    report.status = claim_status(ineq, hypothesis, family, h_trans, unit_weights)
     entry.checker(g, h, params, report)
     return report
 
 
 # --- individual checkers: each takes (g, h, params, report) and fills the report ---
+
+
+def _unmet(report: CheckReport, note: Optional[str] = None) -> None:
+    """The hypothesis fails, for the reason ``note`` gives, if any."""
+    report.verdict, report.hypothesis_ok = HYPOTHESIS_FAILED, False
+    if note:
+        report.notes.append(note)
 
 
 def _assert_strict(report: CheckReport, why: str) -> None:
@@ -336,12 +335,13 @@ def _assert_strict(report: CheckReport, why: str) -> None:
         report.notes.append("equality where strict inequality is asserted")
 
 
-def _settle_grid(report: CheckReport, note_violation: bool = False) -> None:
-    """Aggregate the grid points; report the first violated point, else the last."""
+def _settle_grid(report: CheckReport) -> None:
+    """Aggregate the grid points; report the first violated point, named in a
+    note, else the last point."""
     report.verdict = aggregate_verdicts([p.verdict for p in report.points])
     bad = next((p for p in report.points if p.verdict == VIOLATED), report.points[-1])
     report.lhs, report.rhs, report.error_bound = bad.lhs, bad.rhs, bad.error_bound
-    if note_violation and report.verdict == VIOLATED:
+    if report.verdict == VIOLATED:
         report.notes.append(f"violated at {bad.label}")
 
 
@@ -410,19 +410,11 @@ def _check_koteljanskii_step(g, h, params: dict, report: CheckReport) -> None:
     lhs = Fraction(_tau_contract(g, a)) * Fraction(_tau_contract(g, b))
     rhs = Fraction(_tau_contract(g, union)) * Fraction(_tau_contract(g, inter))
     report.lhs, report.rhs = lhs, rhs
-    crossing = any(
-        g.multiplicity(u, v) > 0 for u in a - b for v in b - a
-    )
-    hyp_ok = len(union) < g.n or crossing
-    report.hypothesis_ok = hyp_ok
     raw = compare_exact(lhs, rhs, "ge")
-    if hyp_ok:
+    if len(union) < g.n or any(g.multiplicity(u, v) > 0 for u in a - b for v in b - a):
         report.verdict = raw
     else:
-        report.verdict = HYPOTHESIS_FAILED
-        report.notes.append(
-            f"union is all of V(G) and no edge joins A-B to B-A; raw comparison: {raw}"
-        )
+        _unmet(report, f"union is all of V(G) and no edge joins A-B to B-A; raw comparison: {raw}")
 
 
 def _cover_degree(sets: Sequence[Sequence[int]], n: int) -> Optional[int]:
@@ -443,10 +435,8 @@ def _check_cover_product(g, h, params: dict, report: CheckReport) -> None:
     m = _cover_degree(sets, g.n)
     report.params["cover_sizes"] = [len(s) for s in sets]
     if not m:
-        report.verdict = HYPOTHESIS_FAILED
-        report.notes.append("cover is not m-regular over the vertices")
+        _unmet(report, "cover is not m-regular over the vertices")
         return
-    report.hypothesis_ok = True
     report.params["m"] = m
     lhs = Fraction(1)
     for s in sets:
@@ -474,8 +464,8 @@ def _compare_functionals(report: CheckReport, g, h, specs: Sequence[FunctionalSp
         budget = sg.functional_error(f) + sh.functional_error(f)
         lhs = sg.functional(f)
         rhs = sh.functional(f)
-        report.points.append(GridPoint(label, lhs, rhs, compare_float(lhs, rhs, "le", budget), budget))
-    _settle_grid(report, note_violation=True)
+        report.points.append(GridPoint(label, lhs, rhs, compare_float(lhs, rhs, budget), budget))
+    _settle_grid(report)
 
 
 def _check_heat_trace(g, h, params: dict, report: CheckReport) -> None:
@@ -487,8 +477,7 @@ def _check_weighted_cover_heat(g, h, params: dict, report: CheckReport) -> None:
     cover = params["weighted_cover"]
     m = _cover_degree([entry["vertices"] for entry in cover], g.n)
     if not m:
-        report.verdict = HYPOTHESIS_FAILED
-        report.notes.append("cover does not hit every vertex the same number of times")
+        _unmet(report, "cover does not hit every vertex the same number of times")
         return
     # weight hypothesis: w(e) >= (1/m) sum of entry weights on e, per pair
     g_weight: dict[tuple[int, int], Fraction] = {}
@@ -498,16 +487,13 @@ def _check_weighted_cover_heat(g, h, params: dict, report: CheckReport) -> None:
     for u, v, mult, w in (edge for entry in cover for edge in entry["edges"]):
         pair = (min(u, v), max(u, v))
         if pair not in g_weight:
-            report.verdict = HYPOTHESIS_FAILED
-            report.notes.append(f"cover entry uses pair {pair} absent from G")
+            _unmet(report, f"cover entry uses pair {pair} absent from G")
             return
         total_weight_on[pair] = total_weight_on.get(pair, Fraction(0)) + mult * w
     for pair, tw in total_weight_on.items():
         if g_weight[pair] < tw / m:
-            report.verdict = HYPOTHESIS_FAILED
-            report.notes.append(f"weight hypothesis fails on pair {pair}")
+            _unmet(report, f"weight hypothesis fails on pair {pair}")
             return
-    report.hypothesis_ok = True
     report.params["m"] = m
     # each entry is a graph in its own vertex order, possibly disconnected
     parts = []
@@ -518,12 +504,11 @@ def _check_weighted_cover_heat(g, h, params: dict, report: CheckReport) -> None:
             parts.append(Multigraph(len(lbl), edges, _validated=True))
     big_n = sum(part.n for part in parts)
     report.exact = False
-    budget = 1e-9
     for t in params["t_grid"]:
         f = FunctionalSpec("exp_decay", t)
         lhs = spectral_functional(g, f)
         rhs = sum(spectral.eigenvalues(part).trace(f) for part in parts) / big_n
-        report.points.append(GridPoint(f"t={t}", lhs, rhs, compare_float(lhs, rhs, "le", budget), budget))
+        report.points.append(GridPoint(f"t={t}", lhs, rhs, compare_float(lhs, rhs, FLOAT_BUDGET), FLOAT_BUDGET))
     _settle_grid(report)
 
 
@@ -548,9 +533,7 @@ def _check_family_counting(g, h, params: dict, report: CheckReport) -> None:
     """The family's counts, normalized per vertex, or per edge unit for an edge family."""
     ng, nh = (g.edge_unit_count(), h.edge_unit_count()) if report.family in EDGE_FAMILIES else (g.n, h.n)
     if ng == 0 or nh == 0:
-        report.verdict = HYPOTHESIS_FAILED
-        report.hypothesis_ok = False
-        report.notes.append("edge-normalized comparison needs at least one edge on each side")
+        _unmet(report, "edge-normalized comparison needs at least one edge on each side")
         return
     fg, fh = family_count(g, report.family, params), family_count(h, report.family, params)
     _compare_normalized(report, fg, ng, fh, nh, "le")
@@ -607,7 +590,7 @@ _NEVER = frozenset()
 _WEIGHT_BLIND = "any: the quantity reads multiplicities, never weights"
 
 
-def _false_under_subgraph(hypothesis: str, family: Optional[str], h_transitive: bool) -> bool:
+def _false_under_subgraph(hypothesis: str, family: Optional[str], h: Optional[Multigraph]) -> bool:
     # G = 9; 0 1; 0 7; 1 2; 1 3; 1 5; 1 7; 2 4; 3 6; 5 8 contains H = K3 and
     # violates each claim that uses this (tests/test_checks.py pins it)
     return hypothesis == "subgraph"
@@ -619,8 +602,9 @@ class Inequality:
     single graph plus parameters, no H), its checker, the hypotheses under
     which the claim is proven (None: the default and every hypothesis that
     implies it, or any hypothesis for a claim with no H, which no relation
-    constrains), when the claim is known false outside them (else it is
-    conjectured), which graph, if any, the claim needs vertex-transitive,
+    constrains), when the claim is known false outside them, given the
+    hypothesis, family and H (else it is conjectured), which graph, if any,
+    the claim needs vertex-transitive,
     the :data:`PARAMS` keys its checker reads, the families it counts and
     the keys each reads, and the family counted when the params name none.
 
@@ -634,7 +618,7 @@ class Inequality:
     hypothesis: str
     checker: Callable[[Multigraph, Optional[Multigraph], dict, CheckReport], None]
     proven_under: Optional[frozenset[str]] = None
-    known_false: Callable[[str, Optional[str], bool], bool] = lambda hypothesis, family, h_transitive: False
+    known_false: Callable[[str, Optional[str], Optional[Multigraph]], bool] = lambda hypothesis, family, h: False
     transitive: Optional[str] = None
     reads: tuple[str, ...] = ()
     families: Optional[dict[str, tuple[str, ...]]] = None
@@ -688,8 +672,9 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
         "fractional_tiling",
         _check_spectral_functionals,
         _TILINGS,
-        known_false=lambda hypothesis, family, h_transitive: (
-            not h_transitive or _false_under_subgraph(hypothesis, family, h_transitive)
+        # subgraph first: it needs no automorphism search, which refuses an H past its size bound
+        known_false=lambda hypothesis, family, h: (
+            _false_under_subgraph(hypothesis, family, h) or h is None or not is_transitive(h)
         ),
         reads=("functional",),
     ),
@@ -699,7 +684,7 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
         "fractional_tiling",
         _check_family_counting,
         _TILINGS,
-        known_false=lambda hypothesis, family, h_transitive: family == "independent_sets",
+        known_false=lambda hypothesis, family, h: family == "independent_sets",
         families=VERTEX_FAMILIES,
         family="independent_sets",
         weights=_WEIGHT_BLIND,
@@ -716,7 +701,7 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
         "fractional_tiling",
         _check_matchings_lower,
         _NEVER,
-        known_false=lambda hypothesis, family, h_transitive: hypothesis not in _TILINGS,
+        known_false=lambda hypothesis, family, h: hypothesis not in _TILINGS,
         reads=("packing_by",),
         weights=_WEIGHT_BLIND,
     ),
@@ -738,11 +723,12 @@ def claim_status(
     ineq: InequalityId,
     hypothesis: str,
     family: Optional[str] = None,
-    h_transitive: bool = False,
+    h: Optional[Multigraph] = None,
     unit_weights: bool = True,
 ) -> str:
-    """Proven / conjectured / known-false status of the claim being checked,
-    on graphs whose edge weights are all 1 or, if not ``unit_weights``, not."""
+    """Proven / conjectured / known-false status of the claim being checked
+    against H, if given, on graphs whose edge weights are all 1 or, if not
+    ``unit_weights``, not."""
     entry = INEQUALITIES[InequalityId(ineq)]
     if entry.proven_under is None:
         proven = (
@@ -758,7 +744,7 @@ def claim_status(
         proven = False
     if proven:
         return PROVEN
-    return KNOWN_FALSE if entry.known_false(hypothesis, family, h_transitive) else CONJECTURED
+    return KNOWN_FALSE if entry.known_false(hypothesis, family, h) else CONJECTURED
 
 
 # -- the parameter table ----------------------------------------------------------------
@@ -968,14 +954,14 @@ def check_shearer(dist: JointDistribution, cover: Sequence[Sequence[int]], r: in
     rhs = sum(parts)
     report = CheckReport(
         inequality="shearer",
-        verdict=compare_float(lhs, rhs, "le", SHEARER_BUDGET),
+        verdict=compare_float(lhs, rhs, FLOAT_BUDGET),
         hypothesis=f"{r}-regular cover",
         hypothesis_ok=True,
         status=PROVEN,
         lhs=lhs,
         rhs=rhs,
         exact=False,
-        error_bound=SHEARER_BUDGET,
+        error_bound=FLOAT_BUDGET,
         params={"r": r, "cover": [list(s) for s in sets], "support": len(dist.probs)},
     )
     return report

@@ -317,27 +317,26 @@ class HuntResult:
         return {**vars(self), "violations": [v.to_json() for v in self.violations]}
 
 
-def _hunt_params_trial(
-    ineq: InequalityId, gen: PairGenerator, trial: int, params: dict
-) -> tuple[Multigraph, dict]:
+def _self_cover(rng: Stream, g: Multigraph) -> list[dict]:
+    """g covering itself once with randomly reduced weights: hypothesis (ii) holds."""
+    scale = Fraction(rng.randint(1, 4), 4)
+    return [{"vertices": list(range(g.n)), "edges": [[u, v, m, str(w * scale)] for u, v, m, w in g.edges]}]
+
+
+# required param -> its draw for a hunt's random graph, in the JSON form that it reads
+_DRAWS = {
+    "a": lambda rng, g: random_vertex_subset(rng, g.n),
+    "b": lambda rng, g: random_vertex_subset(rng, g.n),
+    "cover": lambda rng, g: random_regular_cover(rng, g.n, rng.randint(1, 3)),
+    "weighted_cover": _self_cover,
+}
+
+
+def _hunt_params_trial(drawn: tuple[str, ...], gen: PairGenerator, trial: int, params: dict) -> tuple[Multigraph, dict]:
+    """One random graph, and ``params`` with the ``drawn`` keys drawn for it in order."""
     rng = Stream(derive_seed(gen.seed, trial, 10_000))
     g = random_connected_graph(rng, rng.randint(2, gen.max_g))
-    drawn = {}
-    if ineq is InequalityId.KOTELJANSKII_STEP:
-        drawn["a"] = random_vertex_subset(rng, g.n)
-        drawn["b"] = random_vertex_subset(rng, g.n)
-    elif ineq is InequalityId.COVER_PRODUCT:
-        drawn["cover"] = random_regular_cover(rng, g.n, rng.randint(1, 3))
-    else:
-        # cover g by itself with randomly reduced weights; hypothesis (ii) holds
-        scale = Fraction(rng.randint(1, 4), 4)
-        drawn["weighted_cover"] = [
-            {
-                "vertices": list(range(g.n)),
-                "edges": [[u, v, m, str(w * scale)] for u, v, m, w in g.edges],
-            }
-        ]
-    return g, {**params, **{key: checks.PARAMS[key].read(value) for key, value in drawn.items()}}
+    return g, {**params, **{key: checks.PARAMS[key].read(_DRAWS[key](rng, g)) for key in drawn}}
 
 
 def hunt(
@@ -363,7 +362,7 @@ def hunt(
     entry = INEQUALITIES[ineq]
     given = params or {}
     # none of what a trial draws can be given: its certificate, or each required key of an id without H
-    drawn = ("certificate",) if entry.takes_h else [key for key in entry.reads if checks.PARAMS[key].required]
+    drawn = ("certificate",) if entry.takes_h else tuple(key for key in entry.reads if checks.PARAMS[key].required)
     params = checks.parse_params(ineq, given, drawn)
     t0 = time.perf_counter()
     result = HuntResult(
@@ -385,7 +384,7 @@ def hunt(
             if pair.certificate is not None:
                 trial_params["certificate"] = pair.certificate
         else:
-            g, trial_params = _hunt_params_trial(ineq, gen, trial, params)
+            g, trial_params = _hunt_params_trial(drawn, gen, trial, params)
             h = None
         try:
             report = check(ineq, g, h, trial_params)

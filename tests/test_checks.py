@@ -45,6 +45,7 @@ from gdom.multigraph import (
 from gdom.relations import RELATIONS, check_domination, check_fractional_tiling
 from gdom.rng import Stream, derive_seed
 from gdom.spectral import hinge, shifted_inverse
+from gdom.symmetry import SizeBoundExceeded
 from gdom.search import PairGenerator, generate_pair, random_connected_graph, transitive_catalog
 
 from conftest import atlas_up_to, relabelled_petersen
@@ -85,11 +86,11 @@ def test_cross_exponentiation_agrees_with_high_precision_floats():
 
 
 def test_compare_float_budget():
-    assert compare_float(1.0, 1.0, "le", 1e-9) == INCONCLUSIVE  # a float tie proves no equality
-    assert compare_float(1.0, 1.0, "le", 0.0) == INCONCLUSIVE
-    assert compare_float(1.0, 2.0, "le", 1e-9) == HOLDS
-    assert compare_float(2.0, 1.0, "le", 1e-9) == VIOLATED
-    assert compare_float(1.0, 1.0 + 1e-12, "le", 1e-9) == INCONCLUSIVE
+    assert compare_float(1.0, 1.0, 1e-9) == INCONCLUSIVE  # a float tie proves no equality
+    assert compare_float(1.0, 1.0, 0.0) == INCONCLUSIVE
+    assert compare_float(1.0, 2.0, 1e-9) == HOLDS
+    assert compare_float(2.0, 1.0, 1e-9) == VIOLATED
+    assert compare_float(1.0, 1.0 + 1e-12, 1e-9) == INCONCLUSIVE
 
 
 def test_aggregate_verdicts():
@@ -252,6 +253,14 @@ def test_transitive_checks():
     assert r.verdict == HYPOTHESIS_FAILED  # H not transitive
 
 
+def test_an_equality_where_strictness_is_asserted_is_a_violation():
+    # C4 has no cut edge, and tau(C4)^(1/4) = 4^(1/4) is tau^(1/2) of one edge of weight 2
+    r = check("transitive_G", cycle_graph(4), parse_graph("2; 0 1 1 2"))
+    assert (r.hypothesis_ok, r.verdict, r.status, r.lhs, r.rhs) == (True, VIOLATED, CONJECTURED, 4, 2)
+    assert r.strictness == "strict inequality asserted (no cut-edge, G not H)"
+    assert r.notes == ["G transitive", "equality where strict inequality is asserted"]
+
+
 def test_transitive_g_strictness_on_catalog():
     rng = random.Random(4)
     catalog = [g for g in transitive_catalog(8) if not g.is_simple() is True]
@@ -374,6 +383,28 @@ def test_spectral_status_under_domination():
     assert r.status == KNOWN_FALSE  # H not transitive
 
 
+def test_a_failed_hypothesis_keeps_the_status_of_the_pair():
+    # under domination the claim is conjectured for a vertex-transitive H,
+    # such as K3, whether or not G dominates it
+    params = {"functional": hinge(4), "hypothesis": "domination"}
+    r = check("spectral_decreasing_convex", path_graph(4), K3, params=params)
+    assert (r.hypothesis_ok, r.verdict, r.status) == (False, HYPOTHESIS_FAILED, CONJECTURED)
+    r = check("spectral_decreasing_convex", K4, K3, params=params)
+    assert (r.hypothesis_ok, r.verdict, r.status) == (True, HOLDS, CONJECTURED)
+
+
+def test_the_spectral_status_decides_transitivity_only_where_it_reads_it():
+    # past the 64-vertex bound of the automorphism search, H's transitivity is
+    # refused; the claim's status needs it under domination alone
+    c65 = cycle_graph(65)
+    for hypothesis, status in (("fractional_tiling", PROVEN), ("subgraph", KNOWN_FALSE)):
+        r = check("spectral_decreasing_convex", c65, c65, params={"functional": hinge(4), "hypothesis": hypothesis})
+        assert (r.verdict, r.status) == (HOLDS_WITH_EQUALITY, status)
+    for g in (c65, path_graph(70)):
+        with pytest.raises(SizeBoundExceeded, match="65 exceeds bound 64"):
+            check("spectral_decreasing_convex", g, c65, params={"functional": hinge(4), "hypothesis": "domination"})
+
+
 def test_edge_counting():
     r = check("edge_counting", cycle_graph(6), P3, params={"family": "forests"})
     assert r.verdict == HOLDS
@@ -491,6 +522,19 @@ def test_weighted_cover_heat():
     heavy = [{"vertices": [0, 1, 2], "edges": [[0, 1, 1, "3"], [1, 2, 1, "1"]]}]
     r = check("weighted_cover_heat", g, params={"weighted_cover": heavy})
     assert r.verdict == HYPOTHESIS_FAILED
+
+
+@pytest.mark.parametrize(
+    "cover, note",
+    [
+        # vertex 2 of P3 is in no entry
+        ([{"vertices": [0, 1], "edges": [[0, 1, 1, "1"]]}], "cover does not hit every vertex the same number of times"),
+        ([{"vertices": [0, 1, 2], "edges": [[0, 2, 1, "1"]]}], "cover entry uses pair (0, 2) absent from G"),
+    ],
+)
+def test_weighted_cover_heat_hypothesis_fails_before_any_spectrum(cover, note):
+    r = check("weighted_cover_heat", P3, params={"weighted_cover": cover})
+    assert (r.hypothesis_ok, r.verdict, r.status, r.notes, r.points) == (False, HYPOTHESIS_FAILED, PROVEN, [note], [])
 
 
 @pytest.mark.parametrize("edge", [[0, 1, 1, "-1"], [0, 1, 1, "0"], [0, 1, 0, "1"], [0, 1, -1, "1"]])
@@ -670,39 +714,38 @@ def test_a_malformed_param_is_a_value_error_that_names_its_key(key, value, messa
 
 _HYPOTHESES = ("tiling", "fractional_tiling", "fractional_edge_tiling", "domination", "subgraph", "params")
 _STATUS_CODE = {PROVEN: "P", CONJECTURED: "C", KNOWN_FALSE: "F"}
-# (id, family, h_transitive) -> status under each of _HYPOTHESES, in order
+# (id, family, H) -> status under each of _HYPOTHESES, in order; only
+# spectral_decreasing_convex reads H: K3 is vertex-transitive, P3 is not
 _STATUS_TABLE = {
-    ("spanning_tree", None, False): "PPCCFC",
-    ("tree_product", None, False): "PPPPPC",
-    ("minor_power", None, False): "PPPPPC",
-    ("transitive_G", None, False): "PPCPCC",
-    ("transitive_H", None, False): "PPCPFC",
-    ("frac_tiling_tree", None, False): "PPCCFC",
-    ("koteljanskii_step", None, False): "PPPPPP",
-    ("cover_product", None, False): "PPPPPP",
-    ("heat_trace_frac", None, False): "PPCCFC",
-    ("weighted_cover_heat", None, False): "PPPPPP",
-    ("spectral_decreasing_convex", None, False): "PPFFFF",
-    ("spectral_decreasing_convex", None, True): "PPCCFC",
-    ("op_monotone", None, False): "PPCPFC",
-    ("char_poly", None, False): "PPCPFC",
-    ("vertex_counting", None, False): "PPCCCC",
-    ("vertex_counting", "proper_colorings", False): "PPCCCC",
-    ("vertex_counting", "independent_sets", False): "PPFFFF",
-    ("edge_counting", None, False): "CCPCCC",
-    ("matchings_lower", None, False): "CCFFFF",
-    ("tutte_pointwise", None, False): "CCCCFC",
-    ("tutte_coefficients", None, False): "CCCCFC",
+    ("spanning_tree", None, P3): "PPCCFC",
+    ("tree_product", None, P3): "PPPPPC",
+    ("minor_power", None, P3): "PPPPPC",
+    ("transitive_G", None, P3): "PPCPCC",
+    ("transitive_H", None, P3): "PPCPFC",
+    ("frac_tiling_tree", None, P3): "PPCCFC",
+    ("koteljanskii_step", None, P3): "PPPPPP",
+    ("cover_product", None, P3): "PPPPPP",
+    ("heat_trace_frac", None, P3): "PPCCFC",
+    ("weighted_cover_heat", None, P3): "PPPPPP",
+    ("spectral_decreasing_convex", None, P3): "PPFFFF",
+    ("spectral_decreasing_convex", None, K3): "PPCCFC",
+    ("op_monotone", None, P3): "PPCPFC",
+    ("char_poly", None, P3): "PPCPFC",
+    ("vertex_counting", None, P3): "PPCCCC",
+    ("vertex_counting", "proper_colorings", P3): "PPCCCC",
+    ("vertex_counting", "independent_sets", P3): "PPFFFF",
+    ("edge_counting", None, P3): "CCPCCC",
+    ("matchings_lower", None, P3): "CCFFFF",
+    ("tutte_pointwise", None, P3): "CCCCFC",
+    ("tutte_coefficients", None, P3): "CCCCFC",
 }
 
 
 def test_status_table_spot_checks():
     assert {ineq for ineq, _, _ in _STATUS_TABLE} == {i.value for i in InequalityId}
-    for (ineq, family, h_transitive), expected in _STATUS_TABLE.items():
-        got = "".join(
-            _STATUS_CODE[claim_status(InequalityId(ineq), hyp, family, h_transitive)] for hyp in _HYPOTHESES
-        )
-        assert got == expected, (ineq, family, h_transitive)
+    for (ineq, family, h), expected in _STATUS_TABLE.items():
+        got = "".join(_STATUS_CODE[claim_status(InequalityId(ineq), hyp, family, h)] for hyp in _HYPOTHESES)
+        assert got == expected, (ineq, family, h)
 
 
 # a subgraph pair, found by a 3,000-pair seed-5 random_connected_pair sweep,
@@ -726,6 +769,23 @@ def test_subgraph_alone_is_too_weak(ineq):
     r = check(ineq, _SUBGRAPH_G, K3, params={"hypothesis": "subgraph"})
     assert (r.hypothesis_ok, r.verdict, r.status) == (True, VIOLATED, KNOWN_FALSE)
     assert check(ineq, _SUBGRAPH_G, K3).verdict == HYPOTHESIS_FAILED  # under its default
+
+
+@pytest.mark.parametrize(
+    "ineq, note",
+    [
+        ("char_poly", "violated at t=1"),
+        ("op_monotone", "violated at t=1"),
+        ("tutte_pointwise", "violated at (x,y)=(1,1)"),
+        ("heat_trace_frac", "violated at t=1/64"),
+        ("spectral_decreasing_convex", "violated at exp_decay(1/64)"),
+    ],
+)
+def test_a_violated_grid_names_its_first_violated_point(ineq, note):
+    r = check(ineq, _SUBGRAPH_G, K3, params={"hypothesis": "subgraph"})
+    first = next(p for p in r.points if p.verdict == VIOLATED)
+    assert (r.verdict, r.notes, r.lhs, r.rhs) == (VIOLATED, [note], first.lhs, first.rhs)
+    assert note == f"violated at {first.label}"
 
 
 def test_check_rejects_a_hypothesis_it_cannot_honour():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from gdom import cli
 from gdom.cli import RunLog, main
 from gdom.search import PairGenerator, generate_pair, hunt
-from gdom.multigraph import complete_graph, parse_graph, serialize_graph, star_graph, path_graph, single_edge
+from gdom.multigraph import complete_graph, cycle_graph, parse_graph, serialize_graph, star_graph, path_graph, single_edge
 from gdom.spectral import EigensolverError
 
 from conftest import cubic_graph, relabelled_petersen
@@ -138,6 +138,19 @@ def test_relate_local_stats(graphs, capsys):
     assert tv["by_radius"]["1"] == "1/1"  # K4 and K3 have disjoint 1-ball classes
 
 
+def test_relate_local_stats_as_text(graphs, capsys):
+    assert main(["relate", graphs["k4"], graphs["k3"], "--local-stats", "1", "--log-dir", graphs["log"]]) == 0
+    assert capsys.readouterr().out == (
+        "tiling: no\n"
+        "fractional_tiling: yes\n"
+        "fractional_edge_tiling: yes\n"
+        "domination: yes\n"
+        "ball-distribution distance (half-L1 total variation of rooted-ball distributions, in [0,1]):\n"
+        "  radius 0: 0/1\n"
+        "  radius 1: 1/1\n"
+    )
+
+
 def test_relate_negative_local_stats_radius_is_a_usage_error(graphs, capsys):
     for radius in ("-1", "x"):
         with pytest.raises(SystemExit) as exc:
@@ -172,6 +185,20 @@ def test_check_exit_codes(graphs, capsys):
     )
     assert main(["check", "frac_tiling_tree", graphs["p3"], graphs["edge"], "--log-dir", graphs["log"]]) == 2
     assert main(["check", "bogus_id", graphs["k4"], graphs["k3"], "--log-dir", graphs["log"]]) == 3
+
+
+def test_check_status_reads_h_whether_or_not_the_hypothesis_holds(graphs, tmp_path, capsys):
+    for name, g in (("p4", path_graph(4)), ("p70", path_graph(70)), ("c65", cycle_graph(65))):
+        graphs[name] = str(tmp_path / f"{name}.txt")
+        Path(graphs[name]).write_text(serialize_graph(g))
+    argv = ["--hypothesis", "domination", "--hinge", "4", "--log-dir", graphs["log"]]
+    assert main(["check", "spectral_decreasing_convex", graphs["p4"], graphs["k3"], *argv]) == 2
+    assert capsys.readouterr().out == "spectral_decreasing_convex: hypothesis_failed [conjectured]\n"
+    assert main(["check", "spectral_decreasing_convex", graphs["k4"], graphs["k3"], *argv]) == 0
+    assert capsys.readouterr().out.startswith("spectral_decreasing_convex: holds [conjectured]\n")
+    # whether C65 is vertex-transitive is past the automorphism search's bound
+    assert main(["check", "spectral_decreasing_convex", graphs["p70"], graphs["c65"], *argv]) == 3
+    assert capsys.readouterr() == ("", "error: |G| = 65 exceeds bound 64\n")
 
 
 def test_check_hypothesis_it_cannot_honour_is_an_error(graphs, tmp_path, capsys):
@@ -966,6 +993,17 @@ def test_graph6_format_flag(tmp_path, capsys):
     rc = main(["analyze", str(p), "--log-dir", str(tmp_path / "l")])
     out = capsys.readouterr().out
     assert rc == 0 and "vertices: 4" in out
+
+
+def test_format_flag_overrides_the_file_suffix(tmp_path, capsys):
+    p = tmp_path / "k4.txt"
+    p.write_text("C~")
+    log = str(tmp_path / "l")
+    assert main(["analyze", str(p), "--format", "graph6", "--log-dir", log]) == 0
+    assert "vertices: 4" in capsys.readouterr().out
+    # read by its suffix, graph6 text is no edge list
+    assert main(["analyze", str(p), "--log-dir", log]) == 3
+    assert capsys.readouterr().err == "error: bad vertex count 'C~' (at 0)\n"
 
 
 def test_analyze_degrades_per_field_on_large_input(tmp_path, capsys):

@@ -96,6 +96,24 @@ def test_graph6_roundtrip_against_networkx_on_atlas():
         assert decoded.adjacency == g.adjacency and decoded.n == g.n
 
 
+def test_graph6_header_and_long_size_header_against_networkx():
+    # 63 vertices need the four-byte size header "~??~"
+    code = nx.to_graph6_bytes(nx.path_graph(63)).decode().strip()
+    assert code.startswith(">>graph6<<~??~")
+    bare = code.removeprefix(">>graph6<<")
+    for text in (code, bare):
+        assert parse_graph(text, "graph6") == path_graph(63)
+    assert parse_graph(">>graph6<<C~", "graph6") == complete_graph(4)
+
+
+def test_json_keeps_vertex_labels():
+    g = Multigraph(3, [(0, 1, 1, 1), (1, 2, 2, Fraction(1, 2))], labels=["a", "b", "c"])
+    text = serialize_graph(g, "json")
+    assert json.loads(text) == {"n": 3, "edges": [[0, 1, 1, 1], [1, 2, 2, "1/2"]], "labels": ["a", "b", "c"]}
+    back = parse_graph(text, "json")
+    assert back == g and back.labels == ("a", "b", "c")
+
+
 def test_graph6_k3_code():
     assert serialize_graph(complete_graph(3), "graph6") == "Bw"
 

@@ -993,6 +993,47 @@ def test_perturbed_certificates_rejected():
     assert report.verdict == HYPOTHESIS_FAILED
 
 
+def test_verifier_rejects_each_broken_fractional_tiling_field():
+    g, h = complete_graph(4), complete_graph(3)
+    frac = check_fractional_tiling(g, h)
+    assert verify_certificate(g, h, frac)
+    zeros = [0] * len(frac.multiplicities)
+    for bad in (
+        # zip would drop the extra 0 and a copy of negative multiplicity is
+        # inactive, so only the verifier's own checks refuse these two
+        replace(frac, multiplicities=[*frac.multiplicities, 0]),
+        replace(frac, copies=[*frac.copies, frac.copies[0]], multiplicities=[*frac.multiplicities, -1]),
+        replace(frac, multiplicities=zeros),
+        replace(frac, multiplicities=zeros, coverage=0),
+        replace(frac, coverage=0),
+        replace(frac, mode="face"),
+    ):
+        assert verify_certificate(g, h, bad) is False, bad
+        assert verify_certificate(g, h, certificate_from_json(certificate_to_json(bad))) is False
+
+
+def test_verifier_rejects_a_negative_coupling_mass():
+    # moving d from (0, 1) and (1, 0) to (0, 0) and (1, 1) keeps every row and
+    # column sum, and each of the four pairs is a rooted copy of K3 in K4
+    g, h = complete_graph(4), complete_graph(3)
+    cert = check_domination(g, h)
+    witnesses = _relation_witnesses(g, h)
+    assert verify_certificate(g, h, CouplingCertificate(masses=cert.masses, witnesses=witnesses))
+    d = 2 * max(cert.masses.values())
+    masses = dict(cert.masses)
+    for pair, sign in (((0, 0), 1), ((1, 1), 1), ((0, 1), -1), ((1, 0), -1)):
+        masses[pair] = masses.get(pair, Fraction(0)) + sign * d
+    assert min(masses.values()) < 0
+    assert verify_certificate(g, h, CouplingCertificate(masses=masses, witnesses=witnesses)) is False
+
+
+def test_an_unknown_certificate_type_is_a_type_error():
+    g, h = complete_graph(4), complete_graph(3)
+    for call in (lambda: verify_certificate(g, h, object()), lambda: certificate_to_json(object())):
+        with pytest.raises(TypeError, match="unknown certificate type"):
+            call()
+
+
 def _relation_witnesses(g, h):
     """The first embedding of h into g that adds each rooted pair, in DFS
     order: together they cover the whole rooted copy relation."""

@@ -206,6 +206,26 @@ def test_hunt_reports_are_reproducible():
     assert r1.checked == r2.checked
 
 
+def test_a_hunt_counts_the_trials_it_cannot_generate_and_checks_none(monkeypatch):
+    # one attempt per trial: a random pair that is no tiling fails to generate
+    gen = PairGenerator("random_connected_pair", seed=3, relation="tiling", max_attempts=1)
+    failed = []
+    for trial in range(20):
+        try:
+            generate_pair(gen, trial)
+        except GenerationError as exc:
+            assert str(exc) == f"no tiling pair found in 1 attempts (trial {trial})"
+            failed.append(trial)
+    assert 0 < len(failed) < 20
+    checked = []
+    real_check = search.check
+    monkeypatch.setattr(search, "check", lambda *args: checked.append(args) or real_check(*args))
+    first = hunt("spanning_tree", gen, 20)
+    assert (first.generation_failures, first.checked, len(checked)) == (len(failed), 20 - len(failed), 20 - len(failed))
+    again = hunt("spanning_tree", gen, 20).to_json()
+    assert {**first.to_json(), "elapsed": None} == {**again, "elapsed": None}
+
+
 def test_hunt_vertex_counting_finds_star_type_violation():
     # trees with pendant-heavy shapes violate the independent-set comparison
     # under bare domination; H is an edge
