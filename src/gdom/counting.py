@@ -248,7 +248,7 @@ def count_acyclic_orientations(g: Multigraph) -> int:
 def count_independent_sets(g: Multigraph) -> int:
     """Number of independent vertex sets, the empty set included."""
     if g.n > DEFAULT_SUBSET_BOUND:
-        raise CountingBoundExceeded(f"|G| = {g.n} exceeds bound {DEFAULT_SUBSET_BOUND}")
+        raise CountingBoundExceeded(f"{g.n} vertices exceed the independent-set bound {DEFAULT_SUBSET_BOUND}")
     closed = [1 << v for v in range(g.n)]
     for u, v, _, _ in g.edges:
         closed[u] |= 1 << v
@@ -291,7 +291,7 @@ class HomTarget:
 
 
 _hom_memo = Memo()
-_orders = Memo()  # (g.n, g.edges) -> (elimination order, width)
+_orders = Memo()  # g.key -> (elimination order, width)
 
 
 def _bounded_order(g: Multigraph, k: int) -> list[int]:
@@ -300,7 +300,7 @@ def _bounded_order(g: Multigraph, k: int) -> list[int]:
     neighbours a vertex has when it goes.  A map into range(k) needs tables
     of up to k^(width + 1) entries and an adjacency table of k^2; if either
     passes ``DEFAULT_HOM_TABLE_BOUND``, ``CountingBoundExceeded``."""
-    key = (g.n, g.edges)
+    key = g.key
     if (hit := _orders.get(key)) is None:
         nbrs = {v: set(ns) for v, ns in enumerate(g.neighbors)}
         order, width = [], 0
@@ -369,7 +369,7 @@ def count_weighted_homomorphisms(
     ws = tuple(Fraction(1 if weights is None else weights[v]) for v in range(target.n))
     if any(x <= 0 for x in ws):
         raise ValueError("homomorphism weights must be positive")
-    key = (g.n, g.edges, target, ws)
+    key = (g.key, target, ws)
     hit = _hom_memo.get(key)
     if hit is not None:
         return hit
@@ -387,7 +387,7 @@ def count_proper_colorings(g: Multigraph, q: int) -> int:
     on (G, q) and counted on K_q's adjacency table without building K_q."""
     if q < 0:
         raise ValueError("number of colors must be nonnegative")
-    key = (g.n, g.edges, q)
+    key = (g.key, q)
     hit = _hom_memo.get(key)
     if hit is None:
         order = _bounded_order(g, q)

@@ -72,7 +72,7 @@ def _plan(h: Multigraph) -> tuple:
     produced once).  The floors come from the basic orbits of Aut(H) along
     the search order, which ``symmetry._search_tree`` finds.
     """
-    key = (h.n, h.edges)
+    key = h.key
     plan = _plans.get(key)
     if plan is not None:
         return plan

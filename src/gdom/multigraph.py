@@ -24,6 +24,7 @@ import math
 import threading
 from collections import OrderedDict
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 # (u, v, mult, weight) with u < v; an integral weight is an int
@@ -60,10 +61,11 @@ class Multigraph:
     """Connected weighted multigraph on vertices 0..n-1.
 
     Edge records with equal endpoints and equal weight are merged, so the
-    edge list is a canonical sorted tuple; equality and hashing follow it.
+    edge list is a canonical sorted tuple; equality, hashing and ``key``
+    follow it.
     """
 
-    __slots__ = ("n", "edges", "labels", "_adj", "_nbrs", "_hash")
+    __slots__ = ("n", "edges", "labels", "_adj", "_nbrs", "_hash", "_key")
 
     def __init__(
         self,
@@ -108,6 +110,7 @@ class Multigraph:
         self._adj = None
         self._nbrs = None
         self._hash = None
+        self._key = None
         if not _validated and not self.is_connected():
             raise DisconnectedError("graph is not connected")
 
@@ -174,6 +177,22 @@ class Multigraph:
         if self._hash is None:
             self._hash = hash((self.n, self.edges))
         return self._hash
+
+    @property
+    def key(self) -> bytes | tuple:
+        """The graph's value written flat, ``(n, u0, v0, m0, w0, u1, ...)``: the
+        one memo key of a graph, which holds neither the graph nor its edge
+        records, so a memo entry keeps no graph alive.
+
+        It is ``bytes`` when every entry is an int in 0..255, else that flat
+        tuple.  Each record has four entries, so equal keys mean equal
+        graphs, and a ``bytes`` key never equals a tuple one."""
+        if self._key is None:
+            try:
+                self._key = bytes(chain((self.n,), *self.edges))
+            except (TypeError, ValueError):  # a Fraction weight, or an entry past 255
+                self._key = (self.n, *chain.from_iterable(self.edges))
+        return self._key
 
     def __repr__(self) -> str:
         return f"Multigraph(n={self.n}, edges={len(self.edges)} records, units={self.edge_unit_count()})"

@@ -35,7 +35,7 @@ class EigensolverError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Spectrum:
     values: list[float]  # ascending
     # Bound on |lambda_computed - lambda_true| for every eigenvalue, by Weyl's
@@ -181,7 +181,7 @@ def eigenvalues(g: Multigraph) -> Spectrum:
     within the residual of 0 is an EigensolverError.  The Laplacian is
     turned into floats here and nowhere else; an entry beyond the float
     range is a ValueError that names the largest weight."""
-    key = (g.n, g.edges)
+    key = g.key
     hit = _spectra.get(key)
     if hit is not None:
         return hit

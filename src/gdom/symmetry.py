@@ -194,7 +194,7 @@ _codes = Memo()
 
 def cached_code(g: Multigraph) -> bytes:
     """Canonical code memoized on the graph value (shared, thread-safe)."""
-    key = (g.n, g.edges)
+    key = g.key
     hit = _codes.get(key)
     if hit is not None:
         return hit
@@ -214,7 +214,7 @@ class AutomorphismInfo:
 def automorphisms(g: Multigraph) -> AutomorphismInfo:
     """Generators, orbit partition, and exact group order (from the search tree)."""
     if g.n > DEFAULT_SIZE_BOUND:
-        raise SizeBoundExceeded(f"|G| = {g.n} exceeds bound {DEFAULT_SIZE_BOUND}")
+        raise SizeBoundExceeded(f"{g.n} vertices exceed the automorphism search bound {DEFAULT_SIZE_BOUND}")
     n = g.n
     _, gens, levels = _search_tree(_pair_adjacency(g), [0] * n, base=range(n))
     orbits: list[list[int]] = []
@@ -231,7 +231,7 @@ _transitive = Memo()
 def is_transitive(g: Multigraph) -> bool:
     """True iff the automorphism group has a single vertex orbit; memoized on
     the graph value, as :func:`cached_code` is."""
-    key = (g.n, g.edges)
+    key = g.key
     hit = _transitive.get(key)
     if hit is not None:
         return hit

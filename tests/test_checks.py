@@ -401,7 +401,7 @@ def test_the_spectral_status_decides_transitivity_only_where_it_reads_it():
         r = check("spectral_decreasing_convex", c65, c65, params={"functional": hinge(4), "hypothesis": hypothesis})
         assert (r.verdict, r.status) == (HOLDS_WITH_EQUALITY, status)
     for g in (c65, path_graph(70)):
-        with pytest.raises(SizeBoundExceeded, match="65 exceeds bound 64"):
+        with pytest.raises(SizeBoundExceeded, match="65 vertices exceed the automorphism search bound 64"):
             check("spectral_decreasing_convex", g, c65, params={"functional": hinge(4), "hypothesis": "domination"})
 
 

@@ -198,7 +198,7 @@ def test_check_status_reads_h_whether_or_not_the_hypothesis_holds(graphs, tmp_pa
     assert capsys.readouterr().out.startswith("spectral_decreasing_convex: holds [conjectured]\n")
     # whether C65 is vertex-transitive is past the automorphism search's bound
     assert main(["check", "spectral_decreasing_convex", graphs["p70"], graphs["c65"], *argv]) == 3
-    assert capsys.readouterr() == ("", "error: |G| = 65 exceeds bound 64\n")
+    assert capsys.readouterr() == ("", "error: 65 vertices exceed the automorphism search bound 64\n")
 
 
 def test_check_hypothesis_it_cannot_honour_is_an_error(graphs, tmp_path, capsys):

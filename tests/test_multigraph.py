@@ -479,6 +479,97 @@ def test_int_and_fraction_spellings_share_memo_entries(monkeypatch):
     assert len(spectral._spectra._values) == len(symmetry._codes._values) <= 20
 
 
+def test_key_is_the_graph_value_written_flat():
+    g = Multigraph(3, [(1, 2, 2), (0, 1)])
+    assert g.key == bytes((3, 0, 1, 1, 1, 1, 2, 2, 1))
+    # reordered, reversed and split records give an equal graph and an equal key
+    same = Multigraph(3, [(2, 1), (1, 0, 1, 1), (1, 2, 1, Fraction(2, 2))])
+    assert same == g and same.key == g.key and same.key is not g.key
+    assert g.key is g.key  # built once per graph object
+    # each pair below is two unequal graphs, so two unequal keys
+    path, cycle = path_graph(300), cycle_graph(300)
+    for a, b in (
+        (Multigraph(2, [(0, 1, 2, 1)]), Multigraph(2, [(0, 1, 1, 2)])),
+        (Multigraph(2, [(0, 1, 1, Fraction(1, 2))]), Multigraph(2, [(0, 1, 1, 2)])),
+        (Multigraph(2, [(0, 1, 255)]), Multigraph(2, [(0, 1, 256)])),
+        (path, cycle),
+    ):
+        assert a != b and a.key != b.key
+    # bytes exactly when every entry fits in a byte; a flat tuple otherwise
+    assert Multigraph(2, [(0, 1, 255, 255)]).key == bytes((2, 0, 1, 255, 255))
+    assert Multigraph(2, [(0, 1, 256)]).key == (2, 0, 1, 256, 1)
+    assert Multigraph(2, [(0, 1, 1, 256)]).key == (2, 0, 1, 1, 256)
+    assert Multigraph(2, [(0, 1, 1, Fraction(1, 2))]).key == (2, 0, 1, 1, Fraction(1, 2))
+    assert star_graph(254).key == bytes((255, *(x for v in range(1, 255) for x in (0, v, 1, 1))))
+    assert star_graph(255).key == (256, *(x for v in range(1, 256) for x in (0, v, 1, 1)))
+
+
+def test_a_memoized_spectrum_retains_no_graph(monkeypatch):
+    """A memo entry is its key and its value: once the graphs are dropped, a
+    spectrum of a 10-vertex graph keeps under 1 KiB alive.  These keep about
+    860 B each; a key that held the graph's tuple of edge records would keep
+    about 2,870 B."""
+    from gdom import spectral
+    from gdom.multigraph import Memo
+
+    pairs = [(u, v) for u in range(10) for v in range(u + 2, 10)]
+    rng = random.Random(11)
+    masks = set()
+    while len(masks) < 1000:
+        masks.add(rng.getrandbits(len(pairs)))
+    masks = sorted(masks)
+    spectral.eigenvalues(path_graph(10))  # lazy set-up is not an entry's cost
+    monkeypatch.setattr(spectral, "_spectra", Memo())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graphs = [
+            Multigraph(10, [(v, v + 1) for v in range(9)] + [p for i, p in enumerate(pairs) if mask >> i & 1])
+            for mask in masks
+        ]
+        for g in graphs:
+            spectral.eigenvalues(g)
+        del graphs, g
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(spectral._spectra._values) == 1000
+    assert retained / 1000 < 1024, retained / 1000
+
+
+def _holds_edges(key) -> bool:
+    """Whether ``key`` is, or nests in tuples, a graph or a tuple of edge records."""
+    if isinstance(key, Multigraph):
+        return True
+    if not isinstance(key, tuple):
+        return False
+    if key and all(isinstance(x, tuple) and len(x) == 4 for x in key):
+        return True
+    return any(_holds_edges(x) for x in key)
+
+
+def test_no_memo_key_holds_a_graph(monkeypatch):
+    from gdom.counting import HomTarget, count_proper_colorings, count_weighted_homomorphisms
+
+    bound_memos(monkeypatch, 4096)
+    _memo_traffic()
+    for g in (cycle_graph(5), Multigraph(3, [(0, 1, 2, Fraction(1, 2)), (1, 2)])):
+        count_proper_colorings(g, 3)
+        count_weighted_homomorphisms(g, HomTarget.complete(3), {0: 1, 1: 2, 2: Fraction(1, 3)})
+    memos = gdom_memos()
+    assert all(memos[name, attr]._values for name, attr in (
+        ("gdom.spectral", "_spectra"),
+        ("gdom.symmetry", "_codes"),
+        ("gdom.symmetry", "_transitive"),
+        ("gdom.embeddings", "_plans"),
+        ("gdom.counting", "_orders"),
+        ("gdom.counting", "_hom_memo"),
+    ))
+    assert _holds_edges((5, ((0, 1, 1, 1),)))  # a key of (n, edges) would be caught
+    held = {name: [key for key in memo._values if _holds_edges(key)] for name, memo in memos.items()}
+    assert held == {name: [] for name in memos}
+
+
 def test_memo_keeps_the_most_recently_used_entries(monkeypatch):
     from gdom import multigraph
     from gdom.multigraph import Memo
